@@ -19,6 +19,11 @@ print("LP optimum:", out.value, "at", out.point)
 iout = ilp_min(problem)
 print("ILP optimum:", iout.value, "at", iout.point)
 
+# %% Out of node budget, branch-and-bound stops with a proven lower bound
+# on the integer optimum instead: here the root LP value.
+cut = ilp_min(problem, node_budget=1)
+print("ILP with one node:", cut.kind.value, "lower bound", cut.lower_bound)
+
 # %% Parity gap: 2x = 3 has the rational solution 3/2 but no integer one.
 parity = RationalLP.build([1], [([2], Relation.EQ, 3)])
 print("parity LP:", simplex_min(parity).value)

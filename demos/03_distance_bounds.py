@@ -8,15 +8,7 @@ counting transition firings over the rationals (d_Q), over the integers
 net (d_struct).  Lower bounds are what make informed search exact.
 """
 
-from ffreach import (
-    Domain,
-    PetriNet,
-    StateEquationContext,
-    TargetSpec,
-    Transition,
-    build_struct,
-    eval_dstruct,
-)
+from ffreach import PetriNet, StateEquationHeuristic, StructHeuristic, TargetSpec, Transition
 
 places = ["p1", "p2"]
 net = PetriNet(
@@ -30,7 +22,7 @@ net = PetriNet(
 target = TargetSpec.exact((0, 1))
 
 # %% The rational bound around the target: compare with true distances.
-dq = StateEquationContext(net, target, Domain.RATIONALS)
+dq = StateEquationHeuristic(net, target)
 print("d_Q toward (0,1):")
 for m in [(0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (0, 1), (1, 2)]:
     print(f"  {m}: {dq(m)}")
@@ -40,8 +32,8 @@ for m in [(0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (0, 1), (1, 2)]:
 parity = PetriNet(["p"], [Transition("double", (0,), (2,))])
 odd = TargetSpec.exact((3,))
 print("parity net, target p=3:")
-print("  d_Q:", StateEquationContext(parity, odd, Domain.RATIONALS)((0,)))
-print("  d_Z:", StateEquationContext(parity, odd, Domain.INTEGERS)((0,)))
+print("  d_Q:", StateEquationHeuristic(parity, odd)((0,)))
+print("  d_Z:", StateEquationHeuristic(parity, odd, integral=True)((0,)))
 
 # %% The structural bound: tokens travel along place-to-place edges induced
 # by transitions; the slowest token gives the bound.  Cheap to evaluate
@@ -57,7 +49,7 @@ chain = PetriNet(
         Transition.from_maps("t5", chain_places, produce={"p1": 1}),
     ],
 )
-ctx = build_struct(chain)
+d_struct = StructHeuristic(chain, TargetSpec.exact((1, 0, 0)))
 print("structural distance, tokens in p2 and p3, target exactly one token in p1:")
-print("  d_struct =", eval_dstruct(ctx, (0, 1, 1), TargetSpec.exact((1, 0, 0))))
+print("  d_struct =", d_struct((0, 1, 1)))
 print("  (the p2 token needs two hops: p2 -> p3 -> p1)")

@@ -9,15 +9,8 @@ graph.  All arithmetic is exact rational arithmetic.
 
 from .heuristics import (
     INF,
-    Domain,
-    StateEquationContext,
-    StructContext,
+    StateEquationHeuristic,
     StructHeuristic,
-    build_state_equation,
-    build_struct,
-    eval_dq,
-    eval_dstruct,
-    eval_dz,
     make_heuristic,
     zero_heuristic,
 )
@@ -26,7 +19,6 @@ from .instance_io import (
     FnetParseError,
     Instance,
     NonPositiveWeightError,
-    Rel,
     TargetSpec,
     UnknownPlaceError,
     desugar_init,
@@ -46,8 +38,7 @@ from .net import (
 )
 from .prune import PruneResult, PruneVerdict, prune_instance, sign_analysis
 from .ratlp import (
-    ILPOutcome,
-    LPOutcome,
+    Outcome,
     OutcomeKind,
     RationalLP,
     Relation,
@@ -74,22 +65,19 @@ __all__ = [
     "INF",
     "MAX_TOKENS",
     "BrokenParentChainError",
-    "Domain",
     "DuplicateIdError",
     "FnetParseError",
-    "ILPOutcome",
     "Instance",
-    "LPOutcome",
     "Marking",
     "NetDefinitionError",
     "NonPositiveWeightError",
     "NotFirableError",
+    "Outcome",
     "OutcomeKind",
     "PetriNet",
     "PruneResult",
     "PruneVerdict",
     "RationalLP",
-    "Rel",
     "Relation",
     "Row",
     "SearchLimits",
@@ -97,9 +85,8 @@ __all__ = [
     "SearchStats",
     "SolveReport",
     "SplitMix64",
-    "StateEquationContext",
+    "StateEquationHeuristic",
     "Strategy",
-    "StructContext",
     "StructHeuristic",
     "TargetSpec",
     "TokenOverflowError",
@@ -108,13 +95,8 @@ __all__ = [
     "UnknownPlaceError",
     "Verdict",
     "Witness",
-    "build_state_equation",
-    "build_struct",
     "desugar_init",
     "directed_search",
-    "eval_dq",
-    "eval_dstruct",
-    "eval_dz",
     "generator_names",
     "ilp_min",
     "make_heuristic",

@@ -1,10 +1,10 @@
 """Command-line frontend: solve instances and generate random-walk benchmarks.
 
 Exit codes: 0 reachable, 1 proven unreachable, 2 search exhausted (unknown),
-64 usage error, 65 unreadable or invalid input.  Reports go to stdout as
-text or JSON; the JSON payload contains no timing so identical invocations
-produce byte-identical output.  Set FFREACH_LOG=debug for diagnostics on
-stderr.
+64 usage error, 65 unreadable or invalid input, 70 internal error.  Reports
+go to stdout as text or JSON; the JSON payload contains no timing so
+identical invocations produce byte-identical output.  Set FFREACH_LOG=debug
+for diagnostics on stderr, including the traceback of an internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .heuristics import DEFAULT_ILP_NODE_BUDGET, HEURISTIC_NAMES, make_heuristic
+from .heuristics import HEURISTIC_NAMES, make_heuristic
 from .instance_io import (
     FnetParseError,
     Instance,
@@ -29,6 +29,7 @@ from .instance_io import (
 )
 from .net import Marking, NetDefinitionError, PetriNet
 from .prune import PruneVerdict, prune_instance
+from .ratlp import DEFAULT_ILP_NODE_BUDGET
 from .search import SearchLimits, SearchResult, Strategy, Verdict, directed_search
 
 EXIT_REACHABLE = 0
@@ -36,6 +37,7 @@ EXIT_UNREACHABLE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 logger = logging.getLogger("ffreach")
 
@@ -274,6 +276,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low, convert=int):
+    """argparse ``type=`` for a number no smaller than ``low``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= low:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffreach", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--strategy", choices=[s.value for s in Strategy], default="astar")
     solve.add_argument("--heuristic", choices=list(HEURISTIC_NAMES), default="q")
     solve.add_argument("--no-prune", action="store_true", help="skip sign-analysis pruning")
-    solve.add_argument("--ilp-node-budget", type=int, default=DEFAULT_ILP_NODE_BUDGET, metavar="N")
-    solve.add_argument("--max-expansions", type=int, default=None, metavar="N")
-    solve.add_argument("--max-time-ms", type=float, default=None, metavar="N")
+    solve.add_argument("--ilp-node-budget", type=_at_least(1), default=DEFAULT_ILP_NODE_BUDGET, metavar="N")
+    solve.add_argument("--max-expansions", type=_at_least(0), default=None, metavar="N")
+    solve.add_argument("--max-time-ms", type=_at_least(0, float), default=None, metavar="N")
     solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.set_defaults(func=cmd_solve)
 
     genwalk = sub.add_parser("gen-walk", help="derive a reachable instance from a random walk")
     genwalk.add_argument("file", help=".fnet instance file to walk on")
-    genwalk.add_argument("--length", type=int, required=True, metavar="N")
+    genwalk.add_argument("--length", type=_at_least(0), required=True, metavar="N")
     genwalk.add_argument("--seed", type=int, required=True, metavar="S")
     genwalk.add_argument("--out", required=True, metavar="FILE")
     genwalk.add_argument(
@@ -314,11 +329,13 @@ def _configure_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "length", None) is not None and args.length < 0:
-        parser.error("--length must be >= 0")
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a crash must never look like a verdict
+        logger.debug("internal error", exc_info=True)
+        print(f"ffreach: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

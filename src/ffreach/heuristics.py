@@ -1,17 +1,20 @@
 """Distance under-approximations used as search heuristics.
 
-Each heuristic maps a marking to a nonnegative rational lower bound on the
-remaining distance to the target set, or to infinity when even the relaxed
-problem is unsolvable.  Lower bounds must never over-estimate: that is what
-makes best-first search with them return true shortest distances.
+A heuristic is a callable from markings to a nonnegative rational lower
+bound on the remaining distance to the target set, or to infinity when even
+the relaxed problem is unsolvable.  Lower bounds must never over-estimate:
+that is what makes best-first search with them return true shortest
+distances.
 
-Three families are provided:
+Three families are provided, each bound to one net and target when built:
 
-* ``d_Q`` / ``d_Z``: minimal-weight solutions of the token conservation
-  system ("how often must each transition fire, ignoring ordering"), over
-  nonnegative rationals resp. integers.
-* ``d_struct``: shortest paths in a place-level abstraction where each
-  transition becomes edges from its input places to its output places.
+* ``d_Q`` / ``d_Z`` (:class:`StateEquationHeuristic`): minimal-weight
+  solutions of the token conservation system ("how often must each
+  transition fire, ignoring ordering"), over nonnegative rationals resp.
+  integers.
+* ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
+  abstraction where each transition becomes edges from its input places to
+  its output places.
 * the zero heuristic, which turns best-first search into Dijkstra.
 """
 
@@ -19,14 +22,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .instance_io import Instance, Rel, TargetSpec
+from .instance_io import Instance, TargetSpec
 from .net import Marking, PetriNet
-from .ratlp import OutcomeKind, RationalLP, Relation, Row, ilp_min, simplex_min
+from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, Row, ilp_min, simplex_min
 
 #: Extended value for "target unreachable even in the relaxation".
 INF = math.inf
@@ -34,162 +35,110 @@ INF = math.inf
 #: A heuristic is any callable from markings to Fraction or INF.
 Heuristic = Callable[[Marking], object]
 
-DEFAULT_ILP_NODE_BUDGET = 10_000
 
+class StateEquationHeuristic:
+    """``d_Q`` (rational firing counts) or, with ``integral``, ``d_Z``.
 
-class Domain(Enum):
-    RATIONALS = "q"
-    INTEGERS = "z"
+    The state equation has one nonnegative variable per transition (its
+    number of firings) and one row per place: the accumulated effect must
+    close the gap to the target bound, exactly for ``=`` constraints and at
+    least for ``>=`` constraints.  The ``>=`` rows realize the minimum over
+    the whole (infinite) target set without enumerating it.  Coefficients
+    and objective depend on the net only; a marking only shifts the
+    right-hand side.
 
-
-def build_state_equation(net: PetriNet, from_marking: Marking, target: TargetSpec) -> RationalLP:
-    """Token conservation system for reaching the target set from a marking.
-
-    One nonnegative variable per transition (its number of firings), one row
-    per place: the accumulated effect must close the gap to the target bound,
-    exactly for ``=`` constraints and at least for ``>=`` constraints.  The
-    ``>=`` rows realize the minimum over the whole (infinite) target set
-    without enumerating it.
+    With ``integral``, when the branch-and-bound node budget runs out the
+    proven lower bound is returned instead; it is sandwiched between the
+    rational optimum and the integer optimum, so it is still a valid
+    distance under-approximation.
     """
-    objective = tuple(t.weight for t in net.transitions)
-    rows = []
-    for p in range(net.num_places):
-        coeffs = tuple(Fraction(net.effect(t)[p]) for t in range(net.num_transitions))
-        rel, bound = target.constraints[p]
-        relation = Relation.EQ if rel is Rel.EQ else Relation.GEQ
-        rows.append(Row(coeffs, relation, Fraction(bound - from_marking[p])))
-    return RationalLP(net.num_transitions, objective, tuple(rows))
 
+    def __init__(
+        self,
+        net: PetriNet,
+        target: TargetSpec,
+        integral: bool = False,
+        ilp_node_budget: int = DEFAULT_ILP_NODE_BUDGET,
+    ):
+        self.integral = integral
+        self.ilp_node_budget = ilp_node_budget
+        self._objective = tuple(t.weight for t in net.transitions)
+        self._rows = tuple(
+            (tuple(Fraction(net.effect(t)[p]) for t in range(net.num_transitions)), rel, bound)
+            for p, (rel, bound) in enumerate(target.constraints)
+        )
 
-@dataclass(frozen=True)
-class StateEquationContext:
-    """Evaluation context for the state-equation heuristics."""
-
-    net: PetriNet
-    target: TargetSpec
-    domain: Domain
-    ilp_node_budget: int = DEFAULT_ILP_NODE_BUDGET
-
-    def evaluate(self, m: Marking):
-        if self.domain is Domain.RATIONALS:
-            return eval_dq(self, m)
-        return eval_dz(self, m)
+    def lp(self, m: Marking) -> RationalLP:
+        """The state equation for reaching the target set from ``m``."""
+        rows = tuple(
+            Row(coeffs, rel, Fraction(bound - tokens)) for (coeffs, rel, bound), tokens in zip(self._rows, m)
+        )
+        return RationalLP(len(self._objective), self._objective, rows)
 
     def __call__(self, m: Marking):
-        return self.evaluate(m)
+        if self.integral:
+            outcome = ilp_min(self.lp(m), self.ilp_node_budget)
+        else:
+            outcome = simplex_min(self.lp(m))
+        if outcome.kind is OutcomeKind.INFEASIBLE:
+            return INF
+        if outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
+            return outcome.lower_bound
+        assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
+        return outcome.value
 
 
-def eval_dq(ctx: StateEquationContext, m: Marking):
-    """Minimal weight of a rational firing-count vector, or INF."""
-    outcome = simplex_min(build_state_equation(ctx.net, m, ctx.target))
-    if outcome.kind is OutcomeKind.INFEASIBLE:
-        return INF
-    assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
-    return outcome.value
-
-
-def eval_dz(ctx: StateEquationContext, m: Marking):
-    """Minimal weight of an integer firing-count vector, or INF.
-
-    If the branch-and-bound node budget runs out, the proven lower bound is
-    returned instead; it is sandwiched between the rational optimum and the
-    integer optimum, so it is still a valid distance under-approximation.
-    """
-    outcome = ilp_min(build_state_equation(ctx.net, m, ctx.target), ctx.ilp_node_budget)
-    if outcome.kind is OutcomeKind.INFEASIBLE:
-        return INF
-    if outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
-        return outcome.lower_bound
-    return outcome.value
-
-
-@dataclass(frozen=True)
-class StructContext:
-    """Precomputed all-pairs shortest paths of the place-level abstraction.
-
-    Nodes are the places plus a sink (index ``num_places``) that stands for
-    "token created from nothing / destroyed".  ``dist[p][q]`` is the minimal
-    weight needed to move a token from p to q through transitions, or INF.
-    """
-
-    net: PetriNet
-    dist: tuple[tuple[object, ...], ...] = field(repr=False)
-
-    @property
-    def sink(self) -> int:
-        return self.net.num_places
-
-
-def build_struct(net: PetriNet) -> StructContext:
-    """Build the abstraction graph and run Dijkstra from every node."""
-    sink = net.num_places
-    num_nodes = sink + 1
-    adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(num_nodes)]
-    for t in range(net.num_transitions):
-        trans = net.transitions[t]
-        ins = [p for p in range(net.num_places) if trans.guard[p] > 0] or [sink]
-        outs = [p for p in range(net.num_places) if trans.produce[p] > 0] or [sink]
-        for p in ins:
-            for q in outs:
-                if p != q:
-                    adjacency[p].append((q, trans.weight))
-
-    table = []
-    for source in range(num_nodes):
-        dist: list[object] = [INF] * num_nodes
-        dist[source] = Fraction(0)
-        heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for succ, weight in adjacency[node]:
-                nd = d + weight
-                if nd < dist[succ]:
-                    dist[succ] = nd
-                    heapq.heappush(heap, (nd, succ))
-        table.append(tuple(dist))
-    return StructContext(net, tuple(table))
-
-
-def _target_support(ctx: StructContext, target: TargetSpec) -> list[int]:
-    # Places where a token may legally sit in some target marking, plus sink.
-    support = [
-        p
-        for p, (rel, bound) in enumerate(target.constraints)
-        if rel is Rel.GEQ or bound > 0
-    ]
-    support.append(ctx.sink)
-    return support
-
-
-def eval_dstruct(ctx: StructContext, m: Marking, target: TargetSpec):
-    """Every token must travel to a legal target place or be destroyed; the
-    slowest such token gives the bound."""
-    support = _target_support(ctx, target)
-    worst = Fraction(0)  # the sink is marked in every marking and costs 0
-    for p in range(len(m)):
-        if m[p] > 0:
-            kappa = min(ctx.dist[p][q] for q in support)
-            if kappa == INF:
-                return INF
-            if kappa > worst:
-                worst = kappa
-    return worst
-
-
-@dataclass(frozen=True)
 class StructHeuristic:
-    """d_struct bound to a fixed target spec (the shape search needs)."""
+    """``d_struct``: every token must travel to a legal target place or be
+    destroyed; the slowest such token gives the bound.
 
-    ctx: StructContext
-    target: TargetSpec
+    Nodes of the abstraction are the places plus a sink (index ``sink``)
+    that stands for "token created from nothing / destroyed".  ``dist[p][q]``
+    is the minimal weight needed to move a token from p to q through
+    transitions, or INF.  Built once: all-pairs Dijkstra, then each place's
+    cost to reach the target support.
+    """
 
-    def evaluate(self, m: Marking):
-        return eval_dstruct(self.ctx, m, self.target)
+    def __init__(self, net: PetriNet, target: TargetSpec):
+        self.sink = sink = net.num_places
+        num_nodes = sink + 1
+        adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(num_nodes)]
+        for trans in net.transitions:
+            ins = [p for p in range(net.num_places) if trans.guard[p] > 0] or [sink]
+            outs = [p for p in range(net.num_places) if trans.produce[p] > 0] or [sink]
+            for p in ins:
+                for q in outs:
+                    if p != q:
+                        adjacency[p].append((q, trans.weight))
+
+        table = []
+        for source in range(num_nodes):
+            dist: list[object] = [INF] * num_nodes
+            dist[source] = Fraction(0)
+            heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+            while heap:
+                d, node = heapq.heappop(heap)
+                if d > dist[node]:
+                    continue
+                for succ, weight in adjacency[node]:
+                    nd = d + weight
+                    if nd < dist[succ]:
+                        dist[succ] = nd
+                        heapq.heappush(heap, (nd, succ))
+            table.append(tuple(dist))
+        self.dist = tuple(table)
+
+        # Places where a token may legally sit in some target marking, plus sink.
+        support = [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
+        support.append(sink)
+        self._kappa = tuple(min(self.dist[p][q] for q in support) for p in range(net.num_places))
 
     def __call__(self, m: Marking):
-        return eval_dstruct(self.ctx, m, self.target)
+        worst = Fraction(0)  # the sink is marked in every marking and costs 0
+        for tokens, kappa in zip(m, self._kappa):
+            if tokens > 0 and kappa > worst:
+                worst = kappa
+        return worst
 
 
 def zero_heuristic(m: Marking) -> Fraction:
@@ -202,12 +151,10 @@ HEURISTIC_NAMES = ("q", "z", "struct", "zero")
 
 def make_heuristic(name: str, inst: Instance, ilp_node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Heuristic:
     """Factory keyed by the public heuristic names: q, z, struct, zero."""
-    if name == "q":
-        return StateEquationContext(inst.net, inst.target, Domain.RATIONALS)
-    if name == "z":
-        return StateEquationContext(inst.net, inst.target, Domain.INTEGERS, ilp_node_budget)
+    if name in ("q", "z"):
+        return StateEquationHeuristic(inst.net, inst.target, name == "z", ilp_node_budget)
     if name == "struct":
-        return StructHeuristic(build_struct(inst.net), inst.target)
+        return StructHeuristic(inst.net, inst.target)
     if name == "zero":
         return zero_heuristic
     raise ValueError(f"unknown heuristic {name!r}; expected one of {HEURISTIC_NAMES}")

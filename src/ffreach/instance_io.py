@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .net import Marking, NetDefinitionError, PetriNet, Transition
+from .ratlp import Relation
 
 
 class FnetParseError(ValueError):
@@ -48,44 +48,37 @@ class NonPositiveWeightError(FnetParseError):
     pass
 
 
-class Rel(str, Enum):
-    """Per-place target relation."""
-
-    EQ = "="
-    GEQ = ">="
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """One (relation, bound) constraint per place; GEQ 0 means unconstrained."""
 
-    constraints: tuple[tuple[Rel, int], ...]
+    constraints: tuple[tuple[Relation, int], ...]
 
     def __post_init__(self):
         for rel, bound in self.constraints:
-            if rel not in (Rel.EQ, Rel.GEQ) or bound < 0:
+            if rel not in (Relation.EQ, Relation.GEQ) or bound < 0:
                 raise NetDefinitionError(f"bad target constraint ({rel}, {bound})")
 
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
         """The singleton target set containing exactly ``marking``."""
-        return cls(tuple((Rel.EQ, int(v)) for v in marking))
+        return cls(tuple((Relation.EQ, int(v)) for v in marking))
 
     @classmethod
     def cover(cls, marking: Sequence[int]) -> "TargetSpec":
         """The upward closure of ``marking`` (all constraints >=)."""
-        return cls(tuple((Rel.GEQ, int(v)) for v in marking))
+        return cls(tuple((Relation.GEQ, int(v)) for v in marking))
 
     @classmethod
     def unconstrained(cls, num_places: int) -> "TargetSpec":
-        return cls(tuple((Rel.GEQ, 0) for _ in range(num_places)))
+        return cls(tuple((Relation.GEQ, 0) for _ in range(num_places)))
 
     def __len__(self) -> int:
         return len(self.constraints)
 
     def satisfied(self, m: Marking) -> bool:
         for value, (rel, bound) in zip(m, self.constraints):
-            if rel is Rel.EQ:
+            if rel is Relation.EQ:
                 if value != bound:
                     return False
             elif value < bound:
@@ -93,10 +86,10 @@ class TargetSpec:
         return True
 
     def is_exact(self) -> bool:
-        return all(rel is Rel.EQ for rel, _ in self.constraints)
+        return all(rel is Relation.EQ for rel, _ in self.constraints)
 
     def is_cover(self) -> bool:
-        return all(rel is Rel.GEQ for rel, _ in self.constraints)
+        return all(rel is Relation.GEQ for rel, _ in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -311,11 +304,11 @@ def parse_instance(text: str) -> Instance:
     constraints = []
     for i in range(num):
         if i not in target_values:
-            constraints.append((Rel.GEQ, 0))
+            constraints.append((Relation.GEQ, 0))
         elif i in target_flagged:
-            constraints.append((Rel.GEQ, target_values[i]))
+            constraints.append((Relation.GEQ, target_values[i]))
         else:
-            constraints.append((Rel.EQ, target_values[i]))
+            constraints.append((Relation.EQ, target_values[i]))
     target = TargetSpec(tuple(constraints))
 
     return Instance(net, init, frozenset(init_flagged), target).validate()
@@ -397,7 +390,7 @@ def serialize_instance(inst: Instance) -> str:
     target_entries = []
     for i, pid in enumerate(net.places):
         rel, bound = inst.target.constraints[i]
-        if rel is Rel.EQ:
+        if rel is Relation.EQ:
             target_entries.append(f"{pid}={bound}")
         elif bound != 0:
             target_entries.append(f"{pid}>={bound}")

@@ -21,8 +21,13 @@ from typing import Sequence
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+#: Branch-and-bound node budget of :func:`ilp_min` unless a caller sets one.
+DEFAULT_ILP_NODE_BUDGET = 10_000
+
 
 class Relation(str, Enum):
+    """Relation of an LP row, and of a per-place target constraint."""
+
     EQ = "="
     GEQ = ">="
 
@@ -76,31 +81,18 @@ class OutcomeKind(Enum):
 
 
 @dataclass(frozen=True)
-class LPOutcome:
-    kind: OutcomeKind
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
+class Outcome:
+    """Result of :func:`simplex_min` or :func:`ilp_min`."""
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.kind is OutcomeKind.OPTIMAL
-
-
-@dataclass(frozen=True)
-class ILPOutcome:
     kind: OutcomeKind
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
     #: Proven lower bound on the integer optimum when the node budget ran out.
     lower_bound: Fraction | None = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.kind is OutcomeKind.OPTIMAL
 
-
-INFEASIBLE_LP = LPOutcome(OutcomeKind.INFEASIBLE)
-UNBOUNDED_LP = LPOutcome(OutcomeKind.UNBOUNDED)
+INFEASIBLE = Outcome(OutcomeKind.INFEASIBLE)
+UNBOUNDED = Outcome(OutcomeKind.UNBOUNDED)
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -149,7 +141,7 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], num_cols: int)
         cost = tableau[m]
 
 
-def simplex_min(lp: RationalLP) -> LPOutcome:
+def simplex_min(lp: RationalLP) -> Outcome:
     """Exact two-phase simplex minimization over x >= 0.
 
     The outcome's point satisfies every row exactly; callers can (and tests
@@ -181,7 +173,7 @@ def simplex_min(lp: RationalLP) -> LPOutcome:
     tableau.append(cost)
     _run_simplex(tableau, basis, num_cols)
     if tableau[-1][-1] != 0:  # cost row holds -(phase-1 value)
-        return INFEASIBLE_LP
+        return INFEASIBLE
     tableau.pop()
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -204,14 +196,14 @@ def simplex_min(lp: RationalLP) -> LPOutcome:
     tableau.append(cost)
     status = _run_simplex(tableau, basis, num_structural)
     if status == "unbounded":
-        return UNBOUNDED_LP
+        return UNBOUNDED
 
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tableau[i][-1]
     value = sum((c * x for c, x in zip(lp.objective, point)), ZERO)
-    return LPOutcome(OutcomeKind.OPTIMAL, value, tuple(point))
+    return Outcome(OutcomeKind.OPTIMAL, value, tuple(point))
 
 
 def _bound_row(num_vars: int, var: int, coeff: Fraction, rhs: Fraction) -> Row:
@@ -284,7 +276,7 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
     return False
 
 
-def ilp_min(lp: RationalLP, node_budget: int = 10_000) -> ILPOutcome:
+def ilp_min(lp: RationalLP, node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Outcome:
     """Minimize over nonnegative *integer* points by branch-and-bound.
 
     Depth-first, branching on the first fractional variable in index order
@@ -295,7 +287,7 @@ def ilp_min(lp: RationalLP, node_budget: int = 10_000) -> ILPOutcome:
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
     if _lattice_infeasible(lp):
-        return ILPOutcome(OutcomeKind.INFEASIBLE)
+        return INFEASIBLE
 
     incumbent: tuple[Fraction, tuple[Fraction, ...]] | None = None
     # Stack entries: (extra bound rows, inherited lower bound from the parent).
@@ -307,7 +299,7 @@ def ilp_min(lp: RationalLP, node_budget: int = 10_000) -> ILPOutcome:
             open_bounds = [b for _, b in stack if b is not None]
             candidates = open_bounds + ([incumbent[0]] if incumbent else [])
             # Every stacked node descends from a solved parent, so bounds exist.
-            return ILPOutcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=min(candidates))
+            return Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=min(candidates))
 
         extra, inherited = stack.pop()
         if incumbent is not None and inherited is not None and inherited >= incumbent[0]:
@@ -338,5 +330,5 @@ def ilp_min(lp: RationalLP, node_budget: int = 10_000) -> ILPOutcome:
         stack.append(((*extra, _bound_row(lp.num_vars, frac_var, -ONE, -floor)), outcome.value))
 
     if incumbent is None:
-        return ILPOutcome(OutcomeKind.INFEASIBLE)
-    return ILPOutcome(OutcomeKind.OPTIMAL, incumbent[0], incumbent[1])
+        return INFEASIBLE
+    return Outcome(OutcomeKind.OPTIMAL, incumbent[0], incumbent[1])

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from ffreach import Instance, PetriNet, Rel, TargetSpec, Transition
+from ffreach import Instance, PetriNet, TargetSpec, Transition
 from ffreach.ratlp import RationalLP, Relation
 
 INF = float("inf")
@@ -365,15 +365,15 @@ def random_bounded_instance(
         constraints = []
         for p in range(num_places):
             if upward:
-                constraints.append((Rel.GEQ, rng.randint(0, m[p])))
+                constraints.append((Relation.GEQ, rng.randint(0, m[p])))
             elif rng.random() < 0.7:
-                constraints.append((Rel.EQ, m[p]))
+                constraints.append((Relation.EQ, m[p]))
             else:
-                constraints.append((Rel.GEQ, rng.randint(0, m[p])))
+                constraints.append((Relation.GEQ, rng.randint(0, m[p])))
     else:
         constraints = []
         for _ in range(num_places):
-            rel = Rel.GEQ if upward else rng.choice([Rel.EQ, Rel.GEQ])
+            rel = Relation.GEQ if upward else rng.choice([Relation.EQ, Relation.GEQ])
             constraints.append((rel, rng.randint(0, 2)))
     target = TargetSpec(tuple(constraints))
 

@@ -18,22 +18,18 @@ from fractions import Fraction
 import pytest
 
 from ffreach import (
-    Domain,
     Instance,
     PetriNet,
     PruneVerdict,
     SearchLimits,
-    StateEquationContext,
+    StateEquationHeuristic,
     Strategy,
     StructHeuristic,
     TargetSpec,
     Transition,
     Verdict,
-    build_state_equation,
-    build_struct,
     desugar_init,
     directed_search,
-    eval_dstruct,
     ilp_min,
     make_heuristic,
     parse_instance,
@@ -115,7 +111,7 @@ def test_criterion_2_worked_example_heuristic_table(capsys):
         2, "the eight reference heuristic values (1,2,3,1,4,2,0,inf) are exact"
     ):
         net = three_transition_net()
-        ctx = StateEquationContext(net, TargetSpec.exact((0, 1)), Domain.RATIONALS)
+        ctx = StateEquationHeuristic(net, TargetSpec.exact((0, 1)))
         table = {
             (0, 0): Fraction(1),
             (1, 0): Fraction(2),
@@ -172,15 +168,15 @@ def test_criterion_4_admissibility_and_consistency(corpus, capsys):
         violations = 0
         budget_exhausted = 0
         for inst, markings, remaining in corpus:
-            dq = StateEquationContext(inst.net, inst.target, Domain.RATIONALS)
-            dz = StateEquationContext(inst.net, inst.target, Domain.INTEGERS)
-            ds = StructHeuristic(build_struct(inst.net), inst.target)
+            dq = StateEquationHeuristic(inst.net, inst.target)
+            dz = StateEquationHeuristic(inst.net, inst.target, integral=True)
+            ds = StructHeuristic(inst.net, inst.target)
             hq = {m: dq(m) for m in markings}
             hz = {m: dz(m) for m in markings}
             hs = {m: ds(m) for m in markings}
             # The corpus must be solved exactly: no branch-and-bound fallback.
             for m in markings:
-                outcome = ilp_min(build_state_equation(inst.net, m, inst.target))
+                outcome = ilp_min(dz.lp(m))
                 budget_exhausted += outcome.kind is OutcomeKind.BUDGET_EXHAUSTED
             for m in markings:
                 truth = remaining[m]
@@ -262,23 +258,22 @@ def test_criterion_7_structural_distance(capsys):
         7, "pipeline example gives 2 (kappa 2 and 1); triangle inequality and the size cap hold"
     ):
         net = chain_net()
-        ctx = build_struct(net)
-        target = TargetSpec.exact((1, 0, 0))
+        ctx = StructHeuristic(net, TargetSpec.exact((1, 0, 0)))
         support = (0, ctx.sink)
         assert min(ctx.dist[1][q] for q in support) == Fraction(2)  # kappa(p2)
         assert min(ctx.dist[2][q] for q in support) == Fraction(1)  # kappa(p3)
-        assert eval_dstruct(ctx, (0, 1, 1), target) == Fraction(2)
+        assert ctx((0, 1, 1)) == Fraction(2)
 
         rng = random.Random(77)
         for _ in range(40):
             inst = random_bounded_instance(rng, rational_weights=True)
-            sctx = build_struct(inst.net)
             cap = inst.net.num_places * inst.net.max_weight()
             markings = sorted(enumerate_reachable(inst.net, inst.init))[:5]
+            toward = {m: StructHeuristic(inst.net, TargetSpec.exact(m)) for m in markings}
             for a, b, c in itertools.permutations(markings, 3):
-                ab = eval_dstruct(sctx, a, TargetSpec.exact(b))
-                bc = eval_dstruct(sctx, b, TargetSpec.exact(c))
-                ac = eval_dstruct(sctx, a, TargetSpec.exact(c))
+                ab = toward[b](a)
+                bc = toward[c](b)
+                ac = toward[c](a)
                 if ab != INF and bc != INF:
                     assert ac <= ab + bc
                 for v in (ab, bc, ac):

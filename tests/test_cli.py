@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from ffreach import (
     parse_instance,
     random_walk,
 )
+from ffreach import cli
 from ffreach.cli import main
 
 UPWARD_FNET = """\
@@ -155,6 +157,20 @@ GOLDEN_JSON = """\
 """
 
 
+class TestInternalError:
+    def test_unexpected_exception_exits_70(self, fig1_path, capsys, caplog, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "solve_instance", crash)
+        with caplog.at_level(logging.DEBUG, logger="ffreach"):
+            code, out, err = run_main(["solve", fig1_path], capsys)
+        assert code == 70
+        assert out == ""
+        assert err == "ffreach: internal error: RuntimeError('boom')\n"
+        assert "Traceback" in caplog.text  # the debug channel carries the details
+
+
 class TestGoldenReport:
     def test_json_matches_frozen_schema(self, fig1_path, capsys):
         code, out, _ = run_main(["solve", fig1_path, "--format", "json"], capsys)
@@ -267,11 +283,24 @@ class TestSubprocessReproducibility:
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
 
-    def test_usage_error_exit_code(self):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve"],
+            ["solve", "{file}", "--heuristic", "z", "--ilp-node-budget", "0"],
+            ["solve", "{file}", "--max-expansions", "-1"],
+            ["solve", "{file}", "--max-time-ms", "-5"],
+            ["gen-walk", "{file}", "--seed", "1", "--out", "{out}", "--length", "-1"],
+        ],
+        ids=["missing-file", "ilp-node-budget", "max-expansions", "max-time-ms", "length"],
+    )
+    def test_usage_error_exit_code(self, fig1_path, tmp_path, args):
+        args = [a.format(file=fig1_path, out=tmp_path / "w.fnet") for a in args]
         proc = subprocess.run(
-            [sys.executable, "-m", "ffreach.cli", "solve"], capture_output=True
+            [sys.executable, "-m", "ffreach.cli", *args], capture_output=True, text=True
         )
         assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
 
     def test_log_env_var_emits_diagnostics(self, fig1_path):
         import os

@@ -3,19 +3,12 @@ from fractions import Fraction
 from itertools import permutations
 
 from ffreach import (
-    Domain,
     PetriNet,
-    Rel,
     Relation,
-    StateEquationContext,
+    StateEquationHeuristic,
     StructHeuristic,
     TargetSpec,
     Transition,
-    build_state_equation,
-    build_struct,
-    eval_dq,
-    eval_dstruct,
-    eval_dz,
     zero_heuristic,
 )
 from ffreach.heuristics import INF
@@ -28,7 +21,7 @@ F = Fraction
 class TestStateEquationConstruction:
     def test_rows_for_exact_target(self, n1):
         target = TargetSpec.exact((0, 1))
-        lp = build_state_equation(n1, (0, 0), target)
+        lp = StateEquationHeuristic(n1, target).lp((0, 0))
         assert lp.num_vars == 3
         assert lp.objective == (F(1), F(1), F(1))
         assert lp.rows[0].coeffs == (F(1), F(0), F(-1))  # place p1
@@ -39,22 +32,20 @@ class TestStateEquationConstruction:
 
     def test_rhs_shifts_with_source_marking(self, n1):
         target = TargetSpec.exact((0, 1))
-        lp = build_state_equation(n1, (1, 0), target)
-        assert lp.rows[0].rhs == -1
-        ctx = StateEquationContext(n1, target, Domain.RATIONALS)
-        assert eval_dq(ctx, (1, 0)) == 2
+        dq = StateEquationHeuristic(n1, target)
+        assert dq.lp((1, 0)).rows[0].rhs == -1
+        assert dq((1, 0)) == 2
 
     def test_cover_target_uses_geq_rows(self, n1):
-        target = TargetSpec(((Rel.GEQ, 0), (Rel.GEQ, 1)))
-        lp = build_state_equation(n1, (0, 0), target)
-        assert lp.rows[0].relation is Relation.GEQ
-        ctx = StateEquationContext(n1, target, Domain.RATIONALS)
-        assert eval_dq(ctx, (0, 0)) == 1
+        target = TargetSpec(((Relation.GEQ, 0), (Relation.GEQ, 1)))
+        dq = StateEquationHeuristic(n1, target)
+        assert dq.lp((0, 0)).rows[0].relation is Relation.GEQ
+        assert dq((0, 0)) == 1
 
 
 class TestRationalDistance:
     def test_reference_values(self, n1):
-        ctx = StateEquationContext(n1, TargetSpec.exact((0, 1)), Domain.RATIONALS)
+        dq = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)))
         expected = {
             (0, 0): F(1),
             (1, 0): F(2),
@@ -66,36 +57,36 @@ class TestRationalDistance:
             (1, 2): INF,
         }
         for marking, value in expected.items():
-            assert eval_dq(ctx, marking) == value
+            assert dq(marking) == value
 
 
 class TestIntegerDistance:
     def test_parity_gap(self):
         net = parity_net()
         target = TargetSpec.exact((3,))
-        dq = StateEquationContext(net, target, Domain.RATIONALS)
-        dz = StateEquationContext(net, target, Domain.INTEGERS)
-        assert eval_dq(dq, (0,)) == F(3, 2)
-        assert eval_dz(dz, (0,)) == INF
+        dq = StateEquationHeuristic(net, target)
+        dz = StateEquationHeuristic(net, target, integral=True)
+        assert dq((0,)) == F(3, 2)
+        assert dz((0,)) == INF
 
     def test_matches_rational_at_integral_optima(self, n1):
-        ctx = StateEquationContext(n1, TargetSpec.exact((0, 1)), Domain.INTEGERS)
-        assert eval_dz(ctx, (0, 0)) == 1
-        assert eval_dz(ctx, (1, 1)) == 1
+        dz = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=True)
+        assert dz((0, 0)) == 1
+        assert dz((1, 1)) == 1
 
     def test_budget_exhaustion_falls_back_to_lower_bound(self):
         # Two producers of 3 resp. 2 tokens; hitting exactly 4 needs branching
         # past the fractional optimum 4/3, which a budget of one node forbids.
         net = PetriNet(["p"], [Transition("t3", (0,), (3,)), Transition("t2", (0,), (2,))])
         target = TargetSpec.exact((4,))
-        ctx = StateEquationContext(net, target, Domain.INTEGERS, ilp_node_budget=1)
-        assert eval_dz(ctx, (0,)) == F(4, 3)
-        exact = StateEquationContext(net, target, Domain.INTEGERS)
-        assert eval_dz(exact, (0,)) == 2
+        dz = StateEquationHeuristic(net, target, integral=True, ilp_node_budget=1)
+        assert dz((0,)) == F(4, 3)
+        exact = StateEquationHeuristic(net, target, integral=True)
+        assert exact((0,)) == 2
 
     def test_context_is_callable(self, n1):
-        ctx = StateEquationContext(n1, TargetSpec.exact((0, 1)), Domain.INTEGERS)
-        assert ctx((0, 0)) == ctx.evaluate((0, 0)) == 1
+        dz = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=True)
+        assert dz((0, 0)) == 1
 
 
 def brute_force_struct_table(net):
@@ -129,7 +120,7 @@ def brute_force_struct_table(net):
 
 class TestStructuralDistance:
     def test_abstraction_edges(self, n2):
-        ctx = build_struct(n2)
+        ctx = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
         sink = ctx.sink
         assert ctx.dist[sink][0] == 1  # source transition: sink -> p1
         assert ctx.dist[0][1] == 1  # p1 -> p2
@@ -140,49 +131,45 @@ class TestStructuralDistance:
 
     def test_empty_transition_gives_no_self_loop(self):
         net = PetriNet(["a"], [Transition("noop", (0,), (0,))])
-        ctx = build_struct(net)
+        ctx = StructHeuristic(net, TargetSpec.exact((0,)))
         assert ctx.dist[1][1] == 0
         assert ctx.dist[0][1] == INF and ctx.dist[1][0] == INF
 
     def test_table_matches_path_enumeration(self, n2):
-        ctx = build_struct(n2)
+        ctx = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
         oracle = brute_force_struct_table(n2)
         for u in range(n2.num_places + 1):
             for v in range(n2.num_places + 1):
                 assert ctx.dist[u][v] == oracle[(u, v)]
 
     def test_worked_example(self, n2):
-        ctx = build_struct(n2)
-        target = TargetSpec.exact((1, 0, 0))
+        ctx = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
         # kappa(p2) = 2 and kappa(p3) = 1; the slowest token decides.
         assert min(ctx.dist[1][q] for q in (0, ctx.sink)) == 2
         assert min(ctx.dist[2][q] for q in (0, ctx.sink)) == 1
-        assert eval_dstruct(ctx, (0, 1, 1), target) == 2
+        assert ctx((0, 1, 1)) == 2
 
     def test_zero_on_satisfying_marking(self, n2):
-        ctx = build_struct(n2)
-        target = TargetSpec.exact((1, 0, 0))
-        assert eval_dstruct(ctx, (1, 0, 0), target) == 0
-        mixed = TargetSpec(((Rel.GEQ, 1), (Rel.EQ, 0), (Rel.GEQ, 0)))
-        assert eval_dstruct(ctx, (2, 0, 1), mixed) == 0
+        assert StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))((1, 0, 0)) == 0
+        mixed = TargetSpec(((Relation.GEQ, 1), (Relation.EQ, 0), (Relation.GEQ, 0)))
+        assert StructHeuristic(n2, mixed)((2, 0, 1)) == 0
 
     def test_token_burial_distance(self, n2):
         # All tokens must drain through the pipeline and vanish at the sink.
-        ctx = build_struct(n2)
+        ctx = StructHeuristic(n2, TargetSpec.exact((0, 0, 0)))
         oracle = brute_force_struct_table(n2)
         assert oracle[(0, ctx.sink)] == 3
-        assert eval_dstruct(ctx, (1, 0, 0), TargetSpec.exact((0, 0, 0))) == 3
+        assert ctx((1, 0, 0)) == 3
 
     def test_stuck_token_is_infinite(self):
         places = ["a", "b"]
         net = PetriNet(places, [Transition.from_maps("t", places, consume={"b": 1})])
-        ctx = build_struct(net)
-        assert eval_dstruct(ctx, (1, 0), TargetSpec.exact((0, 0))) == INF
+        assert StructHeuristic(net, TargetSpec.exact((0, 0)))((1, 0)) == INF
 
     def test_heuristic_wrapper(self, n2):
         target = TargetSpec.exact((1, 0, 0))
-        h = StructHeuristic(build_struct(n2), target)
-        assert h((0, 1, 1)) == h.evaluate((0, 1, 1)) == 2
+        h = StructHeuristic(n2, target)
+        assert h((0, 1, 1)) == 2
 
 
 class TestZeroHeuristic:
@@ -193,9 +180,9 @@ class TestZeroHeuristic:
 
 class TestAdmissibilityOnRandomNets:
     def _contexts(self, inst):
-        dq = StateEquationContext(inst.net, inst.target, Domain.RATIONALS)
-        dz = StateEquationContext(inst.net, inst.target, Domain.INTEGERS)
-        ds = StructHeuristic(build_struct(inst.net), inst.target)
+        dq = StateEquationHeuristic(inst.net, inst.target)
+        dz = StateEquationHeuristic(inst.net, inst.target, integral=True)
+        ds = StructHeuristic(inst.net, inst.target)
         return dq, dz, ds
 
     def test_lower_bounds_and_consistency(self):
@@ -227,13 +214,13 @@ class TestAdmissibilityOnRandomNets:
         for _ in range(20):
             inst = random_bounded_instance(rng, rational_weights=True)
             net = inst.net
-            ctx = build_struct(net)
             cap = net.num_places * net.max_weight()
             markings = list(enumerate_reachable(net, inst.init))[:6]
+            toward = {m: StructHeuristic(net, TargetSpec.exact(m)) for m in markings}
             for a, b, c in permutations(markings, 3) if len(markings) >= 3 else []:
-                ab = eval_dstruct(ctx, a, TargetSpec.exact(b))
-                bc = eval_dstruct(ctx, b, TargetSpec.exact(c))
-                ac = eval_dstruct(ctx, a, TargetSpec.exact(c))
+                ab = toward[b](a)
+                bc = toward[c](b)
+                ac = toward[c](a)
                 if ab != INF and bc != INF:
                     assert ac <= ab + bc
                 for value in (ab, bc, ac):

@@ -10,7 +10,7 @@ from ffreach import (
     Instance,
     NonPositiveWeightError,
     PetriNet,
-    Rel,
+    Relation,
     TargetSpec,
     Transition,
     UnknownPlaceError,
@@ -28,7 +28,7 @@ class TestParse:
         assert [t.name for t in inst.net.transitions] == ["t1", "t2", "t3"]
         assert inst.init == (0, 0)
         assert inst.init_upward == frozenset()
-        assert inst.target.constraints == ((Rel.EQ, 0), (Rel.EQ, 1))
+        assert inst.target.constraints == ((Relation.EQ, 0), (Relation.EQ, 1))
 
     def test_upward_init(self):
         inst = parse_instance("net n\nplaces: p1\ninit: p1>=1\n")
@@ -72,7 +72,7 @@ class TestParse:
     def test_defaults(self):
         inst = parse_instance("net n\nplaces: a b\n")
         assert inst.init == (0, 0)
-        assert inst.target.constraints == ((Rel.GEQ, 0), (Rel.GEQ, 0))
+        assert inst.target.constraints == ((Relation.GEQ, 0), (Relation.GEQ, 0))
 
     def test_comments_and_crlf(self):
         text = "net n # the name\r\nplaces: a\r\n# full comment line\r\ninit: a=1\r\n"
@@ -85,7 +85,7 @@ class TestParse:
 
     def test_target_geq(self):
         inst = parse_instance("net n\nplaces: a b\ntarget: a>=2 b=0\n")
-        assert inst.target.constraints == ((Rel.GEQ, 2), (Rel.EQ, 0))
+        assert inst.target.constraints == ((Relation.GEQ, 2), (Relation.EQ, 0))
 
     def test_place_listed_twice_in_init(self):
         with pytest.raises(DuplicateIdError):
@@ -98,7 +98,7 @@ class TestParse:
 
 class TestTargetSpec:
     def test_satisfaction_mixed(self):
-        spec = TargetSpec(((Rel.EQ, 1), (Rel.GEQ, 2)))
+        spec = TargetSpec(((Relation.EQ, 1), (Relation.GEQ, 2)))
         assert spec.satisfied((1, 2))
         assert spec.satisfied((1, 5))
         assert not spec.satisfied((2, 5))
@@ -190,7 +190,7 @@ def random_instances(draw):
         p for p in range(num_places) if init[p] >= 1 and draw(st.booleans())
     )
     constraints = tuple(
-        (draw(st.sampled_from([Rel.EQ, Rel.GEQ])), draw(st.integers(0, 3)))
+        (draw(st.sampled_from([Relation.EQ, Relation.GEQ])), draw(st.integers(0, 3)))
         for _ in range(num_places)
     )
     return Instance(net, init, upward, TargetSpec(constraints)).validate()

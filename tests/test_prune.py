@@ -5,7 +5,7 @@ from ffreach import (
     Instance,
     PetriNet,
     PruneVerdict,
-    Rel,
+    Relation,
     Strategy,
     TargetSpec,
     Transition,
@@ -62,18 +62,18 @@ class TestPruneInstance:
 
     def test_target_on_dead_place_settles_instance(self):
         net = self_loop_net()
-        inst = Instance(net, (1, 0), frozenset(), TargetSpec(((Rel.GEQ, 0), (Rel.GEQ, 1)))).validate()
+        inst = Instance(net, (1, 0), frozenset(), TargetSpec(((Relation.GEQ, 0), (Relation.GEQ, 1)))).validate()
         assert prune_instance(inst).verdict is PruneVerdict.IMMEDIATELY_UNREACHABLE
 
     def test_vacuous_constraint_dropped(self):
         net = self_loop_net()
-        inst = Instance(net, (1, 0), frozenset(), TargetSpec(((Rel.GEQ, 1), (Rel.EQ, 0)))).validate()
+        inst = Instance(net, (1, 0), frozenset(), TargetSpec(((Relation.GEQ, 1), (Relation.EQ, 0)))).validate()
         result = prune_instance(inst)
         assert result.verdict is PruneVerdict.PRUNED
         pruned = result.pruned_instance
         assert pruned.net.num_places == 1
         assert pruned.net.num_transitions == 1
-        assert pruned.target.constraints == ((Rel.GEQ, 1),)
+        assert pruned.target.constraints == ((Relation.GEQ, 1),)
 
     def test_transitions_needing_dead_places_removed(self):
         places = ["a", "b"]

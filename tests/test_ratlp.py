@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ffreach import (
-    ILPOutcome,
+    Outcome,
     OutcomeKind,
     RationalLP,
     Relation,
@@ -175,7 +175,7 @@ class TestAgainstOracles:
                 assert out.kind is OutcomeKind.OPTIMAL, "budget must suffice on boxed systems"
                 assert out.value == expected
                 assert all(x.denominator == 1 for x in out.point)
-                check_point(problem, ILPOutcome(out.kind, out.value, out.point))
+                check_point(problem, Outcome(out.kind, out.value, out.point))
 
     def test_relaxation_bound_is_monotone(self):
         rng = random.Random(123321)

@@ -190,12 +190,18 @@ def solve_instance(
     return result, witness_ids, generator_firings
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _read_instance(path: str) -> Instance | None:
+    """Parse an instance file, or report why it cannot be read and return None."""
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            return parse_instance(fh.read())
     except (OSError, FnetParseError, NetDefinitionError, UnicodeDecodeError) as exc:
-        print(f"ffreach: {args.file}: {exc}", file=sys.stderr)
+        print(f"ffreach: {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    if (inst := _read_instance(args.file)) is None:
         return EXIT_DATA
 
     strategy = Strategy(args.strategy)
@@ -239,11 +245,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_genwalk(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
-    except (OSError, FnetParseError, NetDefinitionError, UnicodeDecodeError) as exc:
-        print(f"ffreach: {args.file}: {exc}", file=sys.stderr)
+    if (inst := _read_instance(args.file)) is None:
         return EXIT_DATA
 
     start = list(inst.init)

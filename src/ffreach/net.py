@@ -176,26 +176,26 @@ class PetriNet:
 
     def fire(self, m: Marking, t: int) -> Marking:
         """Fire transition ``t``, returning the successor marking."""
-        trans = self.transitions[t]
         if not self.is_firable(m, t):
+            trans = self.transitions[t]
             raise NotFirableError(
                 f"transition {trans.name!r} is not firable: marking {m} below guard {trans.guard}",
                 transition=t,
             )
+        return self._apply(m, t)
+
+    def _apply(self, m: Marking, t: int) -> Marking:
+        """Add the effect of an enabled transition ``t`` to ``m``."""
         result = tuple(v + e for v, e in zip(m, self._effects[t]))
         if any(v > MAX_TOKENS for v in result):
             raise TokenOverflowError(
-                f"firing {trans.name!r} overflows a token count", transition=t
+                f"firing {self.transitions[t].name!r} overflows a token count", transition=t
             )
         return result
 
     def successors(self, m: Marking) -> list[tuple[int, Marking]]:
         """All enabled transitions with their successor markings, in index order."""
-        out = []
-        for t in range(self.num_transitions):
-            if self.is_firable(m, t):
-                out.append((t, self.fire(m, t)))
-        return out
+        return [(t, self._apply(m, t)) for t in range(self.num_transitions) if self.is_firable(m, t)]
 
     def witness(self, seq: Sequence[int]) -> Witness:
         """Package a transition sequence as a Witness (weight and Parikh counts)."""

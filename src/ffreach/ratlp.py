@@ -8,6 +8,12 @@ engine hinges on never over-estimating, so rounding is not an option.
 The solver is a textbook two-phase simplex on a dense tableau with Bland's
 pivoting rule, which guarantees termination.  Speed is a non-goal; exactness
 and determinism are the contract.
+
+Tableau rows are ``[variables | one surplus per >= row | rhs]``; the cost
+row ends in minus the objective value.  No artificial columns are kept: row
+``i``'s artificial starts basic as index ``num_structural + i`` and is
+dropped once it leaves the basis.  A feasible system has a solution with
+every artificial at 0, so phase 1 still ends at 0 without them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -117,8 +123,8 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], num_cols: int)
     ratio, ties broken by smallest basic variable index.  No cycling.
     """
     m = len(tableau) - 1
-    cost = tableau[m]
     while True:
+        cost = tableau[m]
         col = next((j for j in range(num_cols) if cost[j] < 0), None)
         if col is None:
             return "optimal"
@@ -138,7 +144,6 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], num_cols: int)
         if best_row < 0:
             return "unbounded"
         _pivot(tableau, basis, best_row, col)
-        cost = tableau[m]
 
 
 def simplex_min(lp: RationalLP) -> Outcome:
@@ -151,33 +156,30 @@ def simplex_min(lp: RationalLP) -> Outcome:
     geq_rows = [i for i, row in enumerate(lp.rows) if row.relation is Relation.GEQ]
     surplus_of = {i: n + k for k, i in enumerate(geq_rows)}
     num_structural = n + len(geq_rows)
-    m = len(lp.rows)
-    num_cols = num_structural + m  # artificials come last
 
-    # Standard form rows: [structural coeffs | artificials | rhs], rhs >= 0.
+    # Standard form rows: [structural coeffs | rhs], rhs >= 0; artificials are virtual.
     tableau: list[list[Fraction]] = []
     for i, row in enumerate(lp.rows):
-        line = [Fraction(c) for c in row.coeffs] + [ZERO] * (num_structural - n + m) + [Fraction(row.rhs)]
+        line = [Fraction(c) for c in row.coeffs] + [ZERO] * len(geq_rows) + [Fraction(row.rhs)]
         if i in surplus_of:
             line[surplus_of[i]] = -ONE
         if line[-1] < 0:
             line = [-v for v in line]
-        line[num_structural + i] = ONE
         tableau.append(line)
-    basis = [num_structural + i for i in range(m)]
+    basis = [num_structural + i for i in range(len(tableau))]
 
-    # Phase 1: minimize the sum of artificials.
-    cost = [ZERO] * num_structural + [ONE] * m + [ZERO]
+    # Phase 1: minimize the sum of artificials; one that leaves never returns.
+    cost = [ZERO] * (num_structural + 1)
     for line in tableau:
         cost = [c - v for c, v in zip(cost, line)]
     tableau.append(cost)
-    _run_simplex(tableau, basis, num_cols)
+    _run_simplex(tableau, basis, num_structural)
     if tableau[-1][-1] != 0:  # cost row holds -(phase-1 value)
         return INFEASIBLE
     tableau.pop()
 
     # Drive leftover artificials out of the basis; drop redundant rows.
-    for i in range(m - 1, -1, -1):
+    for i in range(len(tableau) - 1, -1, -1):
         if basis[i] >= num_structural:
             col = next((j for j in range(num_structural) if tableau[i][j] != 0), None)
             if col is None:
@@ -186,24 +188,21 @@ def simplex_min(lp: RationalLP) -> Outcome:
             else:
                 _pivot(tableau, basis, i, col)
 
-    # Phase 2 on structural columns only.
-    tableau = [line[:num_structural] + [line[-1]] for line in tableau]
-    cost = [Fraction(c) for c in lp.objective] + [ZERO] * (num_structural - n) + [ZERO]
+    # Phase 2 on the same rows.
+    cost = [Fraction(c) for c in lp.objective] + [ZERO] * (num_structural - n + 1)
     for i, b in enumerate(basis):
         if cost[b]:
             factor = cost[b]
             cost = [c - factor * v for c, v in zip(cost, tableau[i])]
     tableau.append(cost)
-    status = _run_simplex(tableau, basis, num_structural)
-    if status == "unbounded":
+    if _run_simplex(tableau, basis, num_structural) == "unbounded":
         return UNBOUNDED
 
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tableau[i][-1]
-    value = sum((c * x for c, x in zip(lp.objective, point)), ZERO)
-    return Outcome(OutcomeKind.OPTIMAL, value, tuple(point))
+    return Outcome(OutcomeKind.OPTIMAL, -tableau[-1][-1], tuple(point))
 
 
 def _bound_row(num_vars: int, var: int, coeff: Fraction, rhs: Fraction) -> Row:
@@ -227,9 +226,7 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
     for row in lp.rows:
         if row.relation is not Relation.EQ:
             continue
-        scale = 1
-        for c in row.coeffs:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
+        scale = lcm(*(c.denominator for c in row.coeffs))
         scaled_rhs = row.rhs * scale
         if scaled_rhs.denominator != 1:
             return True  # integer left-hand side can never equal a fraction
@@ -251,7 +248,6 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
             q = matrix[i][j1] // matrix[i][j2]
             for k in range(len(matrix)):
                 matrix[k][j1] -= q * matrix[k][j2]
-        nonzero = [j for j in range(next_col, n) if matrix[i][j] != 0]
         if not nonzero:
             pivot_col_of_row.append(None)
             continue

@@ -2,9 +2,9 @@
 
 One generic loop covers Dijkstra (priority g), A* (g + h) and greedy
 best-first search (h).  The graph is never materialized: successors are
-generated by firing transitions.  With an admissible, consistent heuristic,
-Dijkstra and A* return exact shortest distances; GBFS returns a valid but
-possibly non-minimal witness.
+generated by firing transitions.  With an admissible heuristic, Dijkstra
+and A* return exact shortest distances; GBFS returns a valid but possibly
+non-minimal witness.
 
 Frontier management follows the classic lazy-deletion scheme: a marking is
 (re)pushed whenever its best known path weight improves, and stale heap
@@ -101,7 +101,7 @@ def directed_search(
     """Run the selected strategy from the instance's initial marking.
 
     Returns REACHABLE with an optimal distance and replayable witness
-    (optimality for Dijkstra/A* with a consistent heuristic), UNREACHABLE
+    (optimality for Dijkstra/A* with an admissible heuristic), UNREACHABLE
     when the frontier empties, or EXHAUSTED when a limit is hit.  Successors
     whose heuristic value is infinite are never inserted: admissibility
     guarantees the target is unreachable from them.

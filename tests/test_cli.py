@@ -2,6 +2,7 @@ import json
 import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,7 +184,7 @@ class TestWitnessEcho:
         code, out, _ = run_main(["solve", upward_path, "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
-        inst = desugar_init(parse_instance(open(upward_path).read()))
+        inst = desugar_init(parse_instance(Path(upward_path).read_text()))
         seq = [inst.net.transition_index[name] for name in payload["witness"]]
         final, witness = inst.net.replay(inst.init, seq)
         assert inst.target.satisfied(final)
@@ -246,7 +247,7 @@ class TestGenWalk:
     def test_zero_length_gives_distance_zero(self, fig1_path, tmp_path, capsys):
         out_path = str(tmp_path / "walked.fnet")
         run_main(["gen-walk", fig1_path, "--length", "0", "--seed", "1", "--out", out_path], capsys)
-        inst = parse_instance(open(out_path).read())
+        inst = parse_instance(Path(out_path).read_text())
         assert inst.target.satisfied(inst.init)
         code, out, _ = run_main(["solve", out_path, "--format", "json"], capsys)
         assert json.loads(out)["distance"]["fraction"] == "0"
@@ -255,12 +256,12 @@ class TestGenWalk:
         paths = [str(tmp_path / f"w{i}.fnet") for i in range(2)]
         for p in paths:
             run_main(["gen-walk", fig1_path, "--length", "7", "--seed", "42", "--out", p], capsys)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     def test_header_records_parameters(self, fig1_path, tmp_path, capsys):
         out_path = str(tmp_path / "walked.fnet")
         run_main(["gen-walk", fig1_path, "--length", "4", "--seed", "9", "--out", out_path], capsys)
-        head = open(out_path).read().splitlines()[0]
+        head = Path(out_path).read_text().splitlines()[0]
         assert "length=4" in head and "seed=9" in head
 
     def test_init_tokens_knob(self, upward_path, tmp_path, capsys):
@@ -270,10 +271,28 @@ class TestGenWalk:
             capsys,
         )
         assert code == 0
-        walked = parse_instance(open(out_path).read())
+        walked = parse_instance(Path(out_path).read_text())
         assert walked.init_upward == frozenset({0})  # original init is preserved
         code, _, _ = run_main(["solve", out_path], capsys)
         assert code == 0  # boosted start is inside the upward closure
+
+    def test_missing_input_exits_65(self, tmp_path, capsys):
+        out_path = tmp_path / "walked.fnet"
+        code, _, err = run_main(
+            ["gen-walk", "does-not-exist.fnet", "--length", "3", "--seed", "1", "--out", str(out_path)], capsys
+        )
+        assert code == 65
+        assert "does-not-exist.fnet" in err
+        assert not out_path.exists()
+
+    def test_malformed_input_exits_65(self, tmp_path, capsys):
+        path = tmp_path / "bad.fnet"
+        path.write_text("net x\nplaces: a\nbogus line\n")
+        out_path = tmp_path / "walked.fnet"
+        code, _, err = run_main(["gen-walk", str(path), "--length", "3", "--seed", "1", "--out", str(out_path)], capsys)
+        assert code == 65
+        assert str(path) in err and "line 3" in err
+        assert not out_path.exists()
 
 
 class TestSubprocessReproducibility:

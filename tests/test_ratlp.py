@@ -86,6 +86,23 @@ class TestSimplex:
         out = simplex_min(problem)
         assert out.kind in (OutcomeKind.OPTIMAL, OutcomeKind.UNBOUNDED)
 
+    def test_duplicated_row_is_dropped(self):
+        # Phase 1 zeroes the copy's artificial row entirely, so it is redundant.
+        problem = lp([1, 2], [([1, 1], Relation.EQ, 2), ([1, 1], Relation.EQ, 2)])
+        out = simplex_min(problem)
+        assert out.kind is OutcomeKind.OPTIMAL
+        assert out.value == vertex_enumeration_min(problem) == 2
+        check_point(problem, out)
+
+    def test_artificial_basic_at_zero_is_pivoted_out(self):
+        # Row 0's artificial is still basic at 0 when phase 1 ends, with
+        # nonzero entries that give no structural column a negative cost.
+        problem = lp([1, 1, 3], [([-1, -1, 0], Relation.EQ, 0), ([0, 1, 1], Relation.GEQ, 2)])
+        out = simplex_min(problem)
+        assert out.kind is OutcomeKind.OPTIMAL
+        assert out.value == vertex_enumeration_min(problem) == 6
+        check_point(problem, out)
+
 
 class TestIlp:
     def test_parity_gap(self):

@@ -27,7 +27,7 @@ from .instance_io import (
     parse_instance,
     serialize_instance,
 )
-from .net import Marking, NetDefinitionError, PetriNet
+from .net import MAX_TOKENS, Marking, NetDefinitionError, PetriNet, TokenOverflowError
 from .prune import PruneVerdict, prune_instance
 from .ratlp import DEFAULT_ILP_NODE_BUDGET
 from .search import SearchLimits, SearchResult, Strategy, Verdict, directed_search
@@ -79,6 +79,14 @@ def random_walk(net: PetriNet, init: Marking, length: int, seed: int) -> tuple[M
     return m, walk
 
 
+def _float_or_none(value: Fraction) -> float | None:
+    """``value`` as a float, or None when it lies beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 @dataclass
 class SolveReport:
     """Everything cmd_solve prints; JSON keys are stable and timing-free."""
@@ -99,7 +107,7 @@ class SolveReport:
         if self.distance is not None:
             payload["distance"] = {
                 "fraction": str(self.distance),
-                "decimal": float(self.distance),
+                "decimal": _float_or_none(self.distance),
             }
             payload["witness"] = list(self.witness_ids or [])
             payload["generator_firings"] = self.generator_firings or 0
@@ -119,7 +127,8 @@ class SolveReport:
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
         if self.distance is not None:
-            lines.append(f"distance: {self.distance} ({float(self.distance)})")
+            decimal = _float_or_none(self.distance)
+            lines.append(f"distance: {self.distance}" + (f" ({decimal})" if decimal is not None else ""))
             lines.append("witness: " + (" ".join(self.witness_ids) if self.witness_ids else "(empty)"))
             lines.append(f"generator firings: {self.generator_firings or 0}")
         if self.reason is not None:
@@ -252,7 +261,11 @@ def cmd_genwalk(args: argparse.Namespace) -> int:
     if args.init_tokens is not None:
         for p in inst.init_upward:
             start[p] = max(start[p], args.init_tokens)
-    endpoint, walk = random_walk(inst.net, tuple(start), args.length, args.seed)
+    try:
+        endpoint, walk = random_walk(inst.net, tuple(start), args.length, args.seed)
+    except TokenOverflowError as exc:
+        print(f"ffreach: {args.file}: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
     target = TargetSpec.exact(endpoint)
     out_inst = Instance(inst.net, inst.init, inst.init_upward, target).validate()
@@ -278,13 +291,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(low, convert=int):
-    """argparse ``type=`` for a number no smaller than ``low``."""
+def _in_range(low, high=None, convert=int):
+    """argparse ``type=`` for a number no smaller than ``low`` and, when
+    ``high`` is given, no larger than ``high``."""
 
     def parse(text: str):
         value = convert(text)
-        if not value >= low:  # also rejects NaN
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if not (value >= low and (high is None or value <= high)):  # also rejects NaN
+            wanted = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
@@ -300,20 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--strategy", choices=[s.value for s in Strategy], default="astar")
     solve.add_argument("--heuristic", choices=list(HEURISTIC_NAMES), default="q")
     solve.add_argument("--no-prune", action="store_true", help="skip sign-analysis pruning")
-    solve.add_argument("--ilp-node-budget", type=_at_least(1), default=DEFAULT_ILP_NODE_BUDGET, metavar="N")
-    solve.add_argument("--max-expansions", type=_at_least(0), default=None, metavar="N")
-    solve.add_argument("--max-time-ms", type=_at_least(0, float), default=None, metavar="N")
+    solve.add_argument("--ilp-node-budget", type=_in_range(1), default=DEFAULT_ILP_NODE_BUDGET, metavar="N")
+    solve.add_argument("--max-expansions", type=_in_range(0), default=None, metavar="N")
+    solve.add_argument("--max-time-ms", type=_in_range(0, convert=float), default=None, metavar="N")
     solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.set_defaults(func=cmd_solve)
 
     genwalk = sub.add_parser("gen-walk", help="derive a reachable instance from a random walk")
     genwalk.add_argument("file", help=".fnet instance file to walk on")
-    genwalk.add_argument("--length", type=_at_least(0), required=True, metavar="N")
+    genwalk.add_argument("--length", type=_in_range(0), required=True, metavar="N")
     genwalk.add_argument("--seed", type=int, required=True, metavar="S")
     genwalk.add_argument("--out", required=True, metavar="FILE")
     genwalk.add_argument(
         "--init-tokens",
-        type=int,
+        type=_in_range(0, MAX_TOKENS),
         default=None,
         metavar="N",
         help="raise upward-flagged places to N tokens before walking",

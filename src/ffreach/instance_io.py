@@ -116,8 +116,8 @@ class Instance:
 
 
 _ID_RE = re.compile(r"^[^\s=:>#]+$")
-_INIT_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>>=|=)(?P<nat>\d+)$")
-_ARC_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+):(?P<nat>\d+)$")
+_MARKING_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>>=|=)(?P<nat>\d+)$")
+_ARC_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>:)(?P<nat>\d+)$")
 
 
 def _strip_comment(line: str) -> str:
@@ -142,14 +142,21 @@ def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
     return weight
 
 
-def _parse_marking_entries(tokens: list[str], lineno: int, places: dict[str, int], what: str):
-    """Parse ``id=nat`` / ``id>=nat`` entries; returns (values, geq_flagged)."""
+def _parse_entries(
+    tokens: list[str],
+    lineno: int,
+    places: dict[str, int],
+    what: str,
+    entry_re: re.Pattern = _MARKING_ENTRY_RE,
+    expected: str = "id=nat or id>=nat",
+):
+    """Parse ``id<op>nat`` entries; returns (values, the places whose op is ``>=``)."""
     values: dict[int, int] = {}
     flagged: set[int] = set()
     for tok in tokens:
-        m = _INIT_ENTRY_RE.match(tok)
+        m = entry_re.match(tok)
         if not m:
-            raise FnetParseError(f"bad {what} entry {tok!r} (expected id=nat or id>=nat)", lineno)
+            raise FnetParseError(f"bad {what} entry {tok!r} (expected {expected})", lineno)
         pid = m.group("id")
         if pid not in places:
             raise UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
@@ -162,27 +169,10 @@ def _parse_marking_entries(tokens: list[str], lineno: int, places: dict[str, int
     return values, flagged
 
 
-def _parse_arc_entries(tokens: list[str], lineno: int, places: dict[str, int], what: str) -> dict[int, int]:
-    entries: dict[int, int] = {}
-    for tok in tokens:
-        m = _ARC_ENTRY_RE.match(tok)
-        if not m:
-            raise FnetParseError(f"bad {what} entry {tok!r} (expected id:nat)", lineno)
-        pid = m.group("id")
-        if pid not in places:
-            raise UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
-        idx = places[pid]
-        if idx in entries:
-            raise DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
-        entries[idx] = int(m.group("nat"))
-    return entries
-
-
 class _TransitionDraft:
-    def __init__(self, name: str, weight: Fraction, lineno: int):
+    def __init__(self, name: str, weight: Fraction):
         self.name = name
         self.weight = weight
-        self.lineno = lineno
         self.consume: dict[int, int] | None = None
         self.produce: dict[int, int] | None = None
 
@@ -238,7 +228,7 @@ def parse_instance(text: str) -> Instance:
                 raise FnetParseError("duplicate 'init:' line", lineno)
             if drafts:
                 raise FnetParseError("'init:' must come before transitions", lineno)
-            init_values, init_flagged = _parse_marking_entries(rest, lineno, place_index, "init")
+            init_values, init_flagged = _parse_entries(rest, lineno, place_index, "init")
             for idx in init_flagged:
                 if init_values[idx] < 1:
                     raise FnetParseError(
@@ -261,7 +251,7 @@ def parse_instance(text: str) -> Instance:
                 if rest[1] != "weight":
                     raise FnetParseError(f"unexpected token {rest[1]!r} after transition id", lineno)
                 weight = _parse_weight(rest[2:], lineno)
-            drafts.append(_TransitionDraft(tid, weight, lineno))
+            drafts.append(_TransitionDraft(tid, weight))
             continue
 
         if keyword in ("consume", "produce"):
@@ -272,11 +262,12 @@ def parse_instance(text: str) -> Instance:
                 raise DuplicateIdError(
                     f"duplicate '{keyword}' line for transition {draft.name!r}", lineno
                 )
-            setattr(draft, keyword, _parse_arc_entries(rest, lineno, place_index, keyword))
+            arcs, _ = _parse_entries(rest, lineno, place_index, keyword, _ARC_ENTRY_RE, "id:nat")
+            setattr(draft, keyword, arcs)
             continue
 
         if keyword == "target:":
-            target_values, target_flagged = _parse_marking_entries(rest, lineno, place_index, "target")
+            target_values, target_flagged = _parse_entries(rest, lineno, place_index, "target")
             seen_target = True
             continue
 

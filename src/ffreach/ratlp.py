@@ -9,11 +9,15 @@ The solver is a textbook two-phase simplex on a dense tableau with Bland's
 pivoting rule, which guarantees termination.  Speed is a non-goal; exactness
 and determinism are the contract.
 
-Tableau rows are ``[variables | one surplus per >= row | rhs]``; the cost
-row ends in minus the objective value.  No artificial columns are kept: row
-``i``'s artificial starts basic as index ``num_structural + i`` and is
-dropped once it leaves the basis.  A feasible system has a solution with
-every artificial at 0, so phase 1 still ends at 0 without them.
+Tableau rows are ``[variables | one surplus per >= row | rhs]``: first the
+``len(basis)`` constraint rows, then the objective row, then, during phase 1
+only, the phase-1 row.  A cost row ends in minus its objective value.  The
+objective row is carried from the start, so pivots are the only cost-row
+update: when phase 2 begins, it already is the reduced cost row of the basis
+phase 2 starts from.  No artificial columns are kept: row ``i``'s artificial
+starts basic as index ``num_structural + i`` and is dropped once it leaves
+the basis.  A feasible system has a solution with every artificial at 0, so
+phase 1 still ends at 0 without them.
 """
 
 from __future__ import annotations
@@ -110,21 +114,22 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
         if i == row:
             continue
         factor = other[col]
-        if factor:
-            tableau[i] = [a - factor * b for a, b in zip(other, pivot_row)]
+        if factor:  # where the pivot row is 0 the entry stays as it is
+            tableau[i] = [a - factor * b if b else a for a, b in zip(other, pivot_row)]
     basis[row] = col
 
 
 def _run_simplex(tableau: list[list[Fraction]], basis: list[int], num_cols: int) -> str:
-    """Minimize with Bland's rule; the last tableau row is the reduced cost row.
+    """Minimize with Bland's rule; the last tableau row is the reduced cost row
+    and the first ``len(basis)`` rows are the constraints.
 
     Returns "optimal" or "unbounded".  Bland's rule: entering variable is the
     smallest index with negative reduced cost; leaving row has the smallest
     ratio, ties broken by smallest basic variable index.  No cycling.
     """
-    m = len(tableau) - 1
+    m = len(basis)
     while True:
-        cost = tableau[m]
+        cost = tableau[-1]
         col = next((j for j in range(num_cols) if cost[j] < 0), None)
         if col is None:
             return "optimal"
@@ -169,17 +174,17 @@ def simplex_min(lp: RationalLP) -> Outcome:
     basis = [num_structural + i for i in range(len(tableau))]
 
     # Phase 1: minimize the sum of artificials; one that leaves never returns.
-    cost = [ZERO] * (num_structural + 1)
+    phase1 = [ZERO] * (num_structural + 1)
     for line in tableau:
-        cost = [c - v for c, v in zip(cost, line)]
-    tableau.append(cost)
+        phase1 = [c - v for c, v in zip(phase1, line)]
+    objective = [Fraction(c) for c in lp.objective] + [ZERO] * (len(geq_rows) + 1)
+    tableau += [objective, phase1]
     _run_simplex(tableau, basis, num_structural)
-    if tableau[-1][-1] != 0:  # cost row holds -(phase-1 value)
+    if tableau.pop()[-1] != 0:  # the phase-1 row holds -(phase-1 value)
         return INFEASIBLE
-    tableau.pop()
 
     # Drive leftover artificials out of the basis; drop redundant rows.
-    for i in range(len(tableau) - 1, -1, -1):
+    for i in range(len(basis) - 1, -1, -1):
         if basis[i] >= num_structural:
             col = next((j for j in range(num_structural) if tableau[i][j] != 0), None)
             if col is None:
@@ -188,13 +193,7 @@ def simplex_min(lp: RationalLP) -> Outcome:
             else:
                 _pivot(tableau, basis, i, col)
 
-    # Phase 2 on the same rows.
-    cost = [Fraction(c) for c in lp.objective] + [ZERO] * (num_structural - n + 1)
-    for i, b in enumerate(basis):
-        if cost[b]:
-            factor = cost[b]
-            cost = [c - factor * v for c, v in zip(cost, tableau[i])]
-    tableau.append(cost)
+    # Phase 2 on the carried objective row, which the pivots kept reduced.
     if _run_simplex(tableau, basis, num_structural) == "unbounded":
         return UNBOUNDED
 

@@ -126,6 +126,17 @@ class TestSolveCommand:
         payload = json.loads(out)
         assert payload["distance"] == {"fraction": "3/2", "decimal": 1.5}
 
+    def test_distance_beyond_float_range(self, tmp_path, capsys):
+        weight = 10**400
+        path = tmp_path / "huge.fnet"
+        path.write_text(f"net huge\nplaces: a\ntransition t weight {weight}\n  produce a:1\ntarget: a=1\n")
+        code, out, _ = run_main(["solve", str(path), "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["distance"] == {"fraction": str(weight), "decimal": None}
+        code, out, _ = run_main(["solve", str(path)], capsys)
+        assert code == 0
+        assert f"distance: {weight}\n" in out
+
 
 GOLDEN_JSON = """\
 {
@@ -294,6 +305,26 @@ class TestGenWalk:
         assert str(path) in err and "line 3" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("tokens", ["-5", str(2**64)], ids=["negative", "beyond-64-bit"])
+    def test_init_tokens_out_of_range_exits_64(self, upward_path, tmp_path, capsys, tokens):
+        out_path = tmp_path / "walked.fnet"
+        args = ["gen-walk", upward_path, "--length", "3", "--seed", "1", "--out", str(out_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--init-tokens", tokens])
+        assert exc.value.code == 64
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--init-tokens" in errors[0] and tokens in errors[0]
+        assert not out_path.exists()
+
+    def test_token_overflow_exits_65(self, tmp_path, capsys):
+        path = tmp_path / "grow.fnet"
+        path.write_text(f"net grow\nplaces: a\ninit: a={2**64 - 1}\ntransition t\n  consume a:1\n  produce a:2\n")
+        out_path = tmp_path / "walked.fnet"
+        code, _, err = run_main(["gen-walk", str(path), "--length", "3", "--seed", "1", "--out", str(out_path)], capsys)
+        assert code == 65
+        assert err.count("\n") == 1 and str(path) in err and "'t'" in err
+        assert not out_path.exists()
+
 
 class TestSubprocessReproducibility:
     def test_identical_json_across_processes(self, fig1_path):
@@ -320,6 +351,16 @@ class TestSubprocessReproducibility:
         )
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
+
+    def test_python_m_ffreach_runs_the_cli(self, fig1_path, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ffreach", "solve", fig1_path, "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == run_main(["solve", fig1_path, "--format", "json"], capsys)[1]
 
     def test_log_env_var_emits_diagnostics(self, fig1_path):
         import os

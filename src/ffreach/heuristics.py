@@ -11,7 +11,8 @@ Three families are provided, each bound to one net and target when built:
 * ``d_Q`` / ``d_Z`` (:class:`StateEquationHeuristic`): minimal-weight
   solutions of the token conservation system ("how often must each
   transition fire, ignoring ordering"), over nonnegative rationals resp.
-  integers.
+  integers.  One object remembers its answers and derives a marking's value
+  from a remembered predecessor's optimum where it can, instead of solving.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places.
@@ -51,6 +52,18 @@ class StateEquationHeuristic:
     proven lower bound is returned instead; it is sandwiched between the
     rational optimum and the integer optimum, so it is still a valid
     distance under-approximation.
+
+    Each object remembers, for every marking it has answered, the value and
+    the optimal firing-count vector ``x*`` (``None`` for INF and for a
+    budget-exhausted ILP).  A marking ``m`` whose predecessor
+    ``m - effect(t)`` is known with ``x*_t >= 1`` is answered without a
+    solve: ``x* - e_t`` is feasible at ``m``, and any ``x`` feasible at
+    ``m`` gives ``x + e_t`` feasible at the predecessor, so ``x* - e_t`` is
+    optimal and the value is the predecessor's minus ``w(t)``.  For ``z``
+    this needs the predecessor's ILP solved to optimality, hence no vector
+    is kept for a budget-exhausted one; a derived ``z`` value is then the
+    exact integer optimum, which a from-scratch solve of ``m`` reaches too
+    unless its own node budget runs out first.
     """
 
     def __init__(
@@ -67,6 +80,9 @@ class StateEquationHeuristic:
             (tuple(Fraction(net.effect(t)[p]) for t in range(net.num_transitions)), rel, bound)
             for p, (rel, bound) in enumerate(target.constraints)
         )
+        self._effects = tuple(net.effect(t) for t in range(net.num_transitions))
+        #: marking -> (value, optimal firing-count vector or None)
+        self._memo: dict[Marking, tuple[object, tuple[Fraction, ...] | None]] = {}
 
     def lp(self, m: Marking) -> RationalLP:
         """The state equation for reaching the target set from ``m``."""
@@ -76,16 +92,31 @@ class StateEquationHeuristic:
         return RationalLP(len(self._objective), self._objective, rows)
 
     def __call__(self, m: Marking):
+        """The remembered value of ``m``, else one derived from a remembered
+        predecessor's optimum, else a fresh LP or ILP solve."""
+        known = self._memo.get(m)
+        if known is not None:
+            return known[0]
+        for t, (effect, weight) in enumerate(zip(self._effects, self._objective)):
+            value, point = self._memo.get(tuple(a - b for a, b in zip(m, effect)), (None, None))
+            if point is not None and point[t] >= 1:
+                h = value - weight
+                self._memo[m] = (h, point[:t] + (point[t] - 1,) + point[t + 1 :])
+                return h
+
         if self.integral:
             outcome = ilp_min(self.lp(m), self.ilp_node_budget)
         else:
             outcome = simplex_min(self.lp(m))
         if outcome.kind is OutcomeKind.INFEASIBLE:
-            return INF
-        if outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
-            return outcome.lower_bound
-        assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
-        return outcome.value
+            known = (INF, None)
+        elif outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
+            known = (outcome.lower_bound, None)
+        else:
+            assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
+            known = (outcome.value, outcome.point)
+        self._memo[m] = known
+        return known[0]
 
 
 class StructHeuristic:

@@ -109,7 +109,7 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
     """Make column ``col`` basic in ``row`` (Gauss-Jordan step)."""
     pivot_row = tableau[row]
     inv = ONE / pivot_row[col]
-    tableau[row] = pivot_row = [v * inv for v in pivot_row]
+    tableau[row] = pivot_row = [v * inv if v else v for v in pivot_row]
     for i, other in enumerate(tableau):
         if i == row:
             continue

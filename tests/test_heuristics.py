@@ -1,16 +1,22 @@
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
+
+import pytest
 
 from ffreach import (
     PetriNet,
     Relation,
     StateEquationHeuristic,
+    Strategy,
     StructHeuristic,
     TargetSpec,
     Transition,
+    directed_search,
     zero_heuristic,
 )
+from ffreach import heuristics
 from ffreach.heuristics import INF
 from conftest import parity_net
 from oracles import enumerate_reachable, random_bounded_instance, remaining_distances
@@ -87,6 +93,127 @@ class TestIntegerDistance:
     def test_context_is_callable(self, n1):
         dz = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=True)
         assert dz((0, 0)) == 1
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records every LP and ILP the heuristics hand to the solver."""
+    seen = []
+
+    def counting(solver):
+        def counted(lp, *args):
+            seen.append(lp)
+            return solver(lp, *args)
+
+        return counted
+
+    monkeypatch.setattr(heuristics, "simplex_min", counting(heuristics.simplex_min))
+    monkeypatch.setattr(heuristics, "ilp_min", counting(heuristics.ilp_min))
+    return seen
+
+
+class TestParentShortcut:
+    """A marking whose predecessor's optimal firing-count vector fires the
+    connecting transition at least once is answered without a solve."""
+
+    def test_successor_derived_from_parent_optimum(self, n1, solves):
+        # From (1, 0) the unique optimum fires t2 and t3 once each.
+        target = TargetSpec.exact((0, 1))
+        dq = StateEquationHeuristic(n1, target)
+        assert dq((1, 0)) == 2
+        assert len(solves) == 1
+        for t in (1, 2):
+            succ = n1.fire((1, 0), t)
+            assert dq(succ) == 2 - n1.transitions[t].weight
+        assert len(solves) == 1
+        # The derived values are the from-scratch ones.
+        for m in [(1, 1), (0, 0)]:
+            assert dq(m) == StateEquationHeuristic(n1, target)(m)
+
+    def test_chains_keep_deriving(self, n1, solves):
+        dq = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)))
+        assert dq((3, 0)) == 4  # fires t2 once and t3 three times
+        assert [dq(m) for m in [(2, 0), (1, 0), (0, 0)]] == [3, 2, 1]
+        assert len(solves) == 1
+
+    def test_transition_outside_the_optimum_needs_a_solve(self, n1, solves):
+        dq = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)))
+        dq((1, 0))
+        assert dq((2, 0)) == 3  # reached by t1, which the optimum never fires
+        assert len(solves) == 2
+
+    def test_known_marking_is_not_solved_again(self, n1, solves):
+        dz = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=True)
+        assert dz((2, 1)) == dz((2, 1)) == 2
+        assert len(solves) == 1
+
+    def test_infinite_marking_is_solved_once(self, n1, solves):
+        dq = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)))
+        assert dq((1, 2)) == INF
+        assert dq((1, 2)) == INF
+        assert len(solves) == 1
+
+    def test_budget_exhausted_parent_never_seeds_a_value(self, solves):
+        # The two-producer net of test_budget_exhaustion_falls_back_to_lower_bound.
+        net = PetriNet(["p"], [Transition("t3", (0,), (3,)), Transition("t2", (0,), (2,))])
+        target = TargetSpec.exact((4,))
+        dz = StateEquationHeuristic(net, target, integral=True, ilp_node_budget=1)
+        assert dz((0,)) == F(4, 3)  # budget ran out: a lower bound, no optimum
+        truth = {(2,): 1, (3,): INF}  # 2 -> 4 by t2; 3 -> 4 is impossible
+        for t, succ in net.successors((0,)):
+            before = len(solves)
+            value = dz(succ)
+            assert len(solves) == before + 1, f"successor by {net.transitions[t].name} was not solved"
+            assert value <= truth[succ]
+
+
+def _bfs_order(net, init):
+    order, seen, queue = [], {init}, deque([init])
+    while queue:
+        m = queue.popleft()
+        order.append(m)
+        for _, succ in net.successors(m):
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+    return order
+
+
+class TestMemoMatchesFromScratch:
+    """The remembering heuristic answers exactly like one solve per call."""
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["q", "z"])
+    def test_values_over_reachable_markings(self, integral, solves):
+        rng = random.Random(743)
+        calls = 0
+        for _ in range(60):
+            inst = random_bounded_instance(rng, rational_weights=rng.random() < 0.5)
+            memo = StateEquationHeuristic(inst.net, inst.target, integral)
+            markings = _bfs_order(inst.net, inst.init)
+            remembered = [memo(m) for m in markings]
+            calls += len(markings)
+            solved = len(solves)
+            fresh = [StateEquationHeuristic(inst.net, inst.target, integral)(m) for m in markings]
+            del solves[solved:]
+            assert remembered == fresh
+        assert len(solves) < calls, "no value was derived; the sweep tests nothing"
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["q", "z"])
+    @pytest.mark.parametrize("strategy", [Strategy.ASTAR, Strategy.GBFS])
+    def test_search_results(self, integral, strategy):
+        rng = random.Random(744)
+        for _ in range(40):
+            inst = random_bounded_instance(rng, rational_weights=rng.random() < 0.5)
+            memo = StateEquationHeuristic(inst.net, inst.target, integral)
+
+            def from_scratch(m):
+                return StateEquationHeuristic(inst.net, inst.target, integral)(m)
+
+            a = directed_search(inst, strategy, memo)
+            b = directed_search(inst, strategy, from_scratch)
+            assert (a.verdict, a.distance, a.witness) == (b.verdict, b.distance, b.witness)
+            assert a.stats.expanded_markings == b.stats.expanded_markings
+            assert a.stats.heuristic_calls == b.stats.heuristic_calls
 
 
 def brute_force_struct_table(net):

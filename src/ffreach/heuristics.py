@@ -33,7 +33,10 @@ from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, R
 #: Extended value for "target unreachable even in the relaxation".
 INF = math.inf
 
-#: A heuristic is any callable from markings to Fraction or INF.
+_ZERO = Fraction(0)
+
+#: A heuristic is any callable from markings to a Fraction (or int), or to
+#: a float infinity such as INF.
 Heuristic = Callable[[Marking], object]
 
 
@@ -63,7 +66,12 @@ class StateEquationHeuristic:
     this needs the predecessor's ILP solved to optimality, hence no vector
     is kept for a budget-exhausted one; a derived ``z`` value is then the
     exact integer optimum, which a from-scratch solve of ``m`` reaches too
-    unless its own node budget runs out first.
+    unless its own node budget runs out first.  A marking whose predecessor
+    is known to be INF is INF too, by the same argument: a feasible ``x`` at
+    ``m`` would give the feasible ``x + e_t`` at the predecessor, and
+    ``x + e_t`` is integral when ``x`` is.  It is answered without a solve,
+    where a budget-limited ``z`` solve of ``m`` might have stopped at a
+    finite lower bound.
     """
 
     def __init__(
@@ -99,6 +107,9 @@ class StateEquationHeuristic:
             return known[0]
         for t, (effect, weight) in enumerate(zip(self._effects, self._objective)):
             value, point = self._memo.get(tuple(a - b for a, b in zip(m, effect)), (None, None))
+            if value is INF:
+                self._memo[m] = (INF, None)
+                return INF
             if point is not None and point[t] >= 1:
                 h = value - weight
                 self._memo[m] = (h, point[:t] + (point[t] - 1,) + point[t + 1 :])
@@ -162,19 +173,23 @@ class StructHeuristic:
         # Places where a token may legally sit in some target marking, plus sink.
         support = [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
         support.append(sink)
-        self._kappa = tuple(min(self.dist[p][q] for q in support) for p in range(net.num_places))
+        kappa = (min(self.dist[p][q] for q in support) for p in range(net.num_places))
+        # Places of positive cost, costliest first: the first marked one
+        # gives the value.  The sink is marked in every marking and costs 0.
+        self._by_cost = tuple(
+            sorted(((p, k) for p, k in enumerate(kappa) if k > 0), key=lambda entry: entry[1], reverse=True)
+        )
 
     def __call__(self, m: Marking):
-        worst = Fraction(0)  # the sink is marked in every marking and costs 0
-        for tokens, kappa in zip(m, self._kappa):
-            if tokens > 0 and kappa > worst:
-                worst = kappa
-        return worst
+        for p, kappa in self._by_cost:
+            if m[p]:
+                return kappa
+        return _ZERO
 
 
 def zero_heuristic(m: Marking) -> Fraction:
     """The trivial bound; plugged into best-first search it yields Dijkstra."""
-    return Fraction(0)
+    return _ZERO
 
 
 HEURISTIC_NAMES = ("q", "z", "struct", "zero")

@@ -5,6 +5,11 @@ transition carries a guard vector (tokens required per place), a produce
 vector (tokens added per place) and a positive rational weight.  Markings
 are plain tuples of token counts, which makes them canonical, hashable and
 directly usable as graph nodes.
+
+The token game reads sparse tables built once per net: each transition's
+guard as ``((place, need), ...)`` over the places it needs tokens from, and
+its effect as ``((place, delta), ...)`` over the places it changes.  Firing
+tests and edits only those entries, and only a positive delta can overflow.
 """
 
 from __future__ import annotations
@@ -114,6 +119,12 @@ class PetriNet:
         self.place_index = {p: i for i, p in enumerate(self.places)}
         self.transition_index = {t.name: i for i, t in enumerate(self.transitions)}
         self._effects = tuple(t.effect for t in self.transitions)
+        self._guards = tuple(
+            tuple((p, need) for p, need in enumerate(t.guard) if need) for t in self.transitions
+        )
+        self._deltas = tuple(
+            tuple((p, delta) for p, delta in enumerate(effect) if delta) for effect in self._effects
+        )
 
     def _validate(self) -> None:
         if any(not p for p in self.places):
@@ -171,8 +182,10 @@ class PetriNet:
 
     def is_firable(self, m: Marking, t: int) -> bool:
         """True iff the marking dominates the guard of transition ``t``."""
-        guard = self.transitions[t].guard
-        return all(have >= need for have, need in zip(m, guard))
+        for p, need in self._guards[t]:
+            if m[p] < need:
+                return False
+        return True
 
     def fire(self, m: Marking, t: int) -> Marking:
         """Fire transition ``t``, returning the successor marking."""
@@ -186,16 +199,27 @@ class PetriNet:
 
     def _apply(self, m: Marking, t: int) -> Marking:
         """Add the effect of an enabled transition ``t`` to ``m``."""
-        result = tuple(v + e for v, e in zip(m, self._effects[t]))
-        if any(v > MAX_TOKENS for v in result):
-            raise TokenOverflowError(
-                f"firing {self.transitions[t].name!r} overflows a token count", transition=t
-            )
-        return result
+        result = list(m)
+        for p, delta in self._deltas[t]:
+            v = result[p] + delta
+            if delta > 0 and v > MAX_TOKENS:
+                raise TokenOverflowError(
+                    f"firing {self.transitions[t].name!r} overflows a token count", transition=t
+                )
+            result[p] = v
+        return tuple(result)
 
     def successors(self, m: Marking) -> list[tuple[int, Marking]]:
         """All enabled transitions with their successor markings, in index order."""
-        return [(t, self._apply(m, t)) for t in range(self.num_transitions) if self.is_firable(m, t)]
+        out = []
+        # is_firable's test, inlined: a call per transition costs more than the test.
+        for t, guard in enumerate(self._guards):
+            for p, need in guard:
+                if m[p] < need:
+                    break
+            else:
+                out.append((t, self._apply(m, t)))
+        return out
 
     def witness(self, seq: Sequence[int]) -> Witness:
         """Package a transition sequence as a Witness (weight and Parikh counts)."""

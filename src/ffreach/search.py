@@ -10,11 +10,25 @@ Frontier management follows the classic lazy-deletion scheme: a marking is
 (re)pushed whenever its best known path weight improves, and stale heap
 entries are dropped on pop.  Ties are broken by smaller heuristic value,
 then insertion order, so runs are fully reproducible.
+
+The loop runs on integers.  ``L``, the lcm of the transitions' weight
+denominators, is computed once per search; a path weight ``g`` is kept as
+the ``int`` ``L * g``, and each heuristic value is multiplied by ``L`` too
+(an ``int`` whenever the product is integral).  Scaling by ``L > 0`` keeps
+every priority order and every tie, so the expansions are those of the
+rational loop; the reported distance is the witness's ``Fraction`` weight.
+A heuristic returns a ``Fraction`` (or ``int``), or any float infinity.
+
+With assertions on, each expanded marking's parent link is checked in O(1):
+``g[parent] + L * w(t) <= g[m]``.  Every link is made with equality and a
+parent's ``g`` only falls later, so this holds for a correct loop; the full
+parent chain is rebuilt and weighed only for the goal's witness.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +44,7 @@ class Strategy(Enum):
     ASTAR = "astar"
     GBFS = "gbfs"
 
-    def priority(self, g: Fraction, h):
+    def priority(self, g: int, h):
         if self is Strategy.DIJKSTRA:
             return g
         if self is Strategy.ASTAR:
@@ -77,6 +91,19 @@ class SearchResult:
         return self.verdict is Verdict.REACHABLE
 
 
+def _scaled(h, scale: int):
+    """``scale * h`` for a heuristic value ``h``: an ``int`` whenever it is
+    integral, and ``INF`` itself for any float infinity."""
+    if not h:
+        return 0
+    if isinstance(h, float):
+        return INF if math.isinf(h) else h * scale
+    numerator = h.numerator * scale
+    if numerator % h.denominator:
+        return Fraction(numerator, h.denominator)
+    return numerator // h.denominator
+
+
 def reconstruct_witness(parents: dict[Marking, tuple[Marking, int]], goal: Marking) -> list[int]:
     """Follow parent links from the goal back to the root; returns the
     transition sequence in firing order."""
@@ -118,17 +145,21 @@ def directed_search(
         stats.wall_time_ms = (time.monotonic() - start) * 1000.0
         return result
 
+    rational_weights = [Fraction(t.weight) for t in net.transitions]
+    scale = math.lcm(*(w.denominator for w in rational_weights))
+    weights = tuple(w.numerator * (scale // w.denominator) for w in rational_weights)
+
     stats.heuristic_calls += 1
-    h_init = heuristic(init)
-    if h_init == INF and not target.satisfied(init):
+    h_init = _scaled(heuristic(init), scale)
+    if h_init is INF and not target.satisfied(init):
         return finish(SearchResult(Verdict.UNREACHABLE, stats=stats))
 
-    g: dict[Marking, Fraction] = {init: Fraction(0)}
+    g: dict[Marking, int] = {init: 0}
     parents: dict[Marking, tuple[Marking, int]] = {}
     stats.discovered = 1
     counter = 0
-    frontier: list[tuple[object, object, int, Fraction, Marking]] = [
-        (strategy.priority(Fraction(0), h_init), h_init, counter, Fraction(0), init)
+    frontier: list[tuple[object, object, int, int, Marking]] = [
+        (strategy.priority(0, h_init), h_init, counter, 0, init)
     ]
 
     while frontier:
@@ -137,23 +168,21 @@ def directed_search(
         if limits.max_time_ms is not None and (time.monotonic() - start) * 1000.0 > limits.max_time_ms:
             return finish(SearchResult(Verdict.EXHAUSTED, stats=stats, reason="time limit reached"))
 
-        _, _, _, g_pushed, m = heapq.heappop(frontier)
-        if g_pushed != g[m]:
+        _, _, _, g_m, m = heapq.heappop(frontier)
+        if g_m != g[m]:
             continue  # stale entry: this marking was re-pushed with a better path
         stats.expanded += 1
         stats.expanded_markings.append(m)
-        if __debug__:
-            chain = reconstruct_witness(parents, m)
-            chain_weight = sum((net.transitions[t].weight for t in chain), Fraction(0))
-            assert chain_weight <= g[m], "best known path beaten by its own parent chain"
+        if __debug__ and m in parents:
+            parent, t = parents[m]
+            assert g[parent] + weights[t] <= g_m, "parent link heavier than the best known path"
 
         if target.satisfied(m):
-            seq = reconstruct_witness(parents, m)
-            witness = net.witness(seq)
+            witness = net.witness(reconstruct_witness(parents, m))
             # The recorded parent chain is a real path, never worse than g.
-            assert witness.total_weight <= g[m]
+            assert witness.total_weight * scale <= g_m
             if strategy is not Strategy.GBFS:
-                assert witness.total_weight == g[m]
+                assert witness.total_weight * scale == g_m
             return finish(SearchResult(Verdict.REACHABLE, witness.total_weight, witness, stats))
 
         try:
@@ -162,15 +191,14 @@ def directed_search(
             reason = f"token overflow firing {net.transitions[exc.transition].name!r} from {m}"
             return finish(SearchResult(Verdict.EXHAUSTED, stats=stats, reason=reason))
 
-        g_m = g[m]
         for t, succ in successors:
-            g_new = g_m + net.transitions[t].weight
+            g_new = g_m + weights[t]
             g_old = g.get(succ)
             if g_old is not None and g_new >= g_old:
                 continue
             stats.heuristic_calls += 1
-            h = heuristic(succ)
-            if h == INF:
+            h = _scaled(heuristic(succ), scale)
+            if h is INF:
                 continue  # the target is unreachable from succ; skip it entirely
             if g_old is None:
                 stats.discovered += 1

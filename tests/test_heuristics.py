@@ -352,3 +352,61 @@ class TestAdmissibilityOnRandomNets:
                     assert ac <= ab + bc
                 for value in (ab, bc, ac):
                     assert value == INF or value <= cap
+
+
+class TestInfinitePredecessor:
+    """A marking whose remembered predecessor is INF is INF too, without a solve."""
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_successor_of_infinite_marking(self, n1, solves, integral):
+        target = TargetSpec.exact((0, 1))
+        h = StateEquationHeuristic(n1, target, integral=integral)
+        assert h((1, 2)) == INF
+        assert len(solves) == 1
+        for t, succ in n1.successors((1, 2)):
+            assert h(succ) == INF
+            assert StateEquationHeuristic(n1, target, integral=integral)(succ) == INF
+        # Each from-scratch check above is one solve; the memoizing object made none.
+        assert len(solves) == 1 + len(n1.successors((1, 2)))
+
+    def test_matches_from_scratch_on_random_nets(self, solves):
+        rng = random.Random(5150)
+        shortcuts = 0
+        for _ in range(30):
+            inst = random_bounded_instance(rng, rational_weights=True)
+            net = inst.net
+            markings = _bfs_order(net, inst.init)
+            fresh = {m: StateEquationHeuristic(net, inst.target)(m) for m in markings}
+            h = StateEquationHeuristic(net, inst.target)
+            asked = set()
+            for m in markings:
+                before = len(solves)
+                assert h(m) == fresh[m]
+                predecessors = (tuple(a - b for a, b in zip(m, net.effect(t))) for t in range(net.num_transitions))
+                if any(p in asked and fresh[p] == INF for p in predecessors):
+                    assert len(solves) == before, f"{m} has an INF predecessor but was solved"
+                    shortcuts += 1
+                asked.add(m)
+        assert shortcuts > 0
+
+
+def _brute_force_struct(net, target, m):
+    """The slowest marked place's cost to reach the target support, from
+    the path-enumeration table."""
+    table = brute_force_struct_table(net)
+    sink = net.num_places
+    support = [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
+    support.append(sink)
+    costs = [min(table[(p, q)] for q in support) for p in range(net.num_places) if m[p] > 0]
+    return max(costs, default=F(0))
+
+
+class TestStructByCost:
+    def test_matches_brute_force_max_over_marked_places(self):
+        rng = random.Random(6060)
+        for _ in range(30):
+            inst = random_bounded_instance(rng, rational_weights=True, upward=rng.random() < 0.3)
+            h = StructHeuristic(inst.net, inst.target)
+            for _ in range(20):
+                m = tuple(rng.choice([0, 0, 1, 3]) for _ in inst.net.places)
+                assert h(m) == _brute_force_struct(inst.net, inst.target, m)

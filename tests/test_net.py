@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ffreach import (
     TokenOverflowError,
     Transition,
 )
+from oracles import enumerate_reachable, random_bounded_instance
 
 T1, T2, T3 = 0, 1, 2
 
@@ -163,3 +165,78 @@ def test_replay_weight_equals_length_on_unit_weights(case):
     assert sum(witness.parikh) == len(seq)
     for t in range(net.num_transitions):
         assert witness.parikh[t] == seq.count(t)
+
+
+def _dense_successors(net, m):
+    """Reference token game straight from the dense guard/produce vectors."""
+    out = []
+    for t, trans in enumerate(net.transitions):
+        if all(have >= need for have, need in zip(m, trans.guard)):
+            out.append((t, tuple(v - g + p for v, g, p in zip(m, trans.guard, trans.produce))))
+    return out
+
+
+class TestSparseTokenGame:
+    def test_successors_match_dense_reference(self):
+        rng = random.Random(2718)
+        checked = 0
+        for _ in range(40):
+            inst = random_bounded_instance(rng, rational_weights=True)
+            net = inst.net
+            reachable = enumerate_reachable(net, inst.init)
+            arbitrary = {tuple(rng.randint(0, 3) for _ in net.places) for _ in range(20)}
+            for m in sorted(reachable | arbitrary):
+                expected = _dense_successors(net, m)
+                assert net.successors(m) == expected
+                assert [t for t in range(net.num_transitions) if net.is_firable(m, t)] == [t for t, _ in expected]
+                for t, succ in expected:
+                    assert net.fire(m, t) == succ
+                checked += 1
+        assert checked > 500
+
+    def _overflow_net(self) -> PetriNet:
+        places = ["a", "b", "c"]
+        return PetriNet(
+            places,
+            [
+                Transition.from_maps("drain_a", places, consume={"a": 1}),
+                Transition.from_maps("read_b", places, consume={"b": 1}, produce={"b": 1}),
+                Transition.from_maps("grow_a_if_c", places, consume={"c": 1}, produce={"a": 1, "c": 1}),
+                Transition.from_maps("grow_b", places, produce={"b": 1}),
+                Transition.from_maps("grow_a", places, produce={"a": 1}),
+            ],
+        )
+
+    def test_consuming_from_a_full_place_still_fires(self):
+        net = self._overflow_net()
+        assert net.fire((MAX_TOKENS, 0, 0), 0) == (MAX_TOKENS - 1, 0, 0)
+        # A zero net effect on a full place cannot overflow either.
+        assert net.fire((0, MAX_TOKENS, 0), 1) == (0, MAX_TOKENS, 0)
+        places = ["a", "b"]
+        no_growth = PetriNet(
+            places,
+            [
+                Transition.from_maps("drain_a", places, consume={"a": 1}),
+                Transition.from_maps("read_b", places, consume={"b": 1}, produce={"b": 1}),
+            ],
+        )
+        assert no_growth.successors((MAX_TOKENS, MAX_TOKENS)) == [
+            (0, (MAX_TOKENS - 1, MAX_TOKENS)),
+            (1, (MAX_TOKENS, MAX_TOKENS)),
+        ]
+
+    def test_overflow_at_first_enabled_positive_delta(self):
+        net = self._overflow_net()
+        # grow_a_if_c is disabled (c is empty), so grow_b is the first
+        # enabled transition with a positive delta on a full place.
+        with pytest.raises(TokenOverflowError) as exc:
+            net.successors((MAX_TOKENS, MAX_TOKENS, 0))
+        assert exc.value.transition == 3
+        with pytest.raises(TokenOverflowError) as exc:
+            net.successors((MAX_TOKENS, MAX_TOKENS, 1))
+        assert exc.value.transition == 2
+        # b has room, so only grow_a overflows.
+        with pytest.raises(TokenOverflowError) as exc:
+            net.successors((MAX_TOKENS, 0, 0))
+        assert exc.value.transition == 4
+        assert [t for t, _ in net.successors((MAX_TOKENS - 1, 0, 0))] == [0, 3, 4]

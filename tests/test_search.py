@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -247,3 +248,112 @@ class TestRandomCorpus:
                 continue
             result = directed_search(inst, Strategy.ASTAR, make_heuristic("q", inst))
             assert result.reachable
+
+
+MIXED_WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))  # lcm of denominators: 30
+
+
+def _reweighted(inst: Instance) -> Instance:
+    """The same instance with weights 1/2, 1/3, 2/5 assigned in turn."""
+    transitions = [
+        Transition(t.name, t.guard, t.produce, MIXED_WEIGHTS[k % 3]) for k, t in enumerate(inst.net.transitions)
+    ]
+    net = PetriNet(inst.net.places, transitions, name=inst.net.name)
+    return Instance(net, inst.init, inst.init_upward, inst.target).validate()
+
+
+class TestIntegerPathWeights:
+    """The loop scales weights by the lcm of their denominators; distances
+    and witnesses must come out as the exact rationals."""
+
+    def test_mixed_denominators_hand_built(self):
+        places = ["a", "b", "c"]
+        net = PetriNet(
+            places,
+            [
+                Transition.from_maps("half", places, consume={"a": 1}, produce={"b": 1}, weight=Fraction(1, 2)),
+                Transition.from_maps("third", places, consume={"b": 1}, produce={"c": 1}, weight=Fraction(1, 3)),
+                Transition.from_maps("two_fifths", places, consume={"a": 1, "b": 1}, produce={"c": 2}, weight=Fraction(2, 5)),
+            ],
+        )
+        inst = instance(net, (2, 0, 0), TargetSpec.exact((0, 0, 2)))
+        # half, then two_fifths: 1/2 + 2/5 beats half, half, third, third (5/3).
+        reachable, truth = oracle_solve(inst)
+        assert reachable and truth == Fraction(9, 10)
+        for strategy, name in [
+            (Strategy.DIJKSTRA, "zero"),
+            (Strategy.ASTAR, "q"),
+            (Strategy.ASTAR, "z"),
+            (Strategy.ASTAR, "struct"),
+        ]:
+            result = directed_search(inst, strategy, make_heuristic(name, inst))
+            assert result.reachable
+            assert type(result.distance) is Fraction and result.distance == truth
+            assert result.witness.total_weight == truth
+            assert net.replay(inst.init, result.witness.sequence)[0] == (0, 0, 2)
+
+    def test_random_nets_match_the_oracle(self):
+        rng = random.Random(3030)
+        checked = 0
+        for _ in range(60):
+            inst = random_bounded_instance(rng)
+            if inst.net.num_transitions < 3:
+                continue
+            inst = _reweighted(inst)
+            reachable, truth = oracle_solve(inst)
+            markings = enumerate_reachable(inst.net, inst.init)
+            remaining = remaining_distances(inst.net, markings, inst.target)
+
+            def sevenths(m):
+                # Admissible, and not a multiple of 1/30: scaled, it stays a Fraction.
+                return remaining[m] / 7 if remaining[m] != INF else INF
+
+            for strategy, heuristic in [
+                (Strategy.DIJKSTRA, make_heuristic("zero", inst)),
+                (Strategy.ASTAR, make_heuristic("q", inst)),
+                (Strategy.ASTAR, make_heuristic("struct", inst)),
+                (Strategy.ASTAR, sevenths),
+            ]:
+                result = directed_search(inst, strategy, heuristic)
+                assert result.reachable == reachable
+                if reachable:
+                    assert type(result.distance) is Fraction and result.distance == truth
+            checked += reachable
+        assert checked >= 10
+
+
+class TestHeuristicValueTypes:
+    def test_foreign_infinity_and_plain_ints(self):
+        rng = random.Random(4242)
+        unreachable = reachable = 0
+        for _ in range(40):
+            inst = random_bounded_instance(rng)  # unit weights
+            markings = enumerate_reachable(inst.net, inst.init)
+            remaining = remaining_distances(inst.net, markings, inst.target)
+
+            def exact(m):
+                d = remaining[m]
+                # A fresh float infinity each time, and a plain int otherwise.
+                return float("inf") if d == INF else int(d)
+
+            result = directed_search(inst, Strategy.ASTAR, exact)
+            truth = remaining[tuple(inst.init)]
+            if truth == INF:
+                assert result.verdict is Verdict.UNREACHABLE
+                assert result.stats.expanded == 0
+                unreachable += 1
+            else:
+                assert result.reachable and result.distance == truth
+                reachable += 1
+        assert unreachable >= 5 and reachable >= 5
+
+    def test_int_zero_matches_zero_heuristic(self):
+        rng = random.Random(4343)
+        for _ in range(20):
+            inst = random_bounded_instance(rng, rational_weights=True)
+            for strategy in (Strategy.DIJKSTRA, Strategy.ASTAR):
+                plain = directed_search(inst, strategy, lambda m: 0)
+                zero = directed_search(inst, strategy, make_heuristic("zero", inst))
+                assert plain.verdict is zero.verdict
+                assert plain.distance == zero.distance
+                assert plain.stats.expanded_markings == zero.stats.expanded_markings

@@ -2,8 +2,9 @@
 Exact rational LP and ILP
 =========================
 
-The solver's numeric core: a two-phase simplex over fractions (no floating
-point anywhere) and a branch-and-bound integer minimizer on top of it.
+The solver's numeric core: a two-phase simplex that takes and returns
+fractions and pivots on integers over one common denominator (no floating
+point anywhere), and a branch-and-bound integer minimizer on top of it.
 """
 
 from fractions import Fraction

@@ -84,8 +84,9 @@ class StateEquationHeuristic:
         self.integral = integral
         self.ilp_node_budget = ilp_node_budget
         self._objective = tuple(t.weight for t in net.transitions)
+        # Effects and token gaps stay ints, so the simplex needs no scaling.
         self._rows = tuple(
-            (tuple(Fraction(net.effect(t)[p]) for t in range(net.num_transitions)), rel, bound)
+            (tuple(net.effect(t)[p] for t in range(net.num_transitions)), rel, bound)
             for p, (rel, bound) in enumerate(target.constraints)
         )
         self._effects = tuple(net.effect(t) for t in range(net.num_transitions))
@@ -95,7 +96,7 @@ class StateEquationHeuristic:
     def lp(self, m: Marking) -> RationalLP:
         """The state equation for reaching the target set from ``m``."""
         rows = tuple(
-            Row(coeffs, rel, Fraction(bound - tokens)) for (coeffs, rel, bound), tokens in zip(self._rows, m)
+            Row(coeffs, rel, bound - tokens) for (coeffs, rel, bound), tokens in zip(self._rows, m)
         )
         return RationalLP(len(self._objective), self._objective, rows)
 
@@ -144,20 +145,24 @@ class StructHeuristic:
     def __init__(self, net: PetriNet, target: TargetSpec):
         self.sink = sink = net.num_places
         num_nodes = sink + 1
-        adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(num_nodes)]
+        # Dijkstra runs on the weights times ``scale``, the lcm of their
+        # denominators, as ints; distances are divided back at the end.
+        scale = math.lcm(*(t.weight.denominator for t in net.transitions))
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         for trans in net.transitions:
+            weight = trans.weight.numerator * (scale // trans.weight.denominator)
             ins = [p for p in range(net.num_places) if trans.guard[p] > 0] or [sink]
             outs = [p for p in range(net.num_places) if trans.produce[p] > 0] or [sink]
             for p in ins:
                 for q in outs:
                     if p != q:
-                        adjacency[p].append((q, trans.weight))
+                        adjacency[p].append((q, weight))
 
         table = []
         for source in range(num_nodes):
             dist: list[object] = [INF] * num_nodes
-            dist[source] = Fraction(0)
-            heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+            dist[source] = 0
+            heap: list[tuple[int, int]] = [(0, source)]
             while heap:
                 d, node = heapq.heappop(heap)
                 if d > dist[node]:
@@ -167,8 +172,10 @@ class StructHeuristic:
                     if nd < dist[succ]:
                         dist[succ] = nd
                         heapq.heappush(heap, (nd, succ))
-            table.append(tuple(dist))
-        self.dist = tuple(table)
+            table.append(dist)
+        # One Fraction per distinct distance; INF stays INF.
+        exact = {d: Fraction(d, scale) for dist in table for d in dist if d is not INF}
+        self.dist = tuple(tuple(exact.get(d, INF) for d in dist) for dist in table)
 
         # Places where a token may legally sit in some target marking, plus sink.
         support = [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]

@@ -4,7 +4,9 @@ Everything in here is deliberately brute force and shares no code with the
 library's solving path: plain BFS/Dijkstra over explicitly enumerated state
 graphs, LP values by basic-solution enumeration, ILP values by integer-box
 enumeration, and coverability by the classic backward fixpoint over
-upward-closed sets.
+upward-closed sets.  The one exception is ``reference_simplex_min``, the
+``Fraction`` tableau simplex the library's integer tableau replaced, kept as
+a step-for-step reference.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from fractions import Fraction
 
 from ffreach import Instance, PetriNet, TargetSpec, Transition
-from ffreach.ratlp import RationalLP, Relation
+from ffreach.ratlp import Outcome, OutcomeKind, RationalLP, Relation
 
 INF = float("inf")
 
@@ -224,6 +226,98 @@ def integer_box_min(lp: RationalLP, box: int):
             if best is None or value < best:
                 best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference simplex: the Fraction Gauss-Jordan tableau the integer (Bareiss)
+# simplex in ffreach.ratlp replaced.  On integer rows both must take the same
+# pivots, so their outcomes must be identical, point included.
+
+
+def _reference_pivot(tableau, basis, row, col):
+    pivot_row = tableau[row]
+    inv = 1 / pivot_row[col]
+    tableau[row] = pivot_row = [v * inv if v else v for v in pivot_row]
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        factor = other[col]
+        if factor:
+            tableau[i] = [a - factor * b if b else a for a, b in zip(other, pivot_row)]
+    basis[row] = col
+
+
+def _reference_run_simplex(tableau, basis, num_cols) -> str:
+    """Bland's rule on the last tableau row; "optimal" or "unbounded"."""
+    m = len(basis)
+    while True:
+        cost = tableau[-1]
+        col = next((j for j in range(num_cols) if cost[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best_ratio = None
+        best_row = -1
+        for i in range(m):
+            a = tableau[i][col]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[best_row])
+                ):
+                    best_ratio = ratio
+                    best_row = i
+        if best_row < 0:
+            return "unbounded"
+        _reference_pivot(tableau, basis, best_row, col)
+
+
+def reference_simplex_min(lp: RationalLP) -> Outcome:
+    """Two-phase simplex on a ``Fraction`` tableau, virtual artificials,
+    carried objective row, Bland's rule throughout."""
+    zero = Fraction(0)
+    n = lp.num_vars
+    geq_rows = [i for i, row in enumerate(lp.rows) if row.relation is Relation.GEQ]
+    surplus_of = {i: n + k for k, i in enumerate(geq_rows)}
+    num_structural = n + len(geq_rows)
+
+    tableau = []
+    for i, row in enumerate(lp.rows):
+        line = [Fraction(c) for c in row.coeffs] + [zero] * len(geq_rows) + [Fraction(row.rhs)]
+        if i in surplus_of:
+            line[surplus_of[i]] = Fraction(-1)
+        if line[-1] < 0:
+            line = [-v for v in line]
+        tableau.append(line)
+    basis = [num_structural + i for i in range(len(tableau))]
+
+    phase1 = [zero] * (num_structural + 1)
+    for line in tableau:
+        phase1 = [c - v for c, v in zip(phase1, line)]
+    objective = [Fraction(c) for c in lp.objective] + [zero] * (len(geq_rows) + 1)
+    tableau += [objective, phase1]
+    _reference_run_simplex(tableau, basis, num_structural)
+    if tableau.pop()[-1] != 0:
+        return Outcome(OutcomeKind.INFEASIBLE)
+
+    for i in range(len(basis) - 1, -1, -1):
+        if basis[i] >= num_structural:
+            col = next((j for j in range(num_structural) if tableau[i][j] != 0), None)
+            if col is None:
+                tableau.pop(i)
+                basis.pop(i)
+            else:
+                _reference_pivot(tableau, basis, i, col)
+
+    if _reference_run_simplex(tableau, basis, num_structural) == "unbounded":
+        return Outcome(OutcomeKind.UNBOUNDED)
+
+    point = [zero] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tableau[i][-1]
+    return Outcome(OutcomeKind.OPTIMAL, -tableau[-1][-1], tuple(point))
 
 
 # ---------------------------------------------------------------------------

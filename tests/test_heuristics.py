@@ -75,6 +75,19 @@ class TestIntegerDistance:
         assert dq((0,)) == F(3, 2)
         assert dz((0,)) == INF
 
+    def test_two_nets_in_turn(self):
+        # The same state-equation shape with effects +2 and +1: z at a
+        # fresh object solves, and one net's cached lattice reduction must
+        # never answer for the other's.
+        target = TargetSpec.exact((5,))
+        single = PetriNet(["p"], [Transition("t", (0,), (1,))], name="single")
+        for tokens in range(6):
+            gap = 5 - tokens
+            assert StateEquationHeuristic(parity_net(), target, integral=True)((tokens,)) == (
+                INF if gap % 2 else gap // 2
+            )
+            assert StateEquationHeuristic(single, target, integral=True)((tokens,)) == gap
+
     def test_matches_rational_at_integral_optima(self, n1):
         dz = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=True)
         assert dz((0, 0)) == 1

@@ -13,7 +13,10 @@ from ffreach import (
     ilp_min,
     simplex_min,
 )
-from oracles import integer_box_min, vertex_enumeration_min
+from ffreach import ratlp
+from ffreach.ratlp import _column_reduction, _lattice_infeasible
+import oracles
+from oracles import integer_box_min, reference_simplex_min, vertex_enumeration_min
 
 F = Fraction
 
@@ -204,3 +207,133 @@ class TestAgainstOracles:
             ilp_out = ilp_min(problem, node_budget=5_000)
             if lp_out.kind is OutcomeKind.OPTIMAL and ilp_out.kind is OutcomeKind.OPTIMAL:
                 assert ilp_out.value >= lp_out.value
+
+
+def random_integer_lp(rng: random.Random) -> RationalLP:
+    """Integer rows, often degenerate: zero right-hand sides, duplicated
+    and scaled copies of rows.  Ints or integral Fractions, at random."""
+    n = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        if rows and rng.random() < 0.3:
+            coeffs, rel, rhs = rng.choice(rows)
+            k = rng.choice([1, 1, 2, -1])
+            rows.append(([k * c for c in coeffs], rel if k > 0 else Relation.EQ, k * rhs))
+            continue
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = 0 if rng.random() < 0.4 else rng.randint(-4, 4)
+        rows.append((coeffs, rng.choice([Relation.EQ, Relation.GEQ]), rhs))
+    objective = [rng.randint(-2, 4) for _ in range(n)]
+    if rng.random() < 0.3:
+        objective = [F(c, rng.randint(1, 6)) for c in objective]
+    if rng.random() < 0.5:
+        return RationalLP.build(objective, rows)
+    return RationalLP(n, tuple(objective), tuple(Row(tuple(c), rel, rhs) for c, rel, rhs in rows))
+
+
+class TestIntegerTableau:
+    """The integer tableau against the Fraction tableau it replaced."""
+
+    def test_integer_rows_match_reference_simplex(self, monkeypatch):
+        # Same outcome, and the same pivots in the same order.
+        pivots, reference_pivots, negative_pivots = [], [], []
+        pivot, reference_pivot = ratlp._pivot, oracles._reference_pivot
+
+        def recording_pivot(tableau, basis, den, row, col):
+            pivots.append((row, col))
+            if tableau[row][col] < 0:
+                negative_pivots.append(row)
+            return pivot(tableau, basis, den, row, col)
+
+        def recording_reference_pivot(tableau, basis, row, col):
+            reference_pivots.append((row, col))
+            reference_pivot(tableau, basis, row, col)
+
+        monkeypatch.setattr(ratlp, "_pivot", recording_pivot)
+        monkeypatch.setattr(oracles, "_reference_pivot", recording_reference_pivot)
+        rng = random.Random(7070)
+        kinds = set()
+        for _ in range(600):
+            problem = random_integer_lp(rng)
+            pivots.clear()
+            reference_pivots.clear()
+            out = simplex_min(problem)
+            assert out == reference_simplex_min(problem), problem
+            assert pivots == reference_pivots, problem
+            kinds.add(out.kind)
+        assert kinds == {OutcomeKind.OPTIMAL, OutcomeKind.INFEASIBLE, OutcomeKind.UNBOUNDED}
+        # Negative pivots only come from driving a leftover artificial out.
+        assert len(negative_pivots) >= 20
+
+    def test_outcomes_are_fractions(self):
+        out = simplex_min(RationalLP(2, (1, 1), (Row((3, 2), Relation.EQ, 4),)))
+        assert out.value == F(4, 3) and type(out.value) is F
+        assert out.point == (F(4, 3), F(0)) and all(type(x) is F for x in out.point)
+
+    def test_rational_rows_by_substitution(self):
+        # Row scaling may change the phase-1 path, so only the value is fixed.
+        rng = random.Random(8080)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rows = [
+                (
+                    [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)],
+                    rng.choice([Relation.EQ, Relation.GEQ]),
+                    F(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.7 else 0,
+                )
+                for _ in range(rng.randint(0, 4))
+            ]
+            problem = lp([F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)], rows)
+            expected = vertex_enumeration_min(problem)
+            out = simplex_min(problem)
+            assert out.kind is reference_simplex_min(problem).kind
+            if expected is None:
+                assert out.kind is OutcomeKind.INFEASIBLE
+            else:
+                assert out.value == expected
+                check_point(problem, out)
+
+
+class TestLatticeReduction:
+    """``_lattice_infeasible`` reduces each coefficient matrix once and
+    substitutes every right-hand side into the cached reduction."""
+
+    @staticmethod
+    def eq_lp(matrix, rhs):
+        return RationalLP.build([1] * len(matrix[0]), [(row, Relation.EQ, b) for row, b in zip(matrix, rhs)])
+
+    def test_parity_case_from_the_cache(self):
+        _column_reduction.cache_clear()
+        for b in range(-5, 6):
+            problem = self.eq_lp([[2]], [b])
+            assert _lattice_infeasible(problem) == (b % 2 == 1)
+            assert (ilp_min(problem, node_budget=1).kind is OutcomeKind.INFEASIBLE) == (b % 2 == 1 or b < 0)
+        assert _column_reduction.cache_info().misses == 1
+
+    def test_many_right_hand_sides(self):
+        # x + y + z = b0 and x - y + 3z = b1 have an integer solution exactly
+        # when b0 - b1 = 2(y - z) is even; 2x + 4y = c0 and 3y = c1 exactly
+        # when c0 is even and 3 divides c1.
+        _column_reduction.cache_clear()
+        outcomes = set()
+        for b0 in range(-4, 5):
+            for b1 in range(-4, 5):
+                infeasible = _lattice_infeasible(self.eq_lp([[1, 1, 1], [1, -1, 3]], [b0, b1]))
+                assert infeasible == ((b0 - b1) % 2 == 1)
+                outcomes.add(infeasible)
+                infeasible = _lattice_infeasible(self.eq_lp([[2, 4], [0, 3]], [b0, b1]))
+                assert infeasible == (b0 % 2 == 1 or b1 % 3 != 0)
+                outcomes.add(infeasible)
+        assert outcomes == {True, False}
+        info = _column_reduction.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * 81 - 2)
+
+    def test_rational_rows_scale_the_right_hand_side(self):
+        # x/2 = r and y/3 = s have an integer solution exactly when 2r and
+        # 3s are integers; each row keeps its own scale.
+        sixths = [F(k, 6) for k in range(-6, 7)]
+        for r in sixths:
+            for s in sixths:
+                infeasible = _lattice_infeasible(self.eq_lp([[F(1, 2), 0], [0, F(1, 3)]], [r, s]))
+                assert infeasible == ((2 * r).denominator != 1 or (3 * s).denominator != 1)
+        assert _lattice_infeasible(self.eq_lp([[F(1, 2)], [1]], [1, 3]))

@@ -10,12 +10,13 @@ for diagnostics on stderr, including the traceback of an internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .heuristics import HEURISTIC_NAMES, make_heuristic
 from .instance_io import (
@@ -87,6 +88,41 @@ def _float_or_none(value: Fraction) -> float | None:
         return None
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values a report holds: dicts
+    with ``str`` keys, lists, strings, ints, finite floats, booleans and None.
+
+    The standard encoder's pure-Python path leaves a reference cycle of
+    closures per call, which only the cyclic collector frees; this leaves
+    none.  A non-finite float raises ValueError, as strict JSON has no
+    spelling for it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"a JSON report cannot hold {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + indent + "]"
+    raise TypeError(f"a JSON report cannot hold {type(value).__name__}")
+
+
 @dataclass
 class SolveReport:
     """Everything cmd_solve prints; JSON keys are stable and timing-free."""
@@ -122,7 +158,7 @@ class SolveReport:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json(self.to_json_dict())
 
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -297,8 +333,8 @@ def _in_range(low, high=None, convert=int):
 
     def parse(text: str):
         value = convert(text)
-        if not (value >= low and (high is None or value <= high)):  # also rejects NaN
-            wanted = f">= {low}" if high is None else f"in [{low}, {high}]"
+        if not (low <= value < math.inf and (high is None or value <= high)):  # also rejects NaN
+            wanted = f"finite and >= {low}" if high is None else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
 

@@ -178,7 +178,12 @@ class _TransitionDraft:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse ``.fnet`` text into a validated Instance."""
+    """Parse ``.fnet`` text into a validated Instance.
+
+    This is where outside input is checked: every syntax error, unknown or
+    duplicate id, and non-positive weight raises an FnetParseError carrying
+    its line number, and token counts beyond the 64-bit range raise
+    NetDefinitionError."""
     name: str | None = None
     places: list[str] | None = None
     place_index: dict[str, int] = {}
@@ -187,6 +192,7 @@ def parse_instance(text: str) -> Instance:
     target_values: dict[int, int] | None = None
     target_flagged: set[int] = set()
     drafts: list[_TransitionDraft] = []
+    transition_ids: set[str] = set()
     seen_target = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -244,8 +250,9 @@ def parse_instance(text: str) -> Instance:
             tid = rest[0]
             if not _ID_RE.match(tid):
                 raise FnetParseError(f"invalid transition id {tid!r}", lineno)
-            if tid in place_index or any(d.name == tid for d in drafts):
+            if tid in place_index or tid in transition_ids:
                 raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
+            transition_ids.add(tid)
             weight = Fraction(1)
             if len(rest) > 1:
                 if rest[1] != "weight":
@@ -286,7 +293,9 @@ def parse_instance(text: str) -> Instance:
         guard = tuple(consume.get(i, 0) for i in range(num))
         prod = tuple(produce.get(i, 0) for i in range(num))
         transitions.append(Transition(draft.name, guard, prod, draft.weight))
-    net = PetriNet(places, transitions, name=name)
+    # The checks above reject every empty or duplicate id, negative count and
+    # non-positive weight with its line number, so the net is not checked again.
+    net = PetriNet._trusted(tuple(places), tuple(transitions), name)
 
     init_values = init_values or {}
     init = tuple(init_values.get(i, 0) for i in range(num))
@@ -335,7 +344,7 @@ def desugar_init(inst: Instance) -> Instance:
         taken.add(name)
         produce = tuple(1 if i == p else 0 for i in range(net.num_places))
         extra.append(Transition(name, (0,) * net.num_places, produce, gen_weight))
-    new_net = PetriNet(net.places, net.transitions + tuple(extra), name=net.name)
+    new_net = PetriNet._trusted(net.places, net.transitions + tuple(extra), net.name)
     return replace(inst, net=new_net, init_upward=frozenset())
 
 

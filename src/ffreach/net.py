@@ -10,6 +10,11 @@ The token game reads sparse tables built once per net: each transition's
 guard as ``((place, need), ...)`` over the places it needs tokens from, and
 its effect as ``((place, delta), ...)`` over the places it changes.  Firing
 tests and edits only those entries, and only a positive delta can overflow.
+
+``PetriNet(...)`` validates its parts.  Nets that are valid by construction
+(the parser's output after its own line-numbered checks, and the nets
+``desugar_init`` and ``prune_instance`` derive from a valid one) are built
+through ``PetriNet._trusted``, which builds the same tables without the check.
 """
 
 from __future__ import annotations
@@ -116,6 +121,19 @@ class PetriNet:
         self.places = tuple(str(p) for p in places)
         self.transitions = tuple(transitions)
         self._validate()
+        self._build_tables()
+
+    @classmethod
+    def _trusted(cls, places: tuple[str, ...], transitions: tuple[Transition, ...], name: str) -> "PetriNet":
+        """A net whose parts are already known to be valid, built without
+        ``_validate``: the parser's output after its own checks, or a net
+        derived from a valid one.  The caller passes tuples of ``str`` ids."""
+        net = cls.__new__(cls)
+        net.name, net.places, net.transitions = name, places, transitions
+        net._build_tables()
+        return net
+
+    def _build_tables(self) -> None:
         self.place_index = {p: i for i, p in enumerate(self.places)}
         self.transition_index = {t.name: i for i, t in enumerate(self.transitions)}
         self._effects = tuple(t.effect for t in self.transitions)

@@ -56,24 +56,25 @@ def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
 
     Worklist over newly marked places; each transition is counted down once
     per distinct unmarked guard place, so the total work is linear in the
-    size of the guards.
+    size of the guards.  Only the net's sparse guard and effect tables are
+    read.
     """
     marked = set(initially_marked)
-    guard_support = [
-        [p for p in range(net.num_places) if t.guard[p] > 0] for t in net.transitions
-    ]
     needs: list[list[int]] = [[] for _ in range(net.num_places)]
     remaining = []
     queue: deque[int] = deque()
 
     def fire(t: int) -> None:
-        for q in range(net.num_places):
-            if net.transitions[t].produce[q] > 0 and q not in marked:
+        # A place the transition feeds but does not raise is one of its guard
+        # places, which are all marked by now; so the places with a positive
+        # delta are the ones it can newly mark.
+        for q, delta in net._deltas[t]:
+            if delta > 0 and q not in marked:
                 marked.add(q)
                 queue.append(q)
 
-    for t, support in enumerate(guard_support):
-        missing = [p for p in support if p not in marked]
+    for t, guard in enumerate(net._guards):
+        missing = [p for p, _ in guard if p not in marked]
         remaining.append(len(missing))
         for p in missing:
             needs[p].append(t)
@@ -96,12 +97,21 @@ def prune_instance(inst: Instance) -> PruneResult:
     in the fixpoint; upward-flagged places count as initially marked either
     way.  Target constraints on removed places are dropped when they are
     vacuously true (= 0 or >= 0) and settle the instance as immediately
-    unreachable when they demand tokens.
+    unreachable when they demand tokens.  When every place is markable,
+    nothing is removed and the input instance itself is returned.
     """
     net = inst.net
     initially_marked = {p for p in range(net.num_places) if inst.init[p] > 0}
     initially_marked |= inst.init_upward
     markable = sign_analysis(net, initially_marked)
+
+    if len(markable) == net.num_places:
+        return PruneResult(
+            {p: p for p in range(net.num_places)},
+            {t: t for t in range(net.num_transitions)},
+            inst,
+            PruneVerdict.PRUNED,
+        )
 
     kept_place_list = [p for p in range(net.num_places) if p in markable]
     kept_places = {old: new for new, old in enumerate(kept_place_list)}
@@ -113,27 +123,28 @@ def prune_instance(inst: Instance) -> PruneResult:
             if bound > 0:
                 verdict = PruneVerdict.IMMEDIATELY_UNREACHABLE
 
-    kept_transition_list = []
-    for t, trans in enumerate(net.transitions):
-        if all(trans.guard[p] == 0 or p in markable for p in range(net.num_places)):
-            kept_transition_list.append(t)
+    kept_transition_list = [
+        t for t, guard in enumerate(net._guards) if all(p in markable for p, _ in guard)
+    ]
     kept_transitions = {old: new for new, old in enumerate(kept_transition_list)}
 
     def project(vec) -> tuple[int, ...]:
         return tuple(vec[p] for p in kept_place_list)
 
-    transitions = [
+    transitions = tuple(
         Transition(net.transitions[t].name, project(net.transitions[t].guard),
                    project(net.transitions[t].produce), net.transitions[t].weight)
         for t in kept_transition_list
-    ]
-    pruned_net = PetriNet([net.places[p] for p in kept_place_list], transitions, name=net.name)
+    )
+    # A projection of a valid net onto some of its places, with a subset of
+    # its transitions, is valid: the net is not checked again.
+    pruned_net = PetriNet._trusted(tuple(net.places[p] for p in kept_place_list), transitions, net.name)
     pruned_target = TargetSpec(tuple(inst.target.constraints[p] for p in kept_place_list))
     pruned = Instance(
         pruned_net,
         project(inst.init),
         frozenset(kept_places[p] for p in inst.init_upward),
         pruned_target,
-    ).validate()
+    )
 
     return PruneResult(kept_places, kept_transitions, pruned, verdict)

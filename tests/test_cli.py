@@ -1,7 +1,10 @@
+import gc
 import json
 import logging
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -190,6 +193,62 @@ class TestGoldenReport:
         assert out == GOLDEN_JSON.replace("FILE", fig1_path)
 
 
+def make_report(**fields) -> cli.SolveReport:
+    base = dict(
+        verdict="reachable", distance=Fraction(3, 2), witness_ids=["t1", "t2"], generator_firings=0,
+        reason=None, expanded=4, discovered=6, heuristic_calls=7, wall_time_ms=1.25,
+        config={
+            "file": "net.fnet", "strategy": "astar", "heuristic": "q", "prune": True,
+            "ilp_node_budget": 10000, "max_expansions": None, "max_time_ms": 2.5,
+        },
+    )
+    base.update(fields)
+    return cli.SolveReport(**base)
+
+
+REPORTS = {
+    "reachable": make_report(),
+    "empty-witness": make_report(distance=Fraction(0), witness_ids=[]),
+    "decimal-null": make_report(distance=Fraction(10**400), witness_ids=["t"] * 3, generator_firings=2),
+    "unreachable-reason": make_report(
+        verdict="unreachable", distance=None, witness_ids=None, generator_firings=None,
+        reason="target demands tokens in a place that can never be marked",
+    ),
+    "odd-file-names": make_report(
+        verdict="unknown", distance=None, witness_ids=None,
+        config={"file": 'd\\ir/"quoted" \u00e9t\u00e9 \u2603 \U0001f600\t.fnet', "prune": False, "max_time_ms": 0.1},
+    ),
+}
+
+
+class TestJsonRendering:
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_matches_standard_encoder(self, name):
+        report = REPORTS[name]
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+
+    def test_nested_and_empty_containers(self):
+        payload = {"a": [], "b": {}, "c": [[1, -2], {"d": [True, False, None]}], "e": 1e-7, "f": -0.0}
+        assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError):
+            cli._json({"max_time_ms": value})
+
+    def test_rendering_leaves_no_garbage(self):
+        reports = list(REPORTS.values())
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                for report in reports:
+                    report.to_json()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestWitnessEcho:
     def test_reported_witness_replays_through_desugaring(self, upward_path, capsys):
         code, out, _ = run_main(["solve", upward_path, "--format", "json"], capsys)
@@ -340,9 +399,15 @@ class TestSubprocessReproducibility:
             ["solve", "{file}", "--heuristic", "z", "--ilp-node-budget", "0"],
             ["solve", "{file}", "--max-expansions", "-1"],
             ["solve", "{file}", "--max-time-ms", "-5"],
+            ["solve", "{file}", "--max-time-ms", "nan"],
+            ["solve", "{file}", "--max-time-ms", "inf"],
+            ["solve", "{file}", "--max-time-ms", "1e400"],
             ["gen-walk", "{file}", "--seed", "1", "--out", "{out}", "--length", "-1"],
         ],
-        ids=["missing-file", "ilp-node-budget", "max-expansions", "max-time-ms", "length"],
+        ids=[
+            "missing-file", "ilp-node-budget", "max-expansions", "max-time-ms",
+            "max-time-ms-nan", "max-time-ms-inf", "max-time-ms-overflow", "length",
+        ],
     )
     def test_usage_error_exit_code(self, fig1_path, tmp_path, args):
         args = [a.format(file=fig1_path, out=tmp_path / "w.fnet") for a in args]

@@ -8,6 +8,7 @@ from ffreach import (
     DuplicateIdError,
     FnetParseError,
     Instance,
+    NetDefinitionError,
     NonPositiveWeightError,
     PetriNet,
     Relation,
@@ -94,6 +95,41 @@ class TestParse:
     def test_transition_name_clashing_with_place(self):
         with pytest.raises(DuplicateIdError):
             parse_instance("net n\nplaces: a\ntransition a\n")
+
+
+    def test_duplicate_transition_after_many(self):
+        lines = ["net n", "places: a"] + [f"transition t{k}" for k in range(2000)] + ["transition t1999"]
+        with pytest.raises(DuplicateIdError) as exc:
+            parse_instance("\n".join(lines) + "\n")
+        assert exc.value.line == 2003
+
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("net n\nplaces: a\ntransition t\ntransition t\n", DuplicateIdError, 4),
+            ("net n\nplaces: a\ninit: b=1\n", UnknownPlaceError, 3),
+            ("net n\nplaces: a\nwhatever\n", FnetParseError, 3),
+            ("net n\nplaces: a\ntransition t weight 0\n", NonPositiveWeightError, 3),
+            ("net n\nplaces: a\ntarget: a=1\ntransition t\n", FnetParseError, 4),
+            ("net n\nplaces: a\ninit: a>=0\n", FnetParseError, 3),
+            ("net n\nplaces: a\ninit: a=1 a=2\n", DuplicateIdError, 3),
+            ("net n\nplaces: a\ntransition a\n", DuplicateIdError, 3),
+            ("net n\nplaces: a a\n", DuplicateIdError, 2),
+            ("net n\nplaces: a\ntransition t\n  consume a:-1\n", FnetParseError, 4),
+            ("net n\nplaces: a\ntransition t\n  produce :1\n", FnetParseError, 4),
+            ("net n\nplaces: a\ntransition t weight 1/0\n", FnetParseError, 3),
+            ("net n\nplaces: a\ntransition t\n  consume a:1\n  consume a:2\n", DuplicateIdError, 5),
+        ],
+    )
+    def test_invalid_text_raises_on_its_line(self, text, error, line):
+        with pytest.raises(FnetParseError) as exc:
+            parse_instance(text)
+        assert type(exc.value) is error
+        assert exc.value.line == line
+
+    def test_token_count_beyond_64_bits(self):
+        with pytest.raises(NetDefinitionError):
+            parse_instance(f"net n\nplaces: a\ninit: a={2**64}\n")
 
 
 class TestTargetSpec:

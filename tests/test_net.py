@@ -12,6 +12,10 @@ from ffreach import (
     PetriNet,
     TokenOverflowError,
     Transition,
+    desugar_init,
+    parse_instance,
+    prune_instance,
+    serialize_instance,
 )
 from oracles import enumerate_reachable, random_bounded_instance
 
@@ -135,6 +139,50 @@ class TestValidation:
     def test_from_maps_rejects_unknown_place(self):
         with pytest.raises(NetDefinitionError):
             Transition.from_maps("t", ["a"], consume={"b": 1})
+
+    @pytest.mark.parametrize(
+        "places, transitions",
+        [
+            (["a", ""], []),
+            (["a"], [Transition("", (0,), (0,))]),
+            (["a"], [Transition("t", (0,), (-1,))]),
+            (["a"], [Transition("t", (0,), (0,), Fraction(0))]),
+            (["a"], [Transition("t", (0,), (0,), Fraction(-1, 2))]),
+        ],
+        ids=["empty-place-id", "empty-transition-id", "negative-produce", "zero-weight", "negative-weight"],
+    )
+    def test_constructor_still_validates(self, places, transitions):
+        with pytest.raises(NetDefinitionError):
+            PetriNet(places, transitions)
+
+
+def assert_same_tables(net: PetriNet) -> None:
+    """``net`` has the tables of a validated rebuild of its parts."""
+    rebuilt = PetriNet(net.places, net.transitions, name=net.name)
+    assert net == rebuilt
+    assert net.place_index == rebuilt.place_index
+    assert net.transition_index == rebuilt.transition_index
+    assert net._guards == rebuilt._guards
+    assert net._deltas == rebuilt._deltas
+    assert net._effects == rebuilt._effects
+
+
+class TestTrustedConstruction:
+    """The parser, ``desugar_init`` and ``prune_instance`` build their nets
+    without ``_validate``; those nets must equal validated rebuilds."""
+
+    def test_derived_nets_match_validated_rebuilds(self):
+        rng = random.Random(880088)
+        pruned_some = 0
+        for k in range(200):
+            inst = random_bounded_instance(rng, rational_weights=k % 2 == 0, upward=k % 3 == 0)
+            parsed = parse_instance(serialize_instance(inst))
+            desugared = desugar_init(parsed)
+            pruned = prune_instance(desugared).pruned_instance
+            for net in (parsed.net, desugared.net, pruned.net):
+                assert_same_tables(net)
+            pruned_some += pruned.net.num_places < desugared.net.num_places
+        assert pruned_some >= 20
 
 
 # A tiny strategy for random sequences over the three-transition net.

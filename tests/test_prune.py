@@ -96,6 +96,22 @@ class TestPruneInstance:
         result = prune_instance(inst)
         assert result.pruned_instance.init_upward == frozenset({0})
 
+    def test_input_returned_when_nothing_is_removed(self):
+        rng = random.Random(454545)
+        counts = {True: 0, False: 0}
+        for _ in range(100):
+            inst = desugar_init(random_bounded_instance(rng, upward=rng.random() < 0.3))
+            result = prune_instance(inst)
+            marked = {p for p in range(inst.net.num_places) if inst.init[p] > 0}
+            removes_nothing = len(sign_analysis(inst.net, marked)) == inst.net.num_places
+            assert (result.pruned_instance is inst) == removes_nothing
+            if removes_nothing:
+                assert result.verdict is PruneVerdict.PRUNED
+                assert result.kept_places == {p: p for p in range(inst.net.num_places)}
+                assert result.kept_transitions == {t: t for t in range(inst.net.num_transitions)}
+            counts[removes_nothing] += 1
+        assert min(counts.values()) >= 20
+
 
 class TestSoundness:
     def test_pruned_places_never_marked(self):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Callable
 
@@ -33,11 +34,17 @@ from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, R
 #: Extended value for "target unreachable even in the relaxation".
 INF = math.inf
 
-_ZERO = Fraction(0)
-
 #: A heuristic is any callable from markings to a Fraction (or int), or to
-#: a float infinity such as INF.
+#: a float infinity such as INF.  The heuristics below return an ``int``
+#: whenever the value is integral, which the search scales fastest.
 Heuristic = Callable[[Marking], object]
+
+
+def _as_int(value):
+    """``value`` as an ``int`` when it is an integral Fraction, else unchanged."""
+    if value is not INF and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 class StateEquationHeuristic:
@@ -107,7 +114,7 @@ class StateEquationHeuristic:
         if known is not None:
             return known[0]
         for t, (effect, weight) in enumerate(zip(self._effects, self._objective)):
-            value, point = self._memo.get(tuple(a - b for a, b in zip(m, effect)), (None, None))
+            value, point = self._memo.get(tuple(map(operator.sub, m, effect)), (None, None))
             if value is INF:
                 self._memo[m] = (INF, None)
                 return INF
@@ -182,21 +189,22 @@ class StructHeuristic:
         support.append(sink)
         kappa = (min(self.dist[p][q] for q in support) for p in range(net.num_places))
         # Places of positive cost, costliest first: the first marked one
-        # gives the value.  The sink is marked in every marking and costs 0.
+        # gives the value, an ``int`` when integral.  The sink is marked in
+        # every marking and costs 0.
         self._by_cost = tuple(
-            sorted(((p, k) for p, k in enumerate(kappa) if k > 0), key=lambda entry: entry[1], reverse=True)
+            sorted(((p, _as_int(k)) for p, k in enumerate(kappa) if k > 0), key=lambda entry: entry[1], reverse=True)
         )
 
     def __call__(self, m: Marking):
         for p, kappa in self._by_cost:
             if m[p]:
                 return kappa
-        return _ZERO
+        return 0
 
 
-def zero_heuristic(m: Marking) -> Fraction:
+def zero_heuristic(m: Marking) -> int:
     """The trivial bound; plugged into best-first search it yields Dijkstra."""
-    return _ZERO
+    return 0
 
 
 HEURISTIC_NAMES = ("q", "z", "struct", "zero")

@@ -50,14 +50,26 @@ class NonPositiveWeightError(FnetParseError):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """One (relation, bound) constraint per place; GEQ 0 means unconstrained."""
+    """One (relation, bound) constraint per place; GEQ 0 means unconstrained.
+
+    The membership test is compiled once, when the spec is made: an exact
+    target is a single tuple comparison, and any other target checks only
+    its ``=`` places and its ``>=`` places with a positive bound."""
 
     constraints: tuple[tuple[Relation, int], ...]
 
     def __post_init__(self):
-        for rel, bound in self.constraints:
+        constraints = self.constraints
+        for rel, bound in constraints:
             if rel not in (Relation.EQ, Relation.GEQ) or bound < 0:
                 raise NetDefinitionError(f"bad target constraint ({rel}, {bound})")
+        equal = tuple((p, bound) for p, (rel, bound) in enumerate(constraints) if rel is Relation.EQ)
+        at_least = tuple((p, bound) for p, (rel, bound) in enumerate(constraints) if rel is Relation.GEQ and bound)
+        goal = tuple(bound for _, bound in constraints) if len(equal) == len(constraints) else None
+        # The dataclass is frozen, so the compiled test is set through object.
+        object.__setattr__(self, "_goal", goal)
+        object.__setattr__(self, "_equal", equal)
+        object.__setattr__(self, "_at_least", at_least)
 
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
@@ -76,17 +88,20 @@ class TargetSpec:
     def __len__(self) -> int:
         return len(self.constraints)
 
-    def satisfied(self, m: Marking) -> bool:
-        for value, (rel, bound) in zip(m, self.constraints):
-            if rel is Relation.EQ:
-                if value != bound:
-                    return False
-            elif value < bound:
+    def satisfied(self, m: Sequence[int]) -> bool:
+        goal = self._goal
+        if goal is not None:
+            return tuple(m) == goal
+        for p, bound in self._equal:
+            if m[p] != bound:
+                return False
+        for p, bound in self._at_least:
+            if m[p] < bound:
                 return False
         return True
 
     def is_exact(self) -> bool:
-        return all(rel is Relation.EQ for rel, _ in self.constraints)
+        return self._goal is not None
 
     def is_cover(self) -> bool:
         return all(rel is Relation.GEQ for rel, _ in self.constraints)
@@ -118,6 +133,10 @@ class Instance:
 _ID_RE = re.compile(r"^[^\s=:>#]+$")
 _MARKING_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>>=|=)(?P<nat>\d+)$")
 _ARC_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>:)(?P<nat>\d+)$")
+
+
+#: The weight of a transition declared without one; ``Fraction`` is immutable.
+_UNIT_WEIGHT = Fraction(1)
 
 
 def _strip_comment(line: str) -> str:
@@ -253,7 +272,7 @@ def parse_instance(text: str) -> Instance:
             if tid in place_index or tid in transition_ids:
                 raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
             transition_ids.add(tid)
-            weight = Fraction(1)
+            weight = _UNIT_WEIGHT
             if len(rest) > 1:
                 if rest[1] != "weight":
                     raise FnetParseError(f"unexpected token {rest[1]!r} after transition id", lineno)
@@ -344,7 +363,7 @@ def desugar_init(inst: Instance) -> Instance:
         taken.add(name)
         produce = tuple(1 if i == p else 0 for i in range(net.num_places))
         extra.append(Transition(name, (0,) * net.num_places, produce, gen_weight))
-    new_net = PetriNet._trusted(net.places, net.transitions + tuple(extra), net.name)
+    new_net = net._extended(tuple(extra))
     return replace(inst, net=new_net, init_upward=frozenset())
 
 

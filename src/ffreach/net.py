@@ -14,12 +14,14 @@ tests and edits only those entries, and only a positive delta can overflow.
 ``PetriNet(...)`` validates its parts.  Nets that are valid by construction
 (the parser's output after its own line-numbered checks, and the nets
 ``desugar_init`` and ``prune_instance`` derive from a valid one) are built
-through ``PetriNet._trusted``, which builds the same tables without the check.
+through ``PetriNet._trusted``, which builds the same tables without the check,
+or through ``PetriNet._extended``, which appends transitions to a net's tables.
+Every transition weight of a net is a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -121,6 +123,7 @@ class PetriNet:
         self.places = tuple(str(p) for p in places)
         self.transitions = tuple(transitions)
         self._validate()
+        self.transitions = tuple(replace(t, weight=_as_weight(t.weight)) for t in self.transitions)
         self._build_tables()
 
     @classmethod
@@ -135,14 +138,28 @@ class PetriNet:
 
     def _build_tables(self) -> None:
         self.place_index = {p: i for i, p in enumerate(self.places)}
-        self.transition_index = {t.name: i for i, t in enumerate(self.transitions)}
-        self._effects = tuple(t.effect for t in self.transitions)
-        self._guards = tuple(
-            tuple((p, need) for p, need in enumerate(t.guard) if need) for t in self.transitions
-        )
-        self._deltas = tuple(
-            tuple((p, delta) for p, delta in enumerate(effect) if delta) for effect in self._effects
-        )
+        self.transition_index = {}
+        self._effects = self._guards = self._deltas = ()
+        self._add_tables(self.transitions)
+
+    def _add_tables(self, transitions: tuple[Transition, ...]) -> None:
+        """Append the table entries of ``transitions``, the last ones of the net."""
+        index = self.transition_index
+        index.update({t.name: i for i, t in enumerate(transitions, len(index))})
+        effects = tuple(t.effect for t in transitions)
+        self._effects += effects
+        self._guards += tuple(tuple((p, need) for p, need in enumerate(t.guard) if need) for t in transitions)
+        self._deltas += tuple(tuple((p, delta) for p, delta in enumerate(effect) if delta) for effect in effects)
+
+    def _extended(self, extra: tuple[Transition, ...]) -> "PetriNet":
+        """This net with ``extra`` appended, trusted like ``_trusted``: the
+        tables of this net are extended, not rebuilt."""
+        net = self.__class__.__new__(self.__class__)
+        net.name, net.places, net.transitions = self.name, self.places, self.transitions + extra
+        net.place_index, net.transition_index = self.place_index, dict(self.transition_index)
+        net._effects, net._guards, net._deltas = self._effects, self._guards, self._deltas
+        net._add_tables(extra)
+        return net
 
     def _validate(self) -> None:
         if any(not p for p in self.places):

@@ -17,7 +17,15 @@ the ``int`` ``L * g``, and each heuristic value is multiplied by ``L`` too
 (an ``int`` whenever the product is integral).  Scaling by ``L > 0`` keeps
 every priority order and every tie, so the expansions are those of the
 rational loop; the reported distance is the witness's ``Fraction`` weight.
-A heuristic returns a ``Fraction`` (or ``int``), or any float infinity.
+A heuristic returns a ``Fraction`` (or ``int``), or any float infinity; an
+``int`` value is scaled by one multiplication, which is why the built-in
+heuristics return ``int`` whenever their value is integral.
+
+One expansion costs as little as the loop allows: its lookups are bound to
+locals once per search, the priority is picked by two booleans fixed per
+strategy, the counters live in locals and are written to ``SearchStats``
+once, on exit, and the goal test is the one ``TargetSpec`` compiled when it
+was made (a single tuple comparison for an exact target).
 
 With assertions on, each expanded marking's parent link is checked in O(1):
 ``g[parent] + L * w(t) <= g[m]``.  Every link is made with equality and a
@@ -43,13 +51,6 @@ class Strategy(Enum):
     DIJKSTRA = "dijkstra"
     ASTAR = "astar"
     GBFS = "gbfs"
-
-    def priority(self, g: int, h):
-        if self is Strategy.DIJKSTRA:
-            return g
-        if self is Strategy.ASTAR:
-            return g + h
-        return h
 
 
 class Verdict(Enum):
@@ -94,6 +95,8 @@ class SearchResult:
 def _scaled(h, scale: int):
     """``scale * h`` for a heuristic value ``h``: an ``int`` whenever it is
     integral, and ``INF`` itself for any float infinity."""
+    if h.__class__ is int:
+        return h * scale
     if not h:
         return 0
     if isinstance(h, float):
@@ -136,75 +139,83 @@ def directed_search(
     if heuristic is None:
         heuristic = zero_heuristic
     limits = limits or SearchLimits()
-    net, target = inst.net, inst.target
+    net, satisfied = inst.net, inst.target.satisfied
     init = net.check_marking(inst.init)
     stats = SearchStats()
     start = time.monotonic()
 
-    def finish(result: SearchResult) -> SearchResult:
+    def finish(result: SearchResult, expanded: int, discovered: int, heuristic_calls: int) -> SearchResult:
+        stats.expanded, stats.discovered, stats.heuristic_calls = expanded, discovered, heuristic_calls
         stats.wall_time_ms = (time.monotonic() - start) * 1000.0
         return result
 
-    rational_weights = [Fraction(t.weight) for t in net.transitions]
-    scale = math.lcm(*(w.denominator for w in rational_weights))
-    weights = tuple(w.numerator * (scale // w.denominator) for w in rational_weights)
+    scale = math.lcm(*(t.weight.denominator for t in net.transitions))
+    weights = tuple(t.weight.numerator * (scale // t.weight.denominator) for t in net.transitions)
 
-    stats.heuristic_calls += 1
     h_init = _scaled(heuristic(init), scale)
-    if h_init is INF and not target.satisfied(init):
-        return finish(SearchResult(Verdict.UNREACHABLE, stats=stats))
+    if h_init is INF and not satisfied(init):
+        return finish(SearchResult(Verdict.UNREACHABLE, stats=stats), 0, 0, 1)
 
+    # The priority is g for Dijkstra, h for GBFS and g + h for A*.
+    dijkstra, greedy = strategy is Strategy.DIJKSTRA, strategy is Strategy.GBFS
     g: dict[Marking, int] = {init: 0}
     parents: dict[Marking, tuple[Marking, int]] = {}
-    stats.discovered = 1
+    expanded, discovered, heuristic_calls = 0, 1, 1
     counter = 0
     frontier: list[tuple[object, object, int, int, Marking]] = [
-        (strategy.priority(0, h_init), h_init, counter, 0, init)
+        (0 if dijkstra else h_init, h_init, counter, 0, init)
     ]
 
+    heappop, heappush, g_get, successors_of = heapq.heappop, heapq.heappush, g.get, net.successors
+    max_expansions, max_time_ms, monotonic = limits.max_expansions, limits.max_time_ms, time.monotonic
+    record_expanded = stats.expanded_markings.append
     while frontier:
-        if limits.max_expansions is not None and stats.expanded >= limits.max_expansions:
-            return finish(SearchResult(Verdict.EXHAUSTED, stats=stats, reason="expansion limit reached"))
-        if limits.max_time_ms is not None and (time.monotonic() - start) * 1000.0 > limits.max_time_ms:
-            return finish(SearchResult(Verdict.EXHAUSTED, stats=stats, reason="time limit reached"))
+        if max_expansions is not None and expanded >= max_expansions:
+            result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason="expansion limit reached")
+            return finish(result, expanded, discovered, heuristic_calls)
+        if max_time_ms is not None and (monotonic() - start) * 1000.0 > max_time_ms:
+            result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason="time limit reached")
+            return finish(result, expanded, discovered, heuristic_calls)
 
-        _, _, _, g_m, m = heapq.heappop(frontier)
+        _, _, _, g_m, m = heappop(frontier)
         if g_m != g[m]:
             continue  # stale entry: this marking was re-pushed with a better path
-        stats.expanded += 1
-        stats.expanded_markings.append(m)
+        expanded += 1
+        record_expanded(m)
         if __debug__ and m in parents:
             parent, t = parents[m]
             assert g[parent] + weights[t] <= g_m, "parent link heavier than the best known path"
 
-        if target.satisfied(m):
+        if satisfied(m):
             witness = net.witness(reconstruct_witness(parents, m))
             # The recorded parent chain is a real path, never worse than g.
             assert witness.total_weight * scale <= g_m
-            if strategy is not Strategy.GBFS:
+            if not greedy:
                 assert witness.total_weight * scale == g_m
-            return finish(SearchResult(Verdict.REACHABLE, witness.total_weight, witness, stats))
+            result = SearchResult(Verdict.REACHABLE, witness.total_weight, witness, stats)
+            return finish(result, expanded, discovered, heuristic_calls)
 
         try:
-            successors = net.successors(m)
+            successors = successors_of(m)
         except TokenOverflowError as exc:
             reason = f"token overflow firing {net.transitions[exc.transition].name!r} from {m}"
-            return finish(SearchResult(Verdict.EXHAUSTED, stats=stats, reason=reason))
+            result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason=reason)
+            return finish(result, expanded, discovered, heuristic_calls)
 
         for t, succ in successors:
             g_new = g_m + weights[t]
-            g_old = g.get(succ)
+            g_old = g_get(succ)
             if g_old is not None and g_new >= g_old:
                 continue
-            stats.heuristic_calls += 1
+            heuristic_calls += 1
             h = _scaled(heuristic(succ), scale)
             if h is INF:
                 continue  # the target is unreachable from succ; skip it entirely
             if g_old is None:
-                stats.discovered += 1
+                discovered += 1
             g[succ] = g_new
             parents[succ] = (m, t)
             counter += 1
-            heapq.heappush(frontier, (strategy.priority(g_new, h), h, counter, g_new, succ))
+            heappush(frontier, (g_new if dijkstra else h if greedy else g_new + h, h, counter, g_new, succ))
 
-    return finish(SearchResult(Verdict.UNREACHABLE, stats=stats))
+    return finish(SearchResult(Verdict.UNREACHABLE, stats=stats), expanded, discovered, heuristic_calls)

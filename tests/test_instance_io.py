@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,39 @@ class TestTargetSpec:
         assert TargetSpec.exact((1, 0)).is_exact()
         assert TargetSpec.cover((1, 0)).is_cover()
         assert not TargetSpec.exact((1, 0)).is_cover()
+
+    @pytest.mark.parametrize("kind", ["exact", "cover", "mixed"])
+    def test_compiled_test_matches_each_constraint(self, kind):
+        def brute_force(spec, m):
+            return all(
+                value == bound if rel is Relation.EQ else value >= bound
+                for value, (rel, bound) in zip(m, spec.constraints, strict=True)
+            )
+
+        rng = random.Random(f"target-{kind}")
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            relations = {
+                "exact": [Relation.EQ] * n,
+                "cover": [Relation.GEQ] * n,
+                "mixed": [rng.choice((Relation.EQ, Relation.GEQ)) for _ in range(n)],
+            }[kind]
+            spec = TargetSpec(tuple((rel, rng.randint(0, 3)) for rel in relations))
+            assert spec.is_exact() == all(rel is Relation.EQ for rel in relations)
+            for _ in range(10):
+                # Values around each bound, so that every comparison can go either way.
+                m = tuple(max(0, bound + rng.randint(-1, 1)) for _, bound in spec.constraints)
+                expected = brute_force(spec, m)
+                assert spec.satisfied(m) is expected
+                assert spec.satisfied(list(m)) is expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_zero_places(self):
+        for spec in (TargetSpec(()), TargetSpec.exact(()), TargetSpec.cover(())):
+            assert spec.satisfied(())
+            assert spec.satisfied([])
 
 
 class TestDesugar:

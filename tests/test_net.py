@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from ffreach import (
     MAX_TOKENS,
+    Instance,
     NetDefinitionError,
     NotFirableError,
     PetriNet,
+    Strategy,
+    TargetSpec,
     TokenOverflowError,
     Transition,
     desugar_init,
+    directed_search,
+    make_heuristic,
     parse_instance,
     prune_instance,
     serialize_instance,
@@ -154,6 +159,40 @@ class TestValidation:
     def test_constructor_still_validates(self, places, transitions):
         with pytest.raises(NetDefinitionError):
             PetriNet(places, transitions)
+
+
+class TestWeightNormalization:
+    """``PetriNet(...)`` stores every weight as a ``Fraction``, whatever
+    ``Fraction`` accepts was passed in."""
+
+    @pytest.mark.parametrize(
+        "weight, exact",
+        [(0.5, Fraction(1, 2)), ("1/3", Fraction(1, 3)), (2, Fraction(2))],
+        ids=["float", "string", "int"],
+    )
+    def test_weight_is_stored_as_a_fraction(self, weight, exact):
+        net = PetriNet(["a", "b"], [Transition("t", (1, 0), (0, 1), weight), Transition("u", (0, 1), (1, 0))])
+        assert [type(t.weight) for t in net.transitions] == [Fraction, Fraction]
+        assert net.transitions[0].weight == exact
+        assert net.witness([0, 1]).total_weight == exact + 1
+
+        inst = Instance(net, (1, 0), frozenset(), TargetSpec.exact((0, 1))).validate()
+        for strategy, name in [
+            (Strategy.DIJKSTRA, "zero"),
+            (Strategy.ASTAR, "q"),
+            (Strategy.ASTAR, "z"),
+            (Strategy.ASTAR, "struct"),
+            (Strategy.GBFS, "struct"),
+        ]:
+            result = directed_search(inst, strategy, make_heuristic(name, inst))
+            assert type(result.distance) is Fraction and result.distance == exact
+            assert result.witness.sequence == (0,)
+
+        text = serialize_instance(inst)
+        assert f"weight {exact}" in text
+        reparsed = parse_instance(text)
+        assert reparsed == inst
+        assert serialize_instance(reparsed) == text
 
 
 def assert_same_tables(net: PetriNet) -> None:

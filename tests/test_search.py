@@ -8,6 +8,7 @@ from ffreach import (
     BrokenParentChainError,
     Instance,
     PetriNet,
+    Relation,
     SearchLimits,
     Strategy,
     TargetSpec,
@@ -118,6 +119,94 @@ class TestLimits:
         result = directed_search(inst, Strategy.DIJKSTRA)
         assert result.verdict is Verdict.EXHAUSTED
         assert "grow" in result.reason
+
+
+class CountingHeuristic:
+    """Wraps a heuristic and counts its calls and the distinct markings it
+    called finite: a search discovers exactly those (when the initial
+    marking's value is finite)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.finite: set = set()
+
+    def __call__(self, m):
+        self.calls += 1
+        value = self.inner(m)
+        if value != INF:
+            self.finite.add(m)
+        return value
+
+
+def draining_instance() -> Instance:
+    """A finite state space without the target: three tokens flow a -> b -> c,
+    two b tokens can merge back into one a, and four c tokens are wanted."""
+    places = ["a", "b", "c"]
+    net = PetriNet(
+        places,
+        [
+            Transition.from_maps("ab", places, consume={"a": 1}, produce={"b": 1}),
+            Transition.from_maps("bc", places, consume={"b": 1}, produce={"c": 1}),
+            Transition.from_maps("ba", places, consume={"b": 2}, produce={"a": 1}),
+        ],
+    )
+    return instance(net, (3, 0, 0), TargetSpec(((Relation.EQ, 0), (Relation.EQ, 0), (Relation.GEQ, 4))))
+
+
+class TestEveryExit:
+    """Each way out of the loop reports the counts it kept in locals."""
+
+    def run(self, inst, strategy, name, limits=None):
+        counter = CountingHeuristic(make_heuristic(name, inst))
+        result = directed_search(inst, strategy, counter, limits)
+        stats = result.stats
+        assert stats.expanded == len(stats.expanded_markings)
+        assert stats.heuristic_calls == counter.calls
+        assert stats.discovered == len(counter.finite)
+        return result
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_goal(self, n1_instance, strategy):
+        result = self.run(n1_instance, strategy, "q")
+        assert result.verdict is Verdict.REACHABLE
+        assert result.stats.expanded_markings[-1] == (0, 1)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_expansion_limit(self, n1_instance, strategy):
+        result = self.run(n1_instance, strategy, "zero", SearchLimits(max_expansions=2))
+        assert result.verdict is Verdict.EXHAUSTED and "expansion" in result.reason
+        assert result.stats.expanded == 2
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_time_limit(self, strategy):
+        # An unbounded net whose target lies 2**65 firings away.
+        net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 0)), Transition("move", (1, 0), (0, 1))])
+        inst = instance(net, (0, 0), TargetSpec.exact((0, MAX_TOKENS)))
+        result = self.run(inst, strategy, "struct", SearchLimits(max_time_ms=5))
+        assert result.verdict is Verdict.EXHAUSTED and "time" in result.reason
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_token_overflow(self, strategy):
+        net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 0)), Transition("swap", (1, 0), (0, 1))])
+        inst = instance(net, (MAX_TOKENS - 1, 0), TargetSpec.exact((0, 2)))
+        result = self.run(inst, strategy, "zero")
+        assert result.verdict is Verdict.EXHAUSTED and "overflow" in result.reason
+        assert result.stats.expanded >= 2
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("name", ["zero", "struct"])
+    def test_empty_frontier(self, strategy, name):
+        result = self.run(draining_instance(), strategy, name)
+        assert result.verdict is Verdict.UNREACHABLE
+        assert result.stats.expanded > 1
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_infinite_initial_value(self, strategy):
+        # The state equation cannot make four c tokens out of three.
+        result = self.run(draining_instance(), strategy, "q")
+        assert result.verdict is Verdict.UNREACHABLE
+        assert result.stats.heuristic_calls == 1 and result.stats.expanded == result.stats.discovered == 0
 
 
 class TestWitnessReconstruction:

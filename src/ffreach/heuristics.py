@@ -35,8 +35,9 @@ from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, R
 INF = math.inf
 
 #: A heuristic is any callable from markings to a Fraction (or int), or to
-#: a float infinity such as INF.  The heuristics below return an ``int``
-#: whenever the value is integral, which the search scales fastest.
+#: a float infinity such as INF.  ``zero_heuristic`` and ``StructHeuristic``
+#: return an ``int`` whenever the value is integral, which the search scales
+#: fastest; ``StateEquationHeuristic`` returns ``Fraction``s.
 Heuristic = Callable[[Marking], object]
 
 
@@ -91,12 +92,12 @@ class StateEquationHeuristic:
         self.integral = integral
         self.ilp_node_budget = ilp_node_budget
         self._objective = tuple(t.weight for t in net.transitions)
-        # Effects and token gaps stay ints, so the simplex needs no scaling.
+        # Row p is column p of the net's effect table.  Effects and token
+        # gaps stay ints, so the simplex needs no scaling.
+        self._effects = effects = net._effects
         self._rows = tuple(
-            (tuple(net.effect(t)[p] for t in range(net.num_transitions)), rel, bound)
-            for p, (rel, bound) in enumerate(target.constraints)
+            (tuple(effect[p] for effect in effects), rel, bound) for p, (rel, bound) in enumerate(target.constraints)
         )
-        self._effects = tuple(net.effect(t) for t in range(net.num_transitions))
         #: marking -> (value, optimal firing-count vector or None)
         self._memo: dict[Marking, tuple[object, tuple[Fraction, ...] | None]] = {}
 
@@ -152,14 +153,13 @@ class StructHeuristic:
     def __init__(self, net: PetriNet, target: TargetSpec):
         self.sink = sink = net.num_places
         num_nodes = sink + 1
-        # Dijkstra runs on the weights times ``scale``, the lcm of their
-        # denominators, as ints; distances are divided back at the end.
-        scale = math.lcm(*(t.weight.denominator for t in net.transitions))
+        # Dijkstra runs on the net's weights times ``scale`` (``L``), as
+        # ints; distances are divided back at the end.
+        scale = net.scale
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-        for trans in net.transitions:
-            weight = trans.weight.numerator * (scale // trans.weight.denominator)
-            ins = [p for p in range(net.num_places) if trans.guard[p] > 0] or [sink]
-            outs = [p for p in range(net.num_places) if trans.produce[p] > 0] or [sink]
+        for trans, guard, weight in zip(net.transitions, net._guards, net.scaled_weights):
+            ins = [p for p, _ in guard] or [sink]
+            outs = [p for p, count in enumerate(trans.produce) if count] or [sink]
             for p in ins:
                 for q in outs:
                     if p != q:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .net import Marking, NetDefinitionError, PetriNet, Transition
+from .net import Marking, NetDefinitionError, PetriNet, Transition, _nat_vector
 from .ratlp import Relation
 
 
@@ -60,9 +60,10 @@ class TargetSpec:
 
     def __post_init__(self):
         constraints = self.constraints
-        for rel, bound in constraints:
-            if rel not in (Relation.EQ, Relation.GEQ) or bound < 0:
-                raise NetDefinitionError(f"bad target constraint ({rel}, {bound})")
+        for rel, _ in constraints:
+            if rel not in (Relation.EQ, Relation.GEQ):
+                raise NetDefinitionError(f"bad target relation {rel}")
+        _nat_vector([bound for _, bound in constraints], "target bounds")
         equal = tuple((p, bound) for p, (rel, bound) in enumerate(constraints) if rel is Relation.EQ)
         at_least = tuple((p, bound) for p, (rel, bound) in enumerate(constraints) if rel is Relation.GEQ and bound)
         goal = tuple(bound for _, bound in constraints) if len(equal) == len(constraints) else None
@@ -74,12 +75,12 @@ class TargetSpec:
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
         """The singleton target set containing exactly ``marking``."""
-        return cls(tuple((Relation.EQ, int(v)) for v in marking))
+        return cls(tuple((Relation.EQ, v) for v in marking))
 
     @classmethod
     def cover(cls, marking: Sequence[int]) -> "TargetSpec":
         """The upward closure of ``marking`` (all constraints >=)."""
-        return cls(tuple((Relation.GEQ, int(v)) for v in marking))
+        return cls(tuple((Relation.GEQ, v) for v in marking))
 
     @classmethod
     def unconstrained(cls, num_places: int) -> "TargetSpec":
@@ -363,14 +364,14 @@ def desugar_init(inst: Instance) -> Instance:
         taken.add(name)
         produce = tuple(1 if i == p else 0 for i in range(net.num_places))
         extra.append(Transition(name, (0,) * net.num_places, produce, gen_weight))
-    new_net = net._extended(tuple(extra))
+    # The generators are valid by construction, so the net is not checked again.
+    new_net = PetriNet._trusted(net.places, net.transitions + tuple(extra), net.name)
     return replace(inst, net=new_net, init_upward=frozenset())
 
 
 def generator_names(original: Instance, desugared: Instance) -> set[str]:
-    """Names of the generator transitions desugar_init added."""
-    before = {t.name for t in original.net.transitions}
-    return {t.name for t in desugared.net.transitions} - before
+    """Names of the generator transitions desugar_init appended."""
+    return {t.name for t in desugared.net.transitions[original.net.num_transitions :]}
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -11,17 +11,21 @@ guard as ``((place, need), ...)`` over the places it needs tokens from, and
 its effect as ``((place, delta), ...)`` over the places it changes.  Firing
 tests and edits only those entries, and only a positive delta can overflow.
 
-``PetriNet(...)`` validates its parts.  Nets that are valid by construction
-(the parser's output after its own line-numbered checks, and the nets
-``desugar_init`` and ``prune_instance`` derive from a valid one) are built
-through ``PetriNet._trusted``, which builds the same tables without the check,
-or through ``PetriNet._extended``, which appends transitions to a net's tables.
-Every transition weight of a net is a ``Fraction``.
+``PetriNet(...)`` checks each transition once and stores what it checked:
+``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
+valid by construction (the parser's output after its own line-numbered
+checks, and the nets ``desugar_init`` and ``prune_instance`` derive from a
+valid one) are built through ``PetriNet._trusted``, without the check.  Both
+build every table in ``_build_tables``, once per net: besides the sparse
+tables, the dense effects the state equation reads, and ``L``, the lcm of
+the weight denominators, with the ``L``-scaled weights the search reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -62,9 +66,13 @@ def _as_weight(value) -> Fraction:
 
 
 def _nat_vector(values: Iterable[int], what: str) -> tuple[int, ...]:
-    vec = tuple(int(v) for v in values)
-    if any(v < 0 for v in vec):
-        raise NetDefinitionError(f"{what} must be a vector of naturals, got {vec}")
+    """``values`` as a tuple of ``int``s, each checked to be a natural."""
+    try:
+        vec = tuple(map(operator.index, values))
+    except TypeError:
+        vec = None
+    if vec is None or any(v < 0 for v in vec):
+        raise NetDefinitionError(f"{what} must be a vector of naturals, got {values}")
     return vec
 
 
@@ -119,68 +127,54 @@ class PetriNet:
     """
 
     def __init__(self, places: Sequence[str], transitions: Sequence[Transition] = (), name: str = "net"):
-        self.name = str(name)
-        self.places = tuple(str(p) for p in places)
-        self.transitions = tuple(transitions)
-        self._validate()
-        self.transitions = tuple(replace(t, weight=_as_weight(t.weight)) for t in self.transitions)
+        places = tuple(str(p) for p in places)
+        if any(not p for p in places):
+            raise NetDefinitionError("place ids must be non-empty")
+        if len(set(places)) != len(places):
+            raise NetDefinitionError("place ids must be unique")
+        n = len(places)
+        names: set[str] = set()
+        checked = []
+        for t in transitions:
+            if not t.name:
+                raise NetDefinitionError("transition ids must be non-empty")
+            if t.name in names:
+                raise NetDefinitionError("transition ids must be unique")
+            names.add(t.name)
+            if len(t.guard) != n or len(t.produce) != n:
+                raise NetDefinitionError(
+                    f"transition {t.name!r} has vectors of length "
+                    f"{len(t.guard)}/{len(t.produce)}, expected {n}"
+                )
+            guard = _nat_vector(t.guard, f"guard of {t.name!r}")
+            produce = _nat_vector(t.produce, f"produce of {t.name!r}")
+            checked.append(Transition(t.name, guard, produce, _as_weight(t.weight)))
+        self.name, self.places, self.transitions = str(name), places, tuple(checked)
         self._build_tables()
 
     @classmethod
     def _trusted(cls, places: tuple[str, ...], transitions: tuple[Transition, ...], name: str) -> "PetriNet":
         """A net whose parts are already known to be valid, built without
-        ``_validate``: the parser's output after its own checks, or a net
-        derived from a valid one.  The caller passes tuples of ``str`` ids."""
+        the checks of ``__init__``: the parser's output after its own checks,
+        or a net derived from a valid one.  The caller passes tuples of
+        ``str`` ids, ``int`` vectors and ``Fraction`` weights."""
         net = cls.__new__(cls)
         net.name, net.places, net.transitions = name, places, transitions
         net._build_tables()
         return net
 
     def _build_tables(self) -> None:
+        """Every table derived from the net's parts, built once per net."""
+        transitions = self.transitions
         self.place_index = {p: i for i, p in enumerate(self.places)}
-        self.transition_index = {}
-        self._effects = self._guards = self._deltas = ()
-        self._add_tables(self.transitions)
-
-    def _add_tables(self, transitions: tuple[Transition, ...]) -> None:
-        """Append the table entries of ``transitions``, the last ones of the net."""
-        index = self.transition_index
-        index.update({t.name: i for i, t in enumerate(transitions, len(index))})
-        effects = tuple(t.effect for t in transitions)
-        self._effects += effects
-        self._guards += tuple(tuple((p, need) for p, need in enumerate(t.guard) if need) for t in transitions)
-        self._deltas += tuple(tuple((p, delta) for p, delta in enumerate(effect) if delta) for effect in effects)
-
-    def _extended(self, extra: tuple[Transition, ...]) -> "PetriNet":
-        """This net with ``extra`` appended, trusted like ``_trusted``: the
-        tables of this net are extended, not rebuilt."""
-        net = self.__class__.__new__(self.__class__)
-        net.name, net.places, net.transitions = self.name, self.places, self.transitions + extra
-        net.place_index, net.transition_index = self.place_index, dict(self.transition_index)
-        net._effects, net._guards, net._deltas = self._effects, self._guards, self._deltas
-        net._add_tables(extra)
-        return net
-
-    def _validate(self) -> None:
-        if any(not p for p in self.places):
-            raise NetDefinitionError("place ids must be non-empty")
-        if len(set(self.places)) != len(self.places):
-            raise NetDefinitionError("place ids must be unique")
-        names = [t.name for t in self.transitions]
-        if any(not n for n in names):
-            raise NetDefinitionError("transition ids must be non-empty")
-        if len(set(names)) != len(names):
-            raise NetDefinitionError("transition ids must be unique")
-        n = len(self.places)
-        for t in self.transitions:
-            if len(t.guard) != n or len(t.produce) != n:
-                raise NetDefinitionError(
-                    f"transition {t.name!r} has vectors of length "
-                    f"{len(t.guard)}/{len(t.produce)}, expected {n}"
-                )
-            _nat_vector(t.guard, f"guard of {t.name!r}")
-            _nat_vector(t.produce, f"produce of {t.name!r}")
-            _as_weight(t.weight)
+        self.transition_index = {t.name: i for i, t in enumerate(transitions)}
+        self._effects = effects = tuple(t.effect for t in transitions)
+        self._guards = tuple(tuple((p, need) for p, need in enumerate(t.guard) if need) for t in transitions)
+        self._deltas = tuple(tuple((p, delta) for p, delta in enumerate(effect) if delta) for effect in effects)
+        #: ``L``, the lcm of the weight denominators (1 without transitions).
+        self.scale = scale = math.lcm(*(t.weight.denominator for t in transitions))
+        #: Each weight times ``L``, as an ``int``.
+        self.scaled_weights = tuple(t.weight.numerator * (scale // t.weight.denominator) for t in transitions)
 
     @property
     def num_places(self) -> int:
@@ -206,12 +200,12 @@ class PetriNet:
 
     def check_marking(self, m: Sequence[int]) -> Marking:
         """Validate token counts against this net and return them as a tuple."""
-        marking = tuple(int(v) for v in m)
+        marking = _nat_vector(m, "marking")
         if len(marking) != self.num_places:
             raise NetDefinitionError(
                 f"marking has {len(marking)} components, net has {self.num_places} places"
             )
-        if any(v < 0 or v > MAX_TOKENS for v in marking):
+        if any(v > MAX_TOKENS for v in marking):
             raise NetDefinitionError(f"marking components must be in [0, 2**64): {marking}")
         return marking
 

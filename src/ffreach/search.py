@@ -11,15 +11,16 @@ Frontier management follows the classic lazy-deletion scheme: a marking is
 entries are dropped on pop.  Ties are broken by smaller heuristic value,
 then insertion order, so runs are fully reproducible.
 
-The loop runs on integers.  ``L``, the lcm of the transitions' weight
-denominators, is computed once per search; a path weight ``g`` is kept as
-the ``int`` ``L * g``, and each heuristic value is multiplied by ``L`` too
-(an ``int`` whenever the product is integral).  Scaling by ``L > 0`` keeps
-every priority order and every tie, so the expansions are those of the
-rational loop; the reported distance is the witness's ``Fraction`` weight.
-A heuristic returns a ``Fraction`` (or ``int``), or any float infinity; an
-``int`` value is scaled by one multiplication, which is why the built-in
-heuristics return ``int`` whenever their value is integral.
+The loop runs on integers.  It reads ``L``, the lcm of the transitions'
+weight denominators, and the ``L``-scaled weights from the net, which builds
+them once; a path weight ``g`` is kept as the ``int`` ``L * g``, and each
+heuristic value is multiplied by ``L`` too (an ``int`` whenever the product
+is integral).  Scaling by ``L > 0`` keeps every priority order and every
+tie, so the expansions are those of the rational loop; the reported
+distance is the witness's ``Fraction`` weight.  A heuristic returns a
+``Fraction`` (or ``int``), or any float infinity; an ``int`` value is scaled
+by one multiplication, which is why ``zero`` and ``struct`` return ``int``
+whenever their value is integral.
 
 One expansion costs as little as the loop allows: its lookups are bound to
 locals once per search, the priority is picked by two booleans fixed per
@@ -149,8 +150,7 @@ def directed_search(
         stats.wall_time_ms = (time.monotonic() - start) * 1000.0
         return result
 
-    scale = math.lcm(*(t.weight.denominator for t in net.transitions))
-    weights = tuple(t.weight.numerator * (scale // t.weight.denominator) for t in net.transitions)
+    scale, weights = net.scale, net.scaled_weights
 
     h_init = _scaled(heuristic(init), scale)
     if h_init is INF and not satisfied(init):

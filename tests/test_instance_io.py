@@ -174,6 +174,21 @@ class TestTargetSpec:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TargetSpec.exact((0.9, 1)),
+            lambda: TargetSpec.cover((1, 0.5)),
+            lambda: TargetSpec(((Relation.EQ, 0.5), (Relation.GEQ, 0))),
+            lambda: TargetSpec(((Relation.EQ, 1), (Relation.GEQ, Fraction(1)))),
+            lambda: TargetSpec(((Relation.GEQ, -1),)),
+        ],
+        ids=["exact-float", "cover-float", "eq-float", "geq-fraction", "negative"],
+    )
+    def test_bounds_must_be_naturals(self, build):
+        with pytest.raises(NetDefinitionError):
+            build()
+
     def test_zero_places(self):
         for spec in (TargetSpec(()), TargetSpec.exact(()), TargetSpec.cover(())):
             assert spec.satisfied(())

@@ -145,6 +145,25 @@ class TestValidation:
         with pytest.raises(NetDefinitionError):
             Transition.from_maps("t", ["a"], consume={"b": 1})
 
+    def test_from_maps_rejects_fractional_count(self):
+        with pytest.raises(NetDefinitionError):
+            Transition.from_maps("t", ["a"], consume={"a": 0.5})
+
+    def test_list_vectors_are_stored_as_int_tuples(self):
+        net = PetriNet(["a", "b"], [Transition("t", [1, 0], [0, 1]), Transition("u", [0, 1], [1, 0], 2)])
+        assert [(t.guard, t.produce) for t in net.transitions] == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
+        assert all(type(v) is int for t in net.transitions for v in (*t.guard, *t.produce))
+        assert hash(net) == hash(PetriNet(["a", "b"], net.transitions))
+        inst = Instance(net, (1, 0), frozenset(), TargetSpec.exact((0, 1))).validate()
+        assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize("marking", [(1.7, 0), (Fraction(1), 0), ("1", 0)], ids=["float", "fraction", "string"])
+    def test_marking_components_must_be_ints(self, n1, marking):
+        with pytest.raises(NetDefinitionError):
+            n1.check_marking(marking)
+        with pytest.raises(NetDefinitionError):
+            Instance(n1, marking, frozenset(), TargetSpec.exact((0, 1))).validate()
+
     @pytest.mark.parametrize(
         "places, transitions",
         [
@@ -153,8 +172,18 @@ class TestValidation:
             (["a"], [Transition("t", (0,), (-1,))]),
             (["a"], [Transition("t", (0,), (0,), Fraction(0))]),
             (["a"], [Transition("t", (0,), (0,), Fraction(-1, 2))]),
+            (["a", "b"], [Transition("t", (0.5, 0), (0, 1))]),
+            (["a"], [Transition("t", ("1",), (0,))]),
         ],
-        ids=["empty-place-id", "empty-transition-id", "negative-produce", "zero-weight", "negative-weight"],
+        ids=[
+            "empty-place-id",
+            "empty-transition-id",
+            "negative-produce",
+            "zero-weight",
+            "negative-weight",
+            "fractional-guard",
+            "string-guard",
+        ],
     )
     def test_constructor_still_validates(self, places, transitions):
         with pytest.raises(NetDefinitionError):
@@ -196,7 +225,7 @@ class TestWeightNormalization:
 
 
 def assert_same_tables(net: PetriNet) -> None:
-    """``net`` has the tables of a validated rebuild of its parts."""
+    """``net`` has the tables of a checked rebuild of its parts."""
     rebuilt = PetriNet(net.places, net.transitions, name=net.name)
     assert net == rebuilt
     assert net.place_index == rebuilt.place_index
@@ -204,11 +233,13 @@ def assert_same_tables(net: PetriNet) -> None:
     assert net._guards == rebuilt._guards
     assert net._deltas == rebuilt._deltas
     assert net._effects == rebuilt._effects
+    assert net.scale == rebuilt.scale
+    assert net.scaled_weights == rebuilt.scaled_weights
 
 
 class TestTrustedConstruction:
     """The parser, ``desugar_init`` and ``prune_instance`` build their nets
-    without ``_validate``; those nets must equal validated rebuilds."""
+    through ``PetriNet._trusted``; those nets must equal checked rebuilds."""
 
     def test_derived_nets_match_validated_rebuilds(self):
         rng = random.Random(880088)

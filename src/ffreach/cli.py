@@ -123,6 +123,10 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"a JSON report cannot hold {type(value).__name__}")
 
 
+#: The indentation of a report's top-level fields, as ``_json`` takes it.
+_FIELD_INDENT = "\n  "
+
+
 @dataclass
 class SolveReport:
     """Everything cmd_solve prints; JSON keys are stable and timing-free."""
@@ -158,7 +162,26 @@ class SolveReport:
         return payload
 
     def to_json(self) -> str:
-        return _json(self.to_json_dict())
+        """``json.dumps(self.to_json_dict(), indent=2)``, written directly in
+        the report's fixed shape; only the decimal distance, the witness and
+        the config go through ``_json``."""
+        parts = ['{\n  "verdict": ', encode_basestring_ascii(self.verdict)]
+        if self.distance is not None:
+            parts += [
+                ',\n  "distance": {\n    "fraction": ', encode_basestring_ascii(str(self.distance)),
+                ',\n    "decimal": ', _json(_float_or_none(self.distance)),
+                '\n  },\n  "witness": ', _json(list(self.witness_ids or []), _FIELD_INDENT),
+                ',\n  "generator_firings": ', int.__repr__(self.generator_firings or 0),
+            ]
+        if self.reason is not None:
+            parts += [',\n  "reason": ', encode_basestring_ascii(self.reason)]
+        parts += [
+            ',\n  "stats": {\n    "expanded": ', int.__repr__(self.expanded),
+            ',\n    "discovered": ', int.__repr__(self.discovered),
+            ',\n    "heuristic_calls": ', int.__repr__(self.heuristic_calls),
+            '\n  },\n  "config": ', _json(self.config, _FIELD_INDENT), "\n}",
+        ]
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -204,14 +227,15 @@ def solve_instance(
     search_inst = desugared
     if prune:
         pruned = prune_instance(desugared)
-        logger.debug(
-            "prune: %d/%d places, %d/%d transitions kept, verdict %s",
-            pruned.pruned_instance.net.num_places,
-            desugared.net.num_places,
-            pruned.pruned_instance.net.num_transitions,
-            desugared.net.num_transitions,
-            pruned.verdict.value,
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "prune: %d/%d places, %d/%d transitions kept, verdict %s",
+                pruned.pruned_instance.net.num_places,
+                desugared.net.num_places,
+                pruned.pruned_instance.net.num_transitions,
+                desugared.net.num_transitions,
+                pruned.verdict.value,
+            )
         if pruned.verdict is PruneVerdict.IMMEDIATELY_UNREACHABLE:
             result = SearchResult(Verdict.UNREACHABLE)
             result.reason = "target demands tokens in a place that can never be marked"
@@ -220,12 +244,13 @@ def solve_instance(
 
     heuristic = make_heuristic(heuristic_name, search_inst, ilp_node_budget)
     result = directed_search(search_inst, strategy, heuristic, limits)
-    logger.debug(
-        "search: verdict=%s expanded=%d discovered=%d",
-        result.verdict.value,
-        result.stats.expanded,
-        result.stats.discovered,
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "search: verdict=%s expanded=%d discovered=%d",
+            result.verdict.value,
+            result.stats.expanded,
+            result.stats.discovered,
+        )
     witness_ids: list[str] = []
     generator_firings = 0
     if result.witness is not None:

@@ -14,16 +14,23 @@ as "at least this many tokens"), and a target specification: one ``=`` or
 
 Tokens are whitespace separated, ``#`` starts a comment to end of line,
 and both LF and CRLF line endings are accepted.
+
+``parse_instance`` reads the text in one pass.  Each entry line is checked
+whole, by one ``findall`` that splits it into entries and marks every
+malformed token, and its entries are written straight into the vectors of
+the instance.  A line with a bad entry is read again, entry by entry, so
+that every error names the first bad token and carries its line number,
+as a token-by-token reading would.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .net import Marking, NetDefinitionError, PetriNet, Transition, _nat_vector
+from .net import MAX_TOKENS, Marking, NetDefinitionError, PetriNet, Transition, _nat_vector
 from .ratlp import Relation
 
 
@@ -60,17 +67,22 @@ class TargetSpec:
 
     def __post_init__(self):
         constraints = self.constraints
-        for rel, _ in constraints:
-            if rel not in (Relation.EQ, Relation.GEQ):
+        equal, at_least = [], []
+        for p, (rel, bound) in enumerate(constraints):
+            if rel is Relation.EQ:
+                equal.append((p, bound))
+            elif rel is not Relation.GEQ:
                 raise NetDefinitionError(f"bad target relation {rel}")
-        _nat_vector([bound for _, bound in constraints], "target bounds")
-        equal = tuple((p, bound) for p, (rel, bound) in enumerate(constraints) if rel is Relation.EQ)
-        at_least = tuple((p, bound) for p, (rel, bound) in enumerate(constraints) if rel is Relation.GEQ and bound)
-        goal = tuple(bound for _, bound in constraints) if len(equal) == len(constraints) else None
-        # The dataclass is frozen, so the compiled test is set through object.
-        object.__setattr__(self, "_goal", goal)
-        object.__setattr__(self, "_equal", equal)
-        object.__setattr__(self, "_at_least", at_least)
+            elif bound:
+                at_least.append((p, bound))
+        bounds = _nat_vector([bound for _, bound in constraints], "target bounds")
+        # The dataclass is frozen, so what is derived is set through object.
+        if type(constraints) is not tuple or list in map(type, constraints):
+            # Keep the checked pairs, so that a spec given lists is hashable.
+            object.__setattr__(self, "constraints", tuple(zip([rel for rel, _ in constraints], bounds)))
+        object.__setattr__(self, "_goal", bounds if len(equal) == len(constraints) else None)
+        object.__setattr__(self, "_equal", tuple(equal))
+        object.__setattr__(self, "_at_least", tuple(at_least))
 
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
@@ -118,220 +130,251 @@ class Instance:
     target: TargetSpec
 
     def validate(self) -> "Instance":
-        self.net.check_marking(self.init)
-        if len(self.target) != self.net.num_places:
+        """Check the parts against the net.  Keeps what it checked: ``init``
+        as a tuple of ``int``s and the flags as a frozenset, so that the
+        instance is hashable whatever containers it was given."""
+        net = self.net
+        init = net.check_marking(self.init)
+        object.__setattr__(self, "init", init)
+        if type(self.init_upward) is not frozenset:
+            object.__setattr__(self, "init_upward", frozenset(self.init_upward))
+        num_places = len(net.places)
+        if len(self.target.constraints) != num_places:
             raise NetDefinitionError("target spec length differs from place count")
         for p in self.init_upward:
-            if not 0 <= p < self.net.num_places:
+            if not 0 <= p < num_places:
                 raise NetDefinitionError(f"init_upward references place index {p}")
-            if self.init[p] < 1:
+            if init[p] < 1:
                 raise NetDefinitionError(
-                    f"upward-flagged place {self.net.places[p]!r} needs at least 1 initial token"
+                    f"upward-flagged place {net.places[p]!r} needs at least 1 initial token"
                 )
         return self
 
 
 _ID_RE = re.compile(r"^[^\s=:>#]+$")
-_MARKING_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>>=|=)(?P<nat>\d+)$")
-_ARC_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>:)(?P<nat>\d+)$")
+# One entry per whitespace-separated token of an entry line: a well-formed
+# token gives its parts and an empty last group, any other token gives
+# empty parts and the token itself.  ``findall`` thus checks a whole line.
+_MARKING_ENTRIES_RE = re.compile(r"([^\s=:>#]+)(>?=)(\d+)(?!\S)|(\S+)")
+_ARC_ENTRIES_RE = re.compile(r"([^\s=:>#]+):(\d+)(?!\S)|(\S+)")
+_WEIGHT_RE = re.compile(r"(\d+)(?:/(\d+))?")
 
+_RELATION_OF_OP = {"=": Relation.EQ, ">=": Relation.GEQ}
+#: The constraint of a place the target line omits.
+_UNCONSTRAINED = (Relation.GEQ, 0)
 
 #: The weight of a transition declared without one; ``Fraction`` is immutable.
 _UNIT_WEIGHT = Fraction(1)
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
 
 
 def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
     if len(tokens) != 1:
         raise FnetParseError("expected a single rational after 'weight'", lineno)
     text = tokens[0]
-    m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
+    m = _WEIGHT_RE.fullmatch(text)
     if not m:
         raise FnetParseError(f"invalid rational {text!r}", lineno)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise FnetParseError(f"invalid rational {text!r} (zero denominator)", lineno)
-    weight = Fraction(num, den)
-    if weight <= 0:
+    num, den = m.groups()
+    if den is None:
+        weight = Fraction(int(num))
+    else:
+        den = int(den)
+        if den == 0:
+            raise FnetParseError(f"invalid rational {text!r} (zero denominator)", lineno)
+        weight = Fraction(int(num), den)
+    if not weight:  # both parts are naturals, so only zero is not positive
         raise NonPositiveWeightError(f"transition weight must be > 0, got {text}", lineno)
     return weight
 
 
-def _parse_entries(
-    tokens: list[str],
-    lineno: int,
-    places: dict[str, int],
-    what: str,
-    entry_re: re.Pattern = _MARKING_ENTRY_RE,
-    expected: str = "id=nat or id>=nat",
-):
-    """Parse ``id<op>nat`` entries; returns (values, the places whose op is ``>=``)."""
-    values: dict[int, int] = {}
-    flagged: set[int] = set()
-    for tok in tokens:
-        m = entry_re.match(tok)
-        if not m:
-            raise FnetParseError(f"bad {what} entry {tok!r} (expected {expected})", lineno)
-        pid = m.group("id")
+def _entry_error(entries: list[tuple], lineno: int, places: dict[str, int], what: str) -> FnetParseError:
+    """The error of the first bad entry of a line, as ``findall`` split it:
+    a malformed token, an unknown place or a place listed twice."""
+    seen = set()
+    for entry in entries:
+        pid, token = entry[0], entry[-1]
+        if token:
+            expected = "id:nat" if what in ("consume", "produce") else "id=nat or id>=nat"
+            return FnetParseError(f"bad {what} entry {token!r} (expected {expected})", lineno)
         if pid not in places:
-            raise UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
-        idx = places[pid]
-        if idx in values:
-            raise DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
-        values[idx] = int(m.group("nat"))
-        if m.group("op") == ">=":
-            flagged.add(idx)
-    return values, flagged
+            return UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
+        if pid in seen:
+            return DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
+        seen.add(pid)
+    raise AssertionError(f"line {lineno} has no bad {what} entry")
 
 
-class _TransitionDraft:
-    def __init__(self, name: str, weight: Fraction):
-        self.name = name
-        self.weight = weight
-        self.consume: dict[int, int] | None = None
-        self.produce: dict[int, int] | None = None
+def _misplaced(name: str | None, places: list[str] | None, lineno: int) -> FnetParseError:
+    """The error of a line that may only come after 'places:' and before
+    the end of the 'target:' section."""
+    if name is None:
+        return FnetParseError("expected 'net <name>' before anything else", lineno)
+    if places is None:
+        return FnetParseError("expected 'places:' before this line", lineno)
+    return FnetParseError("'target:' must be the last section", lineno)
 
 
 def parse_instance(text: str) -> Instance:
     """Parse ``.fnet`` text into a validated Instance.
 
-    This is where outside input is checked: every syntax error, unknown or
+    This is where outside input is checked, in one pass over the lines.  An
+    entry line (``init:``, ``target:``, ``consume``, ``produce``) is split
+    into its entries by one ``findall`` of a pattern that also marks every
+    malformed token, and the entries fill the marking, target and arc
+    vectors in place.  Only a line with a bad entry is read again, entry by
+    entry, to name the first bad one.  Every syntax error, unknown or
     duplicate id, and non-positive weight raises an FnetParseError carrying
-    its line number, and token counts beyond the 64-bit range raise
+    its line number, with the message a token-by-token reading gives; token
+    counts of the initial marking beyond the 64-bit range raise
     NetDefinitionError."""
     name: str | None = None
     places: list[str] | None = None
     place_index: dict[str, int] = {}
-    init_values: dict[int, int] | None = None
+    num = 0
+    init: list[int] | None = None
     init_flagged: set[int] = set()
-    target_values: dict[int, int] | None = None
-    target_flagged: set[int] = set()
-    drafts: list[_TransitionDraft] = []
+    constraints: list[tuple[Relation, int]] = []
+    names: list[str] = []
+    weights: list[Fraction] = []
+    guards: list[list[int]] = []
+    produces: list[list[int]] = []
     transition_ids: set[str] = set()
-    seen_target = False
+    arcs: dict[str, list[int]] = {}  # the current transition's vectors not yet given a line
+    # True outside the sections between 'places:' and the end of 'target:'.
+    closed = True
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _strip_comment(raw).split()
-        if not tokens:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        parts = raw.split(None, 1)
+        if not parts:
             continue
-        keyword, rest = tokens[0], tokens[1:]
+        keyword = parts[0]
+        rest = parts[1] if len(parts) > 1 else ""
 
-        if keyword == "net":
-            if name is not None:
-                raise FnetParseError("duplicate 'net' line", lineno)
-            if not rest:
-                raise FnetParseError("'net' requires a name", lineno)
-            name = " ".join(rest)
-            continue
+        if keyword == "consume" or keyword == "produce":
+            if closed:
+                raise _misplaced(name, places, lineno)
+            if not names:
+                raise FnetParseError(f"'{keyword}' outside a transition block", lineno)
+            vector = arcs.pop(keyword, None)
+            if vector is None:
+                raise DuplicateIdError(f"duplicate '{keyword}' line for transition {names[-1]!r}", lineno)
+            seen = set()
+            entries = _ARC_ENTRIES_RE.findall(rest)
+            for pid, nat, _ in entries:
+                idx = place_index.get(pid)
+                if idx is None or idx in seen:
+                    raise _entry_error(entries, lineno, place_index, keyword)
+                seen.add(idx)
+                vector[idx] = int(nat)
 
-        if name is None:
-            raise FnetParseError("expected 'net <name>' before anything else", lineno)
-
-        if keyword == "places:":
-            if places is not None:
-                raise FnetParseError("duplicate 'places:' line", lineno)
-            for pid in rest:
-                if not _ID_RE.match(pid):
-                    raise FnetParseError(f"invalid place id {pid!r}", lineno)
-                if pid in place_index:
-                    raise DuplicateIdError(f"place {pid!r} declared twice", lineno)
-                place_index[pid] = len(place_index)
-            places = rest
-            continue
-
-        if places is None:
-            raise FnetParseError("expected 'places:' before this line", lineno)
-        if seen_target:
-            raise FnetParseError("'target:' must be the last section", lineno)
-
-        if keyword == "init:":
-            if init_values is not None:
-                raise FnetParseError("duplicate 'init:' line", lineno)
-            if drafts:
-                raise FnetParseError("'init:' must come before transitions", lineno)
-            init_values, init_flagged = _parse_entries(rest, lineno, place_index, "init")
-            for idx in init_flagged:
-                if init_values[idx] < 1:
-                    raise FnetParseError(
-                        f"upward-flagged place {places[idx]!r} needs at least 1 token "
-                        "(use id=0 for an exactly-empty place)",
-                        lineno,
-                    )
-            continue
-
-        if keyword == "transition":
-            if not rest:
+        elif keyword == "transition":
+            if closed:
+                raise _misplaced(name, places, lineno)
+            tokens = rest.split()
+            if not tokens:
                 raise FnetParseError("'transition' requires an id", lineno)
-            tid = rest[0]
+            tid = tokens[0]
             if not _ID_RE.match(tid):
                 raise FnetParseError(f"invalid transition id {tid!r}", lineno)
             if tid in place_index or tid in transition_ids:
                 raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
             transition_ids.add(tid)
             weight = _UNIT_WEIGHT
-            if len(rest) > 1:
-                if rest[1] != "weight":
-                    raise FnetParseError(f"unexpected token {rest[1]!r} after transition id", lineno)
-                weight = _parse_weight(rest[2:], lineno)
-            drafts.append(_TransitionDraft(tid, weight))
-            continue
+            if len(tokens) > 1:
+                if tokens[1] != "weight":
+                    raise FnetParseError(f"unexpected token {tokens[1]!r} after transition id", lineno)
+                weight = _parse_weight(tokens[2:], lineno)
+            names.append(tid)
+            weights.append(weight)
+            arcs = {"consume": [0] * num, "produce": [0] * num}
+            guards.append(arcs["consume"])
+            produces.append(arcs["produce"])
 
-        if keyword in ("consume", "produce"):
-            if not drafts:
-                raise FnetParseError(f"'{keyword}' outside a transition block", lineno)
-            draft = drafts[-1]
-            if getattr(draft, keyword) is not None:
-                raise DuplicateIdError(
-                    f"duplicate '{keyword}' line for transition {draft.name!r}", lineno
-                )
-            arcs, _ = _parse_entries(rest, lineno, place_index, keyword, _ARC_ENTRY_RE, "id:nat")
-            setattr(draft, keyword, arcs)
-            continue
+        elif keyword == "init:":
+            if closed:
+                raise _misplaced(name, places, lineno)
+            if init is not None:
+                raise FnetParseError("duplicate 'init:' line", lineno)
+            if names:
+                raise FnetParseError("'init:' must come before transitions", lineno)
+            init = [0] * num
+            seen = set()
+            entries = _MARKING_ENTRIES_RE.findall(rest)
+            for pid, op, nat, _ in entries:
+                idx = place_index.get(pid)
+                if idx is None or idx in seen:
+                    raise _entry_error(entries, lineno, place_index, "init")
+                seen.add(idx)
+                init[idx] = int(nat)
+                if op == ">=":
+                    init_flagged.add(idx)
+            for idx in init_flagged:
+                if init[idx] < 1:
+                    raise FnetParseError(
+                        f"upward-flagged place {places[idx]!r} needs at least 1 token "
+                        "(use id=0 for an exactly-empty place)",
+                        lineno,
+                    )
 
-        if keyword == "target:":
-            target_values, target_flagged = _parse_entries(rest, lineno, place_index, "target")
-            seen_target = True
-            continue
+        elif keyword == "target:":
+            if closed:
+                raise _misplaced(name, places, lineno)
+            seen = set()
+            entries = _MARKING_ENTRIES_RE.findall(rest)
+            for pid, op, nat, _ in entries:
+                idx = place_index.get(pid)
+                if idx is None or idx in seen:
+                    raise _entry_error(entries, lineno, place_index, "target")
+                seen.add(idx)
+                constraints[idx] = (_RELATION_OF_OP[op], int(nat))
+            closed = True
 
-        raise FnetParseError(f"unrecognized keyword {keyword!r}", lineno)
+        elif keyword == "net":
+            if name is not None:
+                raise FnetParseError("duplicate 'net' line", lineno)
+            if not rest:
+                raise FnetParseError("'net' requires a name", lineno)
+            name = " ".join(rest.split())
+
+        elif keyword == "places:":
+            if name is None:
+                raise _misplaced(name, places, lineno)
+            if places is not None:
+                raise FnetParseError("duplicate 'places:' line", lineno)
+            places = rest.split()
+            for pid in places:
+                if not _ID_RE.match(pid):
+                    raise FnetParseError(f"invalid place id {pid!r}", lineno)
+                if pid in place_index:
+                    raise DuplicateIdError(f"place {pid!r} declared twice", lineno)
+                place_index[pid] = len(place_index)
+            num = len(places)
+            constraints = [_UNCONSTRAINED] * num
+            closed = False
+
+        elif closed:
+            raise _misplaced(name, places, lineno)
+        else:
+            raise FnetParseError(f"unrecognized keyword {keyword!r}", lineno)
 
     if name is None:
         raise FnetParseError("missing 'net <name>' line")
     if places is None:
         raise FnetParseError("missing 'places:' line")
 
-    num = len(places)
-    transitions = []
-    for draft in drafts:
-        consume = draft.consume or {}
-        produce = draft.produce or {}
-        guard = tuple(consume.get(i, 0) for i in range(num))
-        prod = tuple(produce.get(i, 0) for i in range(num))
-        transitions.append(Transition(draft.name, guard, prod, draft.weight))
+    transitions = tuple(map(Transition, names, map(tuple, guards), map(tuple, produces), weights))
     # The checks above reject every empty or duplicate id, negative count and
     # non-positive weight with its line number, so the net is not checked again.
-    net = PetriNet._trusted(tuple(places), tuple(transitions), name)
-
-    init_values = init_values or {}
-    init = tuple(init_values.get(i, 0) for i in range(num))
-
-    target_values = target_values or {}
-    constraints = []
-    for i in range(num):
-        if i not in target_values:
-            constraints.append((Relation.GEQ, 0))
-        elif i in target_flagged:
-            constraints.append((Relation.GEQ, target_values[i]))
-        else:
-            constraints.append((Relation.EQ, target_values[i]))
+    net = PetriNet._trusted(tuple(places), transitions, name)
+    marking = (0,) * num if init is None else tuple(init)
     target = TargetSpec(tuple(constraints))
-
-    return Instance(net, init, frozenset(init_flagged), target).validate()
+    # Of the checks of Instance.validate, the lines above leave only the
+    # 64-bit bound on the initial marking, which check_marking raises for.
+    if max(marking, default=0) > MAX_TOKENS:
+        net.check_marking(marking)
+    return Instance(net, marking, frozenset(init_flagged), target)
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -366,7 +409,7 @@ def desugar_init(inst: Instance) -> Instance:
         extra.append(Transition(name, (0,) * net.num_places, produce, gen_weight))
     # The generators are valid by construction, so the net is not checked again.
     new_net = PetriNet._trusted(net.places, net.transitions + tuple(extra), net.name)
-    return replace(inst, net=new_net, init_upward=frozenset())
+    return Instance(new_net, inst.init, frozenset(), inst.target)
 
 
 def generator_names(original: Instance, desugared: Instance) -> set[str]:

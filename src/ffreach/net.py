@@ -59,7 +59,10 @@ class TokenOverflowError(OverflowError):
 
 
 def _as_weight(value) -> Fraction:
-    weight = Fraction(value)
+    try:
+        weight = Fraction(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinite
+        raise NetDefinitionError(f"transition weight must be a positive rational, got {value!r}") from None
     if weight <= 0:
         raise NetDefinitionError(f"transition weight must be > 0, got {value}")
     return weight
@@ -71,7 +74,7 @@ def _nat_vector(values: Iterable[int], what: str) -> tuple[int, ...]:
         vec = tuple(map(operator.index, values))
     except TypeError:
         vec = None
-    if vec is None or any(v < 0 for v in vec):
+    if vec is None or min(vec, default=0) < 0:
         raise NetDefinitionError(f"{what} must be a vector of naturals, got {values}")
     return vec
 
@@ -84,11 +87,6 @@ class Transition:
     guard: tuple[int, ...]
     produce: tuple[int, ...]
     weight: Fraction = Fraction(1)
-
-    @property
-    def effect(self) -> tuple[int, ...]:
-        """Net token change per place (may be negative)."""
-        return tuple(p - g for g, p in zip(self.guard, self.produce))
 
     @classmethod
     def from_maps(
@@ -166,15 +164,16 @@ class PetriNet:
     def _build_tables(self) -> None:
         """Every table derived from the net's parts, built once per net."""
         transitions = self.transitions
-        self.place_index = {p: i for i, p in enumerate(self.places)}
+        self.place_index = dict(zip(self.places, range(len(self.places))))
         self.transition_index = {t.name: i for i, t in enumerate(transitions)}
-        self._effects = effects = tuple(t.effect for t in transitions)
-        self._guards = tuple(tuple((p, need) for p, need in enumerate(t.guard) if need) for t in transitions)
-        self._deltas = tuple(tuple((p, delta) for p, delta in enumerate(effect) if delta) for effect in effects)
+        self._effects = effects = tuple([tuple(map(operator.sub, t.produce, t.guard)) for t in transitions])
+        self._guards = tuple([tuple([(p, need) for p, need in enumerate(t.guard) if need]) for t in transitions])
+        self._deltas = tuple([tuple([(p, delta) for p, delta in enumerate(e) if delta]) for e in effects])
+        ratios = [t.weight.as_integer_ratio() for t in transitions]
         #: ``L``, the lcm of the weight denominators (1 without transitions).
-        self.scale = scale = math.lcm(*(t.weight.denominator for t in transitions))
+        self.scale = scale = math.lcm(*[den for _, den in ratios])
         #: Each weight times ``L``, as an ``int``.
-        self.scaled_weights = tuple(t.weight.numerator * (scale // t.weight.denominator) for t in transitions)
+        self.scaled_weights = tuple([num * (scale // den) for num, den in ratios])
 
     @property
     def num_places(self) -> int:
@@ -201,11 +200,11 @@ class PetriNet:
     def check_marking(self, m: Sequence[int]) -> Marking:
         """Validate token counts against this net and return them as a tuple."""
         marking = _nat_vector(m, "marking")
-        if len(marking) != self.num_places:
+        if len(marking) != len(self.places):
             raise NetDefinitionError(
                 f"marking has {len(marking)} components, net has {self.num_places} places"
             )
-        if any(v > MAX_TOKENS for v in marking):
+        if max(marking, default=0) > MAX_TOKENS:
             raise NetDefinitionError(f"marking components must be in [0, 2**64): {marking}")
         return marking
 

@@ -4,9 +4,11 @@ Everything in here is deliberately brute force and shares no code with the
 library's solving path: plain BFS/Dijkstra over explicitly enumerated state
 graphs, LP values by basic-solution enumeration, ILP values by integer-box
 enumeration, and coverability by the classic backward fixpoint over
-upward-closed sets.  The one exception is ``reference_simplex_min``, the
-``Fraction`` tableau simplex the library's integer tableau replaced, kept as
-a step-for-step reference.
+upward-closed sets.  The two exceptions are replaced library code kept as
+step-for-step references: ``reference_simplex_min``, the ``Fraction``
+tableau simplex the library's integer tableau replaced, and
+``reference_parse_instance``, the token-by-token ``.fnet`` parser the
+one-pass parser replaced.
 """
 
 from __future__ import annotations
@@ -14,9 +16,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
 from fractions import Fraction
 
-from ffreach import Instance, PetriNet, TargetSpec, Transition
+from ffreach import (
+    DuplicateIdError,
+    FnetParseError,
+    Instance,
+    NonPositiveWeightError,
+    PetriNet,
+    TargetSpec,
+    Transition,
+    UnknownPlaceError,
+)
 from ffreach.ratlp import Outcome, OutcomeKind, RationalLP, Relation
 
 INF = float("inf")
@@ -318,6 +330,215 @@ def reference_simplex_min(lp: RationalLP) -> Outcome:
         if b < n:
             point[b] = tableau[i][-1]
     return Outcome(OutcomeKind.OPTIMAL, -tableau[-1][-1], tuple(point))
+
+
+# ---------------------------------------------------------------------------
+# reference parser: the token-by-token ``.fnet`` parser the one-pass parser in
+# ffreach.instance_io replaced, kept unchanged.  On every text both must
+# return equal instances, or raise the same error with the same line.
+
+
+_ID_RE = re.compile(r"^[^\s=:>#]+$")
+_MARKING_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>>=|=)(?P<nat>\d+)$")
+_ARC_ENTRY_RE = re.compile(r"^(?P<id>[^\s=:>#]+)(?P<op>:)(?P<nat>\d+)$")
+
+
+#: The weight of a transition declared without one; ``Fraction`` is immutable.
+_UNIT_WEIGHT = Fraction(1)
+
+
+def _strip_comment(line: str) -> str:
+    pos = line.find("#")
+    return line if pos < 0 else line[:pos]
+
+
+def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
+    if len(tokens) != 1:
+        raise FnetParseError("expected a single rational after 'weight'", lineno)
+    text = tokens[0]
+    m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
+    if not m:
+        raise FnetParseError(f"invalid rational {text!r}", lineno)
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise FnetParseError(f"invalid rational {text!r} (zero denominator)", lineno)
+    weight = Fraction(num, den)
+    if weight <= 0:
+        raise NonPositiveWeightError(f"transition weight must be > 0, got {text}", lineno)
+    return weight
+
+
+def _parse_entries(
+    tokens: list[str],
+    lineno: int,
+    places: dict[str, int],
+    what: str,
+    entry_re: re.Pattern = _MARKING_ENTRY_RE,
+    expected: str = "id=nat or id>=nat",
+):
+    """Parse ``id<op>nat`` entries; returns (values, the places whose op is ``>=``)."""
+    values: dict[int, int] = {}
+    flagged: set[int] = set()
+    for tok in tokens:
+        m = entry_re.match(tok)
+        if not m:
+            raise FnetParseError(f"bad {what} entry {tok!r} (expected {expected})", lineno)
+        pid = m.group("id")
+        if pid not in places:
+            raise UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
+        idx = places[pid]
+        if idx in values:
+            raise DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
+        values[idx] = int(m.group("nat"))
+        if m.group("op") == ">=":
+            flagged.add(idx)
+    return values, flagged
+
+
+class _TransitionDraft:
+    def __init__(self, name: str, weight: Fraction):
+        self.name = name
+        self.weight = weight
+        self.consume: dict[int, int] | None = None
+        self.produce: dict[int, int] | None = None
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """Parse ``.fnet`` text into a validated Instance.
+
+    This is where outside input is checked: every syntax error, unknown or
+    duplicate id, and non-positive weight raises an FnetParseError carrying
+    its line number, and token counts beyond the 64-bit range raise
+    NetDefinitionError."""
+    name: str | None = None
+    places: list[str] | None = None
+    place_index: dict[str, int] = {}
+    init_values: dict[int, int] | None = None
+    init_flagged: set[int] = set()
+    target_values: dict[int, int] | None = None
+    target_flagged: set[int] = set()
+    drafts: list[_TransitionDraft] = []
+    transition_ids: set[str] = set()
+    seen_target = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _strip_comment(raw).split()
+        if not tokens:
+            continue
+        keyword, rest = tokens[0], tokens[1:]
+
+        if keyword == "net":
+            if name is not None:
+                raise FnetParseError("duplicate 'net' line", lineno)
+            if not rest:
+                raise FnetParseError("'net' requires a name", lineno)
+            name = " ".join(rest)
+            continue
+
+        if name is None:
+            raise FnetParseError("expected 'net <name>' before anything else", lineno)
+
+        if keyword == "places:":
+            if places is not None:
+                raise FnetParseError("duplicate 'places:' line", lineno)
+            for pid in rest:
+                if not _ID_RE.match(pid):
+                    raise FnetParseError(f"invalid place id {pid!r}", lineno)
+                if pid in place_index:
+                    raise DuplicateIdError(f"place {pid!r} declared twice", lineno)
+                place_index[pid] = len(place_index)
+            places = rest
+            continue
+
+        if places is None:
+            raise FnetParseError("expected 'places:' before this line", lineno)
+        if seen_target:
+            raise FnetParseError("'target:' must be the last section", lineno)
+
+        if keyword == "init:":
+            if init_values is not None:
+                raise FnetParseError("duplicate 'init:' line", lineno)
+            if drafts:
+                raise FnetParseError("'init:' must come before transitions", lineno)
+            init_values, init_flagged = _parse_entries(rest, lineno, place_index, "init")
+            for idx in init_flagged:
+                if init_values[idx] < 1:
+                    raise FnetParseError(
+                        f"upward-flagged place {places[idx]!r} needs at least 1 token "
+                        "(use id=0 for an exactly-empty place)",
+                        lineno,
+                    )
+            continue
+
+        if keyword == "transition":
+            if not rest:
+                raise FnetParseError("'transition' requires an id", lineno)
+            tid = rest[0]
+            if not _ID_RE.match(tid):
+                raise FnetParseError(f"invalid transition id {tid!r}", lineno)
+            if tid in place_index or tid in transition_ids:
+                raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
+            transition_ids.add(tid)
+            weight = _UNIT_WEIGHT
+            if len(rest) > 1:
+                if rest[1] != "weight":
+                    raise FnetParseError(f"unexpected token {rest[1]!r} after transition id", lineno)
+                weight = _parse_weight(rest[2:], lineno)
+            drafts.append(_TransitionDraft(tid, weight))
+            continue
+
+        if keyword in ("consume", "produce"):
+            if not drafts:
+                raise FnetParseError(f"'{keyword}' outside a transition block", lineno)
+            draft = drafts[-1]
+            if getattr(draft, keyword) is not None:
+                raise DuplicateIdError(
+                    f"duplicate '{keyword}' line for transition {draft.name!r}", lineno
+                )
+            arcs, _ = _parse_entries(rest, lineno, place_index, keyword, _ARC_ENTRY_RE, "id:nat")
+            setattr(draft, keyword, arcs)
+            continue
+
+        if keyword == "target:":
+            target_values, target_flagged = _parse_entries(rest, lineno, place_index, "target")
+            seen_target = True
+            continue
+
+        raise FnetParseError(f"unrecognized keyword {keyword!r}", lineno)
+
+    if name is None:
+        raise FnetParseError("missing 'net <name>' line")
+    if places is None:
+        raise FnetParseError("missing 'places:' line")
+
+    num = len(places)
+    transitions = []
+    for draft in drafts:
+        consume = draft.consume or {}
+        produce = draft.produce or {}
+        guard = tuple(consume.get(i, 0) for i in range(num))
+        prod = tuple(produce.get(i, 0) for i in range(num))
+        transitions.append(Transition(draft.name, guard, prod, draft.weight))
+    # The checks above reject every empty or duplicate id, negative count and
+    # non-positive weight with its line number, so the net is not checked again.
+    net = PetriNet._trusted(tuple(places), tuple(transitions), name)
+
+    init_values = init_values or {}
+    init = tuple(init_values.get(i, 0) for i in range(num))
+
+    target_values = target_values or {}
+    constraints = []
+    for i in range(num):
+        if i not in target_values:
+            constraints.append((Relation.GEQ, 0))
+        elif i in target_flagged:
+            constraints.append((Relation.GEQ, target_values[i]))
+        else:
+            constraints.append((Relation.EQ, target_values[i]))
+    target = TargetSpec(tuple(constraints))
+
+    return Instance(net, init, frozenset(init_flagged), target).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffreach import (
     PetriNet,
@@ -247,6 +249,45 @@ class TestJsonRendering:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+_TEXT = st.text(max_size=12) | st.sampled_from(['"', "\\", 'd\\ir/"q" \u00e9t\u00e9 \u2603 \U0001f600\t', ""])
+_CONFIG_VALUE = st.one_of(
+    _TEXT, st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False)
+)
+_CONFIG_KEYS = ["file", "strategy", "heuristic", "prune", "ilp_node_budget", "max_expansions", "max_time_ms"]
+_COUNT = st.integers(0, 10**12)
+
+
+@st.composite
+def solve_reports(draw) -> cli.SolveReport:
+    """Every report shape: reachable with or without generator firings and
+    with any witness, empty included; unreachable or exhausted with or
+    without a reason; distances beyond the float range; any config."""
+    verdict = draw(st.sampled_from(["reachable", "unreachable", "exhausted"]))
+    distance = witness = firings = reason = None
+    if verdict == "reachable":
+        distance = draw(
+            st.fractions(min_value=0, max_denominator=10**6)
+            | st.integers(10**308, 10**400).map(Fraction)
+        )
+        witness = draw(st.lists(_TEXT, max_size=5))
+        firings = draw(st.none() | st.integers(0, 5))
+    else:
+        reason = draw(st.none() | _TEXT)
+    return cli.SolveReport(
+        verdict=verdict, distance=distance, witness_ids=witness, generator_firings=firings,
+        reason=reason, expanded=draw(_COUNT), discovered=draw(_COUNT), heuristic_calls=draw(_COUNT),
+        wall_time_ms=draw(st.floats(0, 1e6)),
+        config=draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS) | _TEXT, _CONFIG_VALUE, max_size=9)),
+    )
+
+
+class TestReportWriter:
+    @given(solve_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_standard_encoder(self, report):
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
 
 class TestWitnessEcho:

@@ -11,6 +11,7 @@ from ffreach import (
     NetDefinitionError,
     NotFirableError,
     PetriNet,
+    Relation,
     Strategy,
     TargetSpec,
     TokenOverflowError,
@@ -188,6 +189,23 @@ class TestValidation:
     def test_constructor_still_validates(self, places, transitions):
         with pytest.raises(NetDefinitionError):
             PetriNet(places, transitions)
+
+    @pytest.mark.parametrize(
+        "weight", ["x", float("nan"), float("inf"), None], ids=["string", "nan", "inf", "none"]
+    )
+    def test_weight_that_is_no_rational(self, weight):
+        # Fraction itself raises ValueError, OverflowError or TypeError here.
+        with pytest.raises(NetDefinitionError):
+            PetriNet(["a"], [Transition("t", (0,), (0,), weight)])
+
+    def test_validated_instance_and_target_are_hashable(self, n1):
+        target = TargetSpec([(Relation.EQ, 0), (Relation.GEQ, 1)])
+        assert target.constraints == ((Relation.EQ, 0), (Relation.GEQ, 1))
+        assert hash(target) == hash(TargetSpec(((Relation.EQ, 0), (Relation.GEQ, 1))))
+        assert hash(TargetSpec(([Relation.EQ, 0], (Relation.GEQ, 1)))) == hash(target)
+        inst = Instance(n1, [1, 0], {0}, TargetSpec.exact((0, 1))).validate()
+        assert (inst.init, inst.init_upward) == ((1, 0), frozenset({0}))
+        assert hash(inst) == hash(Instance(n1, (1, 0), frozenset({0}), TargetSpec.exact((0, 1))))
 
 
 class TestWeightNormalization:

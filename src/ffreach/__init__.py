@@ -43,6 +43,7 @@ from .ratlp import (
     RationalLP,
     Relation,
     Row,
+    Tableau,
     UnboundedRelaxation,
     ilp_min,
     simplex_min,
@@ -88,6 +89,7 @@ __all__ = [
     "StateEquationHeuristic",
     "Strategy",
     "StructHeuristic",
+    "Tableau",
     "TargetSpec",
     "TokenOverflowError",
     "Transition",

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -220,7 +221,8 @@ def solve_instance(
 
     Runs desugar -> (prune) -> heuristic -> search and returns the result
     together with the witness transition names and the number of generator
-    firings in the witness.
+    firings in the witness.  ``limits.max_time_ms`` bounds the search and,
+    inside the heuristic, each ``z`` branch-and-bound.
     """
     desugared = desugar_init(inst)
     gen_names = generator_names(inst, desugared)
@@ -242,7 +244,10 @@ def solve_instance(
             return result, [], 0
         search_inst = pruned.pruned_instance
 
-    heuristic = make_heuristic(heuristic_name, search_inst, ilp_node_budget)
+    deadline = None
+    if limits is not None and limits.max_time_ms is not None:
+        deadline = time.monotonic() + limits.max_time_ms / 1000.0
+    heuristic = make_heuristic(heuristic_name, search_inst, ilp_node_budget, deadline)
     result = directed_search(search_inst, strategy, heuristic, limits)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(

@@ -12,7 +12,8 @@ Three families are provided, each bound to one net and target when built:
   solutions of the token conservation system ("how often must each
   transition fire, ignoring ordering"), over nonnegative rationals resp.
   integers.  One object remembers its answers and derives a marking's value
-  from a remembered predecessor's optimum where it can, instead of solving.
+  from a remembered predecessor's optimum where it can, instead of solving;
+  where it cannot, it re-solves from a remembered predecessor's basis.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places.
@@ -29,7 +30,7 @@ from typing import Callable
 
 from .instance_io import Instance, TargetSpec
 from .net import Marking, PetriNet
-from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, Row, ilp_min, simplex_min
+from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, Row, Tableau, ilp_min, simplex_min
 
 #: Extended value for "target unreachable even in the relaxation".
 INF = math.inf
@@ -39,6 +40,10 @@ INF = math.inf
 #: return an ``int`` whenever the value is integral, which the search scales
 #: fastest; ``StateEquationHeuristic`` returns ``Fraction``s.
 Heuristic = Callable[[Marking], object]
+
+
+#: The pending shift of a solved marking's own tableau; never mutated.
+_NO_SHIFT: dict[int, int] = {}
 
 
 def _as_int(value):
@@ -80,6 +85,20 @@ class StateEquationHeuristic:
     ``x + e_t`` is integral when ``x`` is.  It is answered without a solve,
     where a budget-limited ``z`` solve of ``m`` might have stopped at a
     finite lower bound.
+
+    The memo also keeps a simplex basis for every finite marking: a solved
+    marking keeps its outcome's final tableau (for ``z`` the root
+    relaxation's, which stays valid whatever the integer point is, and is
+    kept for a budget-exhausted ILP too), and a derived marking keeps its
+    predecessor's tableau plus a pending shift ``{t: count}``, the firings
+    between the marking that was solved and this one, so deriving stays
+    O(1).  Reaching ``m`` from a remembered predecessor by ``t`` moves the
+    right-hand side by ``-effect(t)``, which is the shift ``x = x' + e_t``,
+    so any other marking with a remembered, finite predecessor is re-solved
+    by the dual simplex from that predecessor's tableau, shifted by its
+    pending shift plus ``e_t``, instead of from scratch.  ``deadline``
+    (a ``time.monotonic()`` value) stops a ``z`` branch-and-bound the way
+    the node budget does.
     """
 
     def __init__(
@@ -88,9 +107,11 @@ class StateEquationHeuristic:
         target: TargetSpec,
         integral: bool = False,
         ilp_node_budget: int = DEFAULT_ILP_NODE_BUDGET,
+        deadline: float | None = None,
     ):
         self.integral = integral
         self.ilp_node_budget = ilp_node_budget
+        self.deadline = deadline
         self._objective = tuple(t.weight for t in net.transitions)
         # Row p is column p of the net's effect table.  Effects and token
         # gaps stay ints, so the simplex needs no scaling.
@@ -98,8 +119,9 @@ class StateEquationHeuristic:
         self._rows = tuple(
             (tuple(effect[p] for effect in effects), rel, bound) for p, (rel, bound) in enumerate(target.constraints)
         )
-        #: marking -> (value, optimal firing-count vector or None)
-        self._memo: dict[Marking, tuple[object, tuple[Fraction, ...] | None]] = {}
+        #: marking -> (value, optimal firing-count vector or None,
+        #: tableau or None, pending shift of that tableau)
+        self._memo: dict[Marking, tuple[object, tuple[Fraction, ...] | None, Tableau | None, dict[int, int]]] = {}
 
     def lp(self, m: Marking) -> RationalLP:
         """The state equation for reaching the target set from ``m``."""
@@ -110,32 +132,44 @@ class StateEquationHeuristic:
 
     def __call__(self, m: Marking):
         """The remembered value of ``m``, else one derived from a remembered
-        predecessor's optimum, else a fresh LP or ILP solve."""
-        known = self._memo.get(m)
+        predecessor's optimum, else an LP or ILP solve, warm-started from a
+        remembered predecessor's tableau where there is one."""
+        memo = self._memo
+        known = memo.get(m)
         if known is not None:
             return known[0]
+        warm = None
         for t, (effect, weight) in enumerate(zip(self._effects, self._objective)):
-            value, point = self._memo.get(tuple(map(operator.sub, m, effect)), (None, None))
+            pred = memo.get(tuple(map(operator.sub, m, effect)))
+            if pred is None:
+                continue
+            value, point, tableau, shift = pred
             if value is INF:
-                self._memo[m] = (INF, None)
+                memo[m] = (INF, None, None, _NO_SHIFT)
                 return INF
             if point is not None and point[t] >= 1:
                 h = value - weight
-                self._memo[m] = (h, point[:t] + (point[t] - 1,) + point[t + 1 :])
+                memo[m] = (h, point[:t] + (point[t] - 1,) + point[t + 1 :], tableau, {**shift, t: shift.get(t, 0) + 1})
                 return h
+            if warm is None and tableau is not None:
+                warm = (tableau, shift, t)
 
+        start = None
+        if warm is not None:
+            tableau, shift, t = warm
+            start = tableau.shifted({**shift, t: shift.get(t, 0) + 1})
         if self.integral:
-            outcome = ilp_min(self.lp(m), self.ilp_node_budget)
+            outcome = ilp_min(self.lp(m), self.ilp_node_budget, start, self.deadline)
         else:
-            outcome = simplex_min(self.lp(m))
+            outcome = simplex_min(self.lp(m), start)
         if outcome.kind is OutcomeKind.INFEASIBLE:
-            known = (INF, None)
+            known = (INF, None, None, _NO_SHIFT)
         elif outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
-            known = (outcome.lower_bound, None)
+            known = (outcome.lower_bound, None, outcome.tableau, _NO_SHIFT)
         else:
             assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
-            known = (outcome.value, outcome.point)
-        self._memo[m] = known
+            known = (outcome.value, outcome.point, outcome.tableau, _NO_SHIFT)
+        memo[m] = known
         return known[0]
 
 
@@ -210,10 +244,18 @@ def zero_heuristic(m: Marking) -> int:
 HEURISTIC_NAMES = ("q", "z", "struct", "zero")
 
 
-def make_heuristic(name: str, inst: Instance, ilp_node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Heuristic:
-    """Factory keyed by the public heuristic names: q, z, struct, zero."""
+def make_heuristic(
+    name: str,
+    inst: Instance,
+    ilp_node_budget: int = DEFAULT_ILP_NODE_BUDGET,
+    deadline: float | None = None,
+) -> Heuristic:
+    """Factory keyed by the public heuristic names: q, z, struct, zero.
+
+    ``deadline`` (a ``time.monotonic()`` value) bounds each ``z``
+    branch-and-bound like its node budget."""
     if name in ("q", "z"):
-        return StateEquationHeuristic(inst.net, inst.target, name == "z", ilp_node_budget)
+        return StateEquationHeuristic(inst.net, inst.target, name == "z", ilp_node_budget, deadline)
     if name == "struct":
         return StructHeuristic(inst.net, inst.target)
     if name == "zero":

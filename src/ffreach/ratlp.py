@@ -39,15 +39,45 @@ phase 2 starts from.  No artificial columns are kept: row ``i``'s artificial
 starts basic as index ``num_structural + i`` and is dropped once it leaves
 the basis.  A feasible system has a solution with every artificial at 0, so
 phase 1 still ends at 0 without them.
+
+Warm starts.  An optimal outcome carries its final tableau as a
+:class:`Tableau`, and ``simplex_min(lp, start)`` re-solves from such a
+handle.  Two edits derive the tableau of a nearby problem from one, and both
+keep the basis, every reduced cost and the meaning of ``den``:
+
+* Shift.  Substituting ``x = x' + k`` for an integer vector ``k`` gives the
+  problem with right-hand side ``b - A k``.  Its tableau is the old one with
+  each rhs entry ``rhs_i - sum_j k_j T[i][j]``; the cost entry gets the same
+  update plus ``den * sum_j k_j c_j`` for the scaled objective ``c``, since
+  the objective is still read in the original variables.  Only the
+  right-hand side of the integer data moved, so these are the Bareiss
+  entries of the new data at the same basis.
+* Bound.  The branch ``x_j <= f`` on a basic ``x_j`` in row ``r`` appends a
+  slack column and the row ``den*e_j - T[r] + den*e_s`` with rhs
+  ``f*den - T[r][-1]``; the branch ``x_j >= f + 1`` appends
+  ``T[r] - den*e_j + den*e_s`` with rhs ``T[r][-1] - (f+1)*den``.  The slack
+  is basic in the new row, so the new basis matrix is the old one bordered
+  by a row and a column whose corner is 1 in absolute value: ``|det B|``
+  does not change.
+
+In both cases ``den`` still is ``|det B|`` of integer data, so every later
+Bareiss division stays exact.  The edited tableau is dual feasible (no
+reduced cost moved) but may have negative right-hand sides, and the dual
+simplex (Lemke) restores them with dual Bland's rule: the leaving row is the
+negative-rhs row with the smallest basic index, and the entering column has
+the smallest ratio ``cost_j / -a_rj`` over ``a_rj < 0``, ties to the
+smallest ``j``.  That rule cannot cycle.  A negative-rhs row with no
+negative entry proves the problem infeasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from time import monotonic
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -111,6 +141,63 @@ class OutcomeKind(Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
+class Tableau:
+    """A dual-feasible integer tableau ``rows / den``: a warm start for
+    :func:`simplex_min`.
+
+    ``rows`` are the constraint rows, then the cost row; ``basis`` names each
+    constraint row's basic column; ``objective`` is the scaled integer
+    objective and ``obj_scale`` its scale.  Never changed once built:
+    derived tableaux share the row lists they leave alone, which is safe
+    because a pivot replaces rows rather than editing them.
+    """
+
+    __slots__ = ("rows", "basis", "den", "objective", "obj_scale")
+
+    def __init__(
+        self, rows: tuple[list[int], ...], basis: tuple[int, ...], den: int, objective: tuple[int, ...], obj_scale: int
+    ):
+        self.rows = rows
+        self.basis = basis
+        self.den = den
+        self.objective = objective
+        self.obj_scale = obj_scale
+
+    def shifted(self, shift: dict[int, int]) -> Tableau:
+        """The tableau, at the same basis, of the problem whose right-hand
+        side is ``b - A k`` for the integer vector ``k = shift``, given as
+        ``{variable: k_j}``."""
+        items = [(j, k) for j, k in shift.items() if k]
+        rows = []
+        for row in self.rows:
+            delta = 0
+            for j, k in items:
+                delta += k * row[j]
+            rows.append([*row[:-1], row[-1] - delta] if delta else row)
+        den, objective = self.den, self.objective
+        gain = 0
+        for j, k in items:
+            gain += k * objective[j]
+        if gain:
+            cost = rows[-1]
+            rows[-1] = [*cost[:-1], cost[-1] + den * gain]
+        return Tableau(tuple(rows), self.basis, den, objective, self.obj_scale)
+
+    def bounded(self, var: int, bound: int, upper: bool) -> Tableau:
+        """The tableau with the row ``x_var <= bound`` (``upper``) or
+        ``x_var >= bound`` appended, for a basic ``x_var``; its new slack
+        column is basic in the new row."""
+        den = self.den
+        source = self.rows[self.basis.index(var)]
+        sign = -1 if upper else 1
+        line = [sign * a for a in source[:-1]]
+        line[var] = 0
+        line += [den, sign * (source[-1] - bound * den)]
+        *constraints, cost = ([*row[:-1], 0, row[-1]] for row in self.rows)
+        slack = len(source) - 1
+        return Tableau((*constraints, line, cost), (*self.basis, slack), den, self.objective, self.obj_scale)
+
+
 @dataclass(frozen=True)
 class Outcome:
     """Result of :func:`simplex_min` or :func:`ilp_min`."""
@@ -120,6 +207,9 @@ class Outcome:
     point: tuple[Fraction, ...] | None = None
     #: Proven lower bound on the integer optimum when the node budget ran out.
     lower_bound: Fraction | None = None
+    #: The final tableau of an optimal LP, or the root relaxation's for an
+    #: ILP: a warm start for a problem that differs by a shift or a bound.
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 INFEASIBLE = Outcome(OutcomeKind.INFEASIBLE)
@@ -191,12 +281,66 @@ def _run_simplex(tableau: list[list[int]], basis: list[int], den: int, num_cols:
         den = _pivot(tableau, basis, den, best_row, col)
 
 
-def simplex_min(lp: RationalLP) -> Outcome:
-    """Exact two-phase simplex minimization over x >= 0.
+def _run_dual_simplex(tableau: list[list[int]], basis: list[int], den: int) -> int | None:
+    """Restore nonnegative right-hand sides on a dual-feasible tableau by
+    the dual simplex with dual Bland's rule (see the module docstring).
+
+    Returns the common denominator at the optimum, or None when a row
+    proves the problem infeasible.  Ratios are compared by
+    cross-multiplying: ``cost_j / -a_j < cost_b / -a_b`` iff
+    ``cost_j * a_b > cost_b * a_j``, as both ``a`` are negative.
+    """
+    m = len(basis)
+    while True:
+        leave = -1
+        for i in range(m):
+            if tableau[i][-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            return den
+        row, cost = tableau[leave], tableau[-1]
+        col, best_a, best_cost = -1, 0, 0
+        for j in range(len(row) - 1):
+            a = row[j]
+            if a < 0 and (col < 0 or cost[j] * best_a > best_cost * a):
+                col, best_a, best_cost = j, a, cost[j]
+        if col < 0:
+            return None
+        den = _pivot(tableau, basis, den, leave, col)
+
+
+def _optimum(
+    tableau: list[list[int]], basis: list[int], den: int, objective: tuple[int, ...], obj_scale: int
+) -> Outcome:
+    """The optimal outcome an optimal tableau stands for, carrying it."""
+    n = len(objective)
+    point = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = Fraction(tableau[i][-1], den)
+    value = -Fraction(tableau[-1][-1], den * obj_scale)
+    handle = Tableau(tuple(tableau), tuple(basis), den, objective, obj_scale)
+    return Outcome(OutcomeKind.OPTIMAL, value, tuple(point), tableau=handle)
+
+
+def simplex_min(lp: RationalLP, start: Tableau | None = None) -> Outcome:
+    """Exact simplex minimization over x >= 0.
+
+    Without ``start``, a two-phase simplex from scratch.  With ``start``, a
+    dual-feasible tableau of ``lp`` (an outcome's tableau, shifted or
+    bounded to stand for ``lp``; ``lp`` itself is then not read), re-solved
+    by the dual simplex; such a re-solve is never UNBOUNDED.
 
     The outcome's point satisfies every row exactly; callers can (and tests
     do) verify it by substitution.
     """
+    if start is not None:
+        tableau, basis = list(start.rows), list(start.basis)
+        den = _run_dual_simplex(tableau, basis, start.den)
+        if den is None:
+            return INFEASIBLE
+        return _optimum(tableau, basis, den, start.objective, start.obj_scale)
+
     n = lp.num_vars
     geq_rows = [i for i, row in enumerate(lp.rows) if row.relation is Relation.GEQ]
     surplus_of = {i: n + k for k, i in enumerate(geq_rows)}
@@ -239,18 +383,7 @@ def simplex_min(lp: RationalLP) -> Outcome:
     den = _run_simplex(tableau, basis, den, num_structural)
     if den is None:
         return UNBOUNDED
-
-    point = [ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] = Fraction(tableau[i][-1], den)
-    return Outcome(OutcomeKind.OPTIMAL, -Fraction(tableau[-1][-1], den * obj_scale), tuple(point))
-
-
-def _bound_row(num_vars: int, var: int, coeff: int, rhs: int) -> Row:
-    coeffs = [0] * num_vars
-    coeffs[var] = coeff
-    return Row(tuple(coeffs), Relation.GEQ, rhs)
+    return _optimum(tableau, basis, den, tuple(objective), obj_scale)
 
 
 @lru_cache(maxsize=256)
@@ -331,13 +464,24 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
     return False
 
 
-def ilp_min(lp: RationalLP, node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Outcome:
+def ilp_min(
+    lp: RationalLP,
+    node_budget: int = DEFAULT_ILP_NODE_BUDGET,
+    start: Tableau | None = None,
+    deadline: float | None = None,
+) -> Outcome:
     """Minimize over nonnegative *integer* points by branch-and-bound.
 
     Depth-first, branching on the first fractional variable in index order
-    (floor branch explored first), pruning against the incumbent.  When the
-    node budget runs out, the result carries the best lower bound proven so
-    far, which is always >= the root LP relaxation value.
+    (floor branch explored first), pruning against the incumbent, one LP
+    per node.  The root relaxation is solved from scratch, or re-solved from
+    ``start`` as :func:`simplex_min` does; every other node is its parent's
+    final tableau plus one bound row, re-solved by the dual simplex.  When
+    the node budget runs out, or the ``time.monotonic()`` ``deadline``
+    passes (checked before each node after the root), the result carries
+    the best lower bound proven so far, which is always >= the root LP
+    relaxation value.  Every feasible outcome carries the root relaxation's
+    final tableau, which stays a warm start whatever the integer point is.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
@@ -345,23 +489,24 @@ def ilp_min(lp: RationalLP, node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Outco
         return INFEASIBLE
 
     incumbent: tuple[Fraction, tuple[Fraction, ...]] | None = None
-    # Stack entries: (extra bound rows, inherited lower bound from the parent).
-    stack: list[tuple[tuple[Row, ...], Fraction | None]] = [((), None)]
+    root: Tableau | None = None
+    # Stack entries: (the parent's final tableau, the bound to add to it as
+    # (variable, bound, upper), the parent's value); the root has no parent.
+    stack: list[tuple[Tableau | None, tuple[int, int, bool] | None, Fraction | None]] = [(start, None, None)]
     solves = 0
 
     while stack:
-        if solves >= node_budget:
-            open_bounds = [b for _, b in stack if b is not None]
+        if solves >= node_budget or (deadline is not None and solves and monotonic() > deadline):
+            open_bounds = [b for _, _, b in stack if b is not None]
             candidates = open_bounds + ([incumbent[0]] if incumbent else [])
             # Every stacked node descends from a solved parent, so bounds exist.
-            return Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=min(candidates))
+            return Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=min(candidates), tableau=root)
 
-        extra, inherited = stack.pop()
+        parent, bound, inherited = stack.pop()
         if incumbent is not None and inherited is not None and inherited >= incumbent[0]:
             continue
 
-        node_lp = RationalLP(lp.num_vars, lp.objective, lp.rows + extra)
-        outcome = simplex_min(node_lp)
+        outcome = simplex_min(lp, parent.bounded(*bound) if bound else parent)
         solves += 1
 
         if outcome.kind is OutcomeKind.INFEASIBLE:
@@ -370,6 +515,8 @@ def ilp_min(lp: RationalLP, node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Outco
             raise UnboundedRelaxation("LP relaxation is unbounded; integer minimum undefined")
 
         assert outcome.value is not None and outcome.point is not None
+        if root is None:
+            root = outcome.tableau
         if incumbent is not None and outcome.value >= incumbent[0]:
             continue
 
@@ -381,9 +528,9 @@ def ilp_min(lp: RationalLP, node_budget: int = DEFAULT_ILP_NODE_BUDGET) -> Outco
         x = outcome.point[frac_var]
         floor = x.numerator // x.denominator
         # LIFO: push the ceiling branch first so the floor branch is explored first.
-        stack.append(((*extra, _bound_row(lp.num_vars, frac_var, 1, floor + 1)), outcome.value))
-        stack.append(((*extra, _bound_row(lp.num_vars, frac_var, -1, -floor)), outcome.value))
+        stack.append((outcome.tableau, (frac_var, floor + 1, False), outcome.value))
+        stack.append((outcome.tableau, (frac_var, floor, True), outcome.value))
 
     if incumbent is None:
         return INFEASIBLE
-    return Outcome(OutcomeKind.OPTIMAL, incumbent[0], incumbent[1])
+    return Outcome(OutcomeKind.OPTIMAL, incumbent[0], incumbent[1], tableau=root)

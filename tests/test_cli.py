@@ -32,6 +32,27 @@ transition work
 target: done>=1
 """
 
+RUNAWAY_FNET = """\
+net random
+places: p0 p1 p2 p3
+init: p0=1 p1=1 p2=1 p3=3
+transition t0
+  consume p1:1 p3:1
+  produce p0:1 p2:1
+transition t1
+  consume p0:2
+  produce p2:1 p3:1
+transition t2
+  consume p2:2
+  produce p0:1 p1:1
+transition t3
+  consume p0:1 p3:1
+  produce p1:1 p2:1
+transition t4
+  consume p3:1
+target: p1=2 p2>=1 p3>=2
+"""
+
 
 @pytest.fixture
 def fig1_path(tmp_path, fig_fnet_text):
@@ -91,6 +112,16 @@ class TestSolveCommand:
         assert code == 2
         payload_line = [l for l in out.splitlines() if l.startswith("reason:")]
         assert payload_line and "expansion" in payload_line[0]
+
+    def test_time_limit_holds_inside_the_heuristic(self, tmp_path, capsys):
+        # small-batch seed 11, sb0884: z's branch-and-bound at one successor
+        # dives without end under the default node budget, so only a
+        # deadline inside ilp_min lets the time limit end the solve.
+        path = tmp_path / "sb0884.fnet"
+        path.write_text(RUNAWAY_FNET)
+        code, out, _ = run_main(["solve", str(path), "--heuristic", "z", "--max-time-ms", "200"], capsys)
+        assert code == 2
+        assert "reason: time limit reached" in out
 
     def test_missing_file(self, capsys):
         code, _, err = run_main(["solve", "does-not-exist.fnet"], capsys)

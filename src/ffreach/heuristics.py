@@ -13,7 +13,9 @@ Three families are provided, each bound to one net and target when built:
   transition fire, ignoring ordering"), over nonnegative rationals resp.
   integers.  One object remembers its answers and derives a marking's value
   from a remembered predecessor's optimum where it can, instead of solving;
-  where it cannot, it re-solves from a remembered predecessor's basis.
+  where it cannot, it re-solves from a remembered predecessor's basis.  It
+  keeps each optimum as the simplex tableau's integers, so deriving makes
+  no ``Fraction`` unless the value itself is fractional.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places.
@@ -36,14 +38,16 @@ from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, R
 INF = math.inf
 
 #: A heuristic is any callable from markings to a Fraction (or int), or to
-#: a float infinity such as INF.  ``zero_heuristic`` and ``StructHeuristic``
-#: return an ``int`` whenever the value is integral, which the search scales
-#: fastest; ``StateEquationHeuristic`` returns ``Fraction``s.
+#: a float infinity such as INF.  Every heuristic here returns an ``int``
+#: whenever the value is integral, which the search scales fastest.
 Heuristic = Callable[[Marking], object]
 
 
 #: The pending shift of a solved marking's own tableau; never mutated.
 _NO_SHIFT: dict[int, int] = {}
+
+#: The memo entry of a marking whose state equation has no solution.
+_INFINITE = (INF, 0, None, 1, None, _NO_SHIFT)
 
 
 def _as_int(value):
@@ -51,6 +55,13 @@ def _as_int(value):
     if value is not INF and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _quotient(num: int, den: int):
+    """``num / den`` for ``den > 0``: an ``int`` when integral, else a Fraction."""
+    if num % den:
+        return Fraction(num, den)
+    return num // den
 
 
 class StateEquationHeuristic:
@@ -99,6 +110,16 @@ class StateEquationHeuristic:
     pending shift plus ``e_t``, instead of from scratch.  ``deadline``
     (a ``time.monotonic()`` value) stops a ``z`` branch-and-bound the way
     the node budget does.
+
+    The memo keeps an optimum as the integers of the tableau it was read
+    from (the LP's final tableau, or the optimal ILP node's), over that
+    tableau's ``den``: ``x*`` times ``den``, and the value times
+    ``den * L`` for the lcm ``L`` of the weight denominators, by which the
+    simplex scales the objective.  So deriving tests ``x*_t >= 1`` as a
+    numerator ``>= den`` and subtracts ``L * w(t) * den`` from the value's
+    numerator; a warm ``q`` re-solve builds no :class:`RationalLP`, since
+    the dual simplex reads only its start.  A value is returned as an
+    ``int`` whenever it is integral, and as a ``Fraction`` otherwise.
     """
 
     def __init__(
@@ -113,15 +134,19 @@ class StateEquationHeuristic:
         self.ilp_node_budget = ilp_node_budget
         self.deadline = deadline
         self._objective = tuple(t.weight for t in net.transitions)
+        # The simplex scales this objective to ``L * w(t)`` and reads values
+        # over ``den * L``, for the net's ``L``.
+        self._scaled_weights, self._scale = net.scaled_weights, net.scale
         # Row p is column p of the net's effect table.  Effects and token
         # gaps stay ints, so the simplex needs no scaling.
         self._effects = effects = net._effects
         self._rows = tuple(
             (tuple(effect[p] for effect in effects), rel, bound) for p, (rel, bound) in enumerate(target.constraints)
         )
-        #: marking -> (value, optimal firing-count vector or None,
-        #: tableau or None, pending shift of that tableau)
-        self._memo: dict[Marking, tuple[object, tuple[Fraction, ...] | None, Tableau | None, dict[int, int]]] = {}
+        #: marking -> (value; for an optimum, its value times ``den * L``,
+        #: firing counts times ``den``, and ``den``, else 0, None and 1;
+        #: tableau or None; pending shift of that tableau)
+        self._memo: dict[Marking, tuple[object, int, tuple[int, ...] | None, int, Tableau | None, dict[int, int]]] = {}
 
     def lp(self, m: Marking) -> RationalLP:
         """The state equation for reaching the target set from ``m``."""
@@ -139,18 +164,20 @@ class StateEquationHeuristic:
         if known is not None:
             return known[0]
         warm = None
-        for t, (effect, weight) in enumerate(zip(self._effects, self._objective)):
+        for t, effect in enumerate(self._effects):
             pred = memo.get(tuple(map(operator.sub, m, effect)))
             if pred is None:
                 continue
-            value, point, tableau, shift = pred
+            value, num, point, den, tableau, shift = pred
             if value is INF:
-                memo[m] = (INF, None, None, _NO_SHIFT)
+                memo[m] = _INFINITE
                 return INF
-            if point is not None and point[t] >= 1:
-                h = value - weight
-                memo[m] = (h, point[:t] + (point[t] - 1,) + point[t + 1 :], tableau, {**shift, t: shift.get(t, 0) + 1})
-                return h
+            if point is not None and point[t] >= den:
+                num -= self._scaled_weights[t] * den
+                value = _quotient(num, den * self._scale)
+                point = (*point[:t], point[t] - den, *point[t + 1 :])
+                memo[m] = (value, num, point, den, tableau, {**shift, t: shift.get(t, 0) + 1})
+                return value
             if warm is None and tableau is not None:
                 warm = (tableau, shift, t)
 
@@ -161,14 +188,16 @@ class StateEquationHeuristic:
         if self.integral:
             outcome = ilp_min(self.lp(m), self.ilp_node_budget, start, self.deadline)
         else:
-            outcome = simplex_min(self.lp(m), start)
+            outcome = simplex_min(None if start else self.lp(m), start)
         if outcome.kind is OutcomeKind.INFEASIBLE:
-            known = (INF, None, None, _NO_SHIFT)
+            known = _INFINITE
         elif outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
-            known = (outcome.lower_bound, None, outcome.tableau, _NO_SHIFT)
+            known = (_as_int(outcome.lower_bound), 0, None, 1, outcome.tableau, _NO_SHIFT)
         else:
             assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
-            known = (outcome.value, outcome.point, outcome.tableau, _NO_SHIFT)
+            optimum = outcome.optimum
+            num, unit = optimum.value()
+            known = (_quotient(num, unit), num, tuple(optimum.point()), optimum.den, outcome.tableau, _NO_SHIFT)
         memo[m] = known
         return known[0]
 

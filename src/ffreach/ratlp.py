@@ -20,9 +20,12 @@ the objective by the lcm of its own.  A pivot is one fraction-free
 ``(a*p - f*b) / den`` for pivot row ``b`` and pivot ``p``, and ``p`` becomes
 the denominator.  ``den`` is the absolute value of the basis
 determinant, so by Cramer's rule every entry of ``T`` is a determinant of
-integer data, and by Sylvester's identity the division is exact.  Results
-are read back as ``Fraction(T[i][-1], den)``.  Unlike ``Fraction``
-arithmetic, no step takes a gcd.
+integer data, and by Sylvester's identity the division is exact.  Unlike
+``Fraction`` arithmetic, no step takes a gcd.  An optimal outcome keeps
+its final tableau and makes its ``Fraction`` value and point,
+``Fraction(T[i][-1], den)``, only when they are first read; callers that
+stay on the integers (branch-and-bound here, the state-equation
+heuristic's memo) read the tableau's numerators instead.
 
 For integer rows this is the rational Gauss-Jordan tableau step for step:
 row scaling by 1 leaves ``B^-1 A`` as it is, and a positive objective scale
@@ -72,7 +75,7 @@ negative entry proves the problem infeasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -163,6 +166,20 @@ class Tableau:
         self.objective = objective
         self.obj_scale = obj_scale
 
+    def value(self) -> tuple[int, int]:
+        """The objective value of the basic solution as an unreduced
+        ``(numerator, positive denominator)`` pair."""
+        return -self.rows[-1][-1], self.den * self.obj_scale
+
+    def point(self) -> list[int]:
+        """The basic solution's variables, each times ``den``."""
+        n = len(self.objective)
+        point = [0] * n
+        for row, b in zip(self.rows, self.basis):
+            if b < n:
+                point[b] = row[-1]
+        return point
+
     def shifted(self, shift: dict[int, int]) -> Tableau:
         """The tableau, at the same basis, of the problem whose right-hand
         side is ``b - A k`` for the integer vector ``k = shift``, given as
@@ -198,18 +215,90 @@ class Tableau:
         return Tableau((*constraints, line, cost), (*self.basis, slack), den, self.objective, self.obj_scale)
 
 
-@dataclass(frozen=True)
+#: Marks a field of an optimal :class:`Outcome` not read from its tableau yet.
+_UNREAD = object()
+
+
 class Outcome:
-    """Result of :func:`simplex_min` or :func:`ilp_min`."""
+    """Result of :func:`simplex_min` or :func:`ilp_min`.
+
+    Immutable, and compared, hashed and shown by ``kind``, ``value``,
+    ``point`` and ``lower_bound``, as a frozen dataclass of those fields is.
+    An optimal outcome of the solver is built from ``optimum``, the
+    integer tableau whose basic solution it is, and makes its ``Fraction``
+    value and point only when they are first read; both stay the same
+    objects after that.  An outcome built from a value and a point, as
+    ``Outcome(kind, value, point)``, has no ``optimum``.
+    """
+
+    __slots__ = ("kind", "lower_bound", "tableau", "optimum", "_value", "_point")
 
     kind: OutcomeKind
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
     #: Proven lower bound on the integer optimum when the node budget ran out.
-    lower_bound: Fraction | None = None
+    lower_bound: Fraction | None
     #: The final tableau of an optimal LP, or the root relaxation's for an
     #: ILP: a warm start for a problem that differs by a shift or a bound.
-    tableau: Tableau | None = field(default=None, compare=False, repr=False)
+    tableau: Tableau | None
+    #: The optimal tableau that ``value`` and ``point`` are read from: the
+    #: LP's final tableau, or that of the ILP node that found the optimum.
+    optimum: Tableau | None
+
+    def __init__(
+        self,
+        kind: OutcomeKind,
+        value: Fraction | None = None,
+        point: tuple[Fraction, ...] | None = None,
+        lower_bound: Fraction | None = None,
+        tableau: Tableau | None = None,
+        optimum: Tableau | None = None,
+    ):
+        if optimum is not None:
+            value = point = _UNREAD
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "lower_bound", lower_bound)
+        init(self, "tableau", tableau)
+        init(self, "optimum", optimum)
+        init(self, "_value", value)
+        init(self, "_point", point)
+
+    @property
+    def value(self) -> Fraction | None:
+        value = self._value
+        if value is _UNREAD:
+            value = Fraction(*self.optimum.value())
+            object.__setattr__(self, "_value", value)
+        return value
+
+    @property
+    def point(self) -> tuple[Fraction, ...] | None:
+        point = self._point
+        if point is _UNREAD:
+            den = self.optimum.den
+            point = tuple([Fraction(x, den) if x else ZERO for x in self.optimum.point()])
+            object.__setattr__(self, "_point", point)
+        return point
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.value, self.point, self.lower_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        kind, value, point, lower_bound = self._key()
+        return f"Outcome(kind={kind!r}, value={value!r}, point={point!r}, lower_bound={lower_bound!r})"
 
 
 INFEASIBLE = Outcome(OutcomeKind.INFEASIBLE)
@@ -313,23 +402,18 @@ def _optimum(
     tableau: list[list[int]], basis: list[int], den: int, objective: tuple[int, ...], obj_scale: int
 ) -> Outcome:
     """The optimal outcome an optimal tableau stands for, carrying it."""
-    n = len(objective)
-    point = [ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] = Fraction(tableau[i][-1], den)
-    value = -Fraction(tableau[-1][-1], den * obj_scale)
-    handle = Tableau(tuple(tableau), tuple(basis), den, objective, obj_scale)
-    return Outcome(OutcomeKind.OPTIMAL, value, tuple(point), tableau=handle)
+    final = Tableau(tuple(tableau), tuple(basis), den, objective, obj_scale)
+    return Outcome(OutcomeKind.OPTIMAL, tableau=final, optimum=final)
 
 
-def simplex_min(lp: RationalLP, start: Tableau | None = None) -> Outcome:
+def simplex_min(lp: RationalLP | None, start: Tableau | None = None) -> Outcome:
     """Exact simplex minimization over x >= 0.
 
     Without ``start``, a two-phase simplex from scratch.  With ``start``, a
     dual-feasible tableau of ``lp`` (an outcome's tableau, shifted or
-    bounded to stand for ``lp``; ``lp`` itself is then not read), re-solved
-    by the dual simplex; such a re-solve is never UNBOUNDED.
+    bounded to stand for ``lp``; ``lp`` itself is then not read, and may be
+    None), re-solved by the dual simplex; such a re-solve is never
+    UNBOUNDED.
 
     The outcome's point satisfies every row exactly; callers can (and tests
     do) verify it by substitution.
@@ -482,31 +566,45 @@ def ilp_min(
     the best lower bound proven so far, which is always >= the root LP
     relaxation value.  Every feasible outcome carries the root relaxation's
     final tableau, which stays a warm start whatever the integer point is.
+
+    The search reads the node tableaux' integers: ``x_j`` is fractional
+    when its numerator is not a multiple of ``den``, and values are compared
+    by cross-multiplying.  Only the returned outcome makes Fractions.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
     if _lattice_infeasible(lp):
         return INFEASIBLE
 
-    incumbent: tuple[Fraction, tuple[Fraction, ...]] | None = None
+    n = lp.num_vars
+    # The final tableau of the best integral node so far, and its value.
+    incumbent: Tableau | None = None
+    best_num = best_unit = 0
     root: Tableau | None = None
     # Stack entries: (the parent's final tableau, the bound to add to it as
-    # (variable, bound, upper), the parent's value); the root has no parent.
-    stack: list[tuple[Tableau | None, tuple[int, int, bool] | None, Fraction | None]] = [(start, None, None)]
+    # (variable, bound, upper)); the root has no parent and no bound, and
+    # its entry holds ``start``.  A node's parent value bounds it below.
+    stack: list[tuple[Tableau | None, tuple[int, int, bool] | None]] = [(start, None)]
     solves = 0
 
     while stack:
         if solves >= node_budget or (deadline is not None and solves and monotonic() > deadline):
-            open_bounds = [b for _, _, b in stack if b is not None]
-            candidates = open_bounds + ([incumbent[0]] if incumbent else [])
             # Every stacked node descends from a solved parent, so bounds exist.
-            return Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=min(candidates), tableau=root)
+            bounds = [parent.value() for parent, bound in stack if bound is not None]
+            if incumbent is not None:
+                bounds.append((best_num, best_unit))
+            lower_bound = min(Fraction(num, unit) for num, unit in bounds)
+            return Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=lower_bound, tableau=root)
 
-        parent, bound, inherited = stack.pop()
-        if incumbent is not None and inherited is not None and inherited >= incumbent[0]:
-            continue
+        parent, bound = stack.pop()
+        if bound is not None:
+            if incumbent is not None:
+                num, unit = parent.value()
+                if num * best_unit >= best_num * unit:
+                    continue
+            parent = parent.bounded(*bound)
 
-        outcome = simplex_min(lp, parent.bounded(*bound) if bound else parent)
+        outcome = simplex_min(lp, parent)
         solves += 1
 
         if outcome.kind is OutcomeKind.INFEASIBLE:
@@ -514,23 +612,26 @@ def ilp_min(
         if outcome.kind is OutcomeKind.UNBOUNDED:
             raise UnboundedRelaxation("LP relaxation is unbounded; integer minimum undefined")
 
-        assert outcome.value is not None and outcome.point is not None
+        final = outcome.tableau
         if root is None:
-            root = outcome.tableau
-        if incumbent is not None and outcome.value >= incumbent[0]:
+            root = final
+        num, unit = final.value()
+        if incumbent is not None and num * best_unit >= best_num * unit:
             continue
 
-        frac_var = next((j for j, x in enumerate(outcome.point) if x.denominator != 1), None)
-        if frac_var is None:
-            incumbent = (outcome.value, outcome.point)
+        den = final.den
+        frac_var = -1
+        for row, b in zip(final.rows, final.basis):
+            if b < n and row[-1] % den and (frac_var < 0 or b < frac_var):
+                frac_var, floor = b, row[-1] // den
+        if frac_var < 0:
+            incumbent, best_num, best_unit = final, num, unit
             continue
 
-        x = outcome.point[frac_var]
-        floor = x.numerator // x.denominator
         # LIFO: push the ceiling branch first so the floor branch is explored first.
-        stack.append((outcome.tableau, (frac_var, floor + 1, False), outcome.value))
-        stack.append((outcome.tableau, (frac_var, floor, True), outcome.value))
+        stack.append((final, (frac_var, floor + 1, False)))
+        stack.append((final, (frac_var, floor, True)))
 
     if incumbent is None:
         return INFEASIBLE
-    return Outcome(OutcomeKind.OPTIMAL, incumbent[0], incumbent[1], tableau=root)
+    return Outcome(OutcomeKind.OPTIMAL, tableau=root, optimum=incumbent)

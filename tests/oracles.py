@@ -4,11 +4,12 @@ Everything in here is deliberately brute force and shares no code with the
 library's solving path: plain BFS/Dijkstra over explicitly enumerated state
 graphs, LP values by basic-solution enumeration, ILP values by integer-box
 enumeration, and coverability by the classic backward fixpoint over
-upward-closed sets.  The two exceptions are replaced library code kept as
+upward-closed sets.  The three exceptions are replaced library code kept as
 step-for-step references: ``reference_simplex_min``, the ``Fraction``
-tableau simplex the library's integer tableau replaced, and
-``reference_parse_instance``, the token-by-token ``.fnet`` parser the
-one-pass parser replaced.
+tableau simplex the library's integer tableau replaced,
+``reference_ilp_min``, the ``Fraction`` branch-and-bound loop the
+library's integer loop replaced, and ``reference_parse_instance``, the
+token-by-token ``.fnet`` parser the one-pass parser replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from time import monotonic
 
 from ffreach import (
     DuplicateIdError,
@@ -29,7 +31,18 @@ from ffreach import (
     Transition,
     UnknownPlaceError,
 )
-from ffreach.ratlp import Outcome, OutcomeKind, RationalLP, Relation
+from ffreach.ratlp import (
+    DEFAULT_ILP_NODE_BUDGET,
+    INFEASIBLE,
+    Outcome,
+    OutcomeKind,
+    RationalLP,
+    Relation,
+    Tableau,
+    UnboundedRelaxation,
+    _lattice_infeasible,
+    simplex_min,
+)
 
 INF = float("inf")
 
@@ -330,6 +343,86 @@ def reference_simplex_min(lp: RationalLP) -> Outcome:
         if b < n:
             point[b] = tableau[i][-1]
     return Outcome(OutcomeKind.OPTIMAL, -tableau[-1][-1], tuple(point))
+
+
+# ---------------------------------------------------------------------------
+# reference branch-and-bound: the ``Fraction`` node loop that ffreach.ratlp's
+# integer one replaced, kept unchanged but for its name.  It solves its node
+# LPs through the library's ``simplex_min`` and decides on their ``Fraction``
+# values and points, so both loops must solve the same node LPs in the same
+# order and return equal outcomes.
+
+
+def reference_ilp_min(
+    lp: RationalLP,
+    node_budget: int = DEFAULT_ILP_NODE_BUDGET,
+    start: Tableau | None = None,
+    deadline: float | None = None,
+) -> Outcome:
+    """Minimize over nonnegative *integer* points by branch-and-bound.
+
+    Depth-first, branching on the first fractional variable in index order
+    (floor branch explored first), pruning against the incumbent, one LP
+    per node.  The root relaxation is solved from scratch, or re-solved from
+    ``start`` as :func:`simplex_min` does; every other node is its parent's
+    final tableau plus one bound row, re-solved by the dual simplex.  When
+    the node budget runs out, or the ``time.monotonic()`` ``deadline``
+    passes (checked before each node after the root), the result carries
+    the best lower bound proven so far, which is always >= the root LP
+    relaxation value.  Every feasible outcome carries the root relaxation's
+    final tableau, which stays a warm start whatever the integer point is.
+    """
+    if node_budget < 1:
+        raise ValueError("node_budget must be >= 1")
+    if _lattice_infeasible(lp):
+        return INFEASIBLE
+
+    incumbent: tuple[Fraction, tuple[Fraction, ...]] | None = None
+    root: Tableau | None = None
+    # Stack entries: (the parent's final tableau, the bound to add to it as
+    # (variable, bound, upper), the parent's value); the root has no parent.
+    stack: list[tuple[Tableau | None, tuple[int, int, bool] | None, Fraction | None]] = [(start, None, None)]
+    solves = 0
+
+    while stack:
+        if solves >= node_budget or (deadline is not None and solves and monotonic() > deadline):
+            open_bounds = [b for _, _, b in stack if b is not None]
+            candidates = open_bounds + ([incumbent[0]] if incumbent else [])
+            # Every stacked node descends from a solved parent, so bounds exist.
+            return Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=min(candidates), tableau=root)
+
+        parent, bound, inherited = stack.pop()
+        if incumbent is not None and inherited is not None and inherited >= incumbent[0]:
+            continue
+
+        outcome = simplex_min(lp, parent.bounded(*bound) if bound else parent)
+        solves += 1
+
+        if outcome.kind is OutcomeKind.INFEASIBLE:
+            continue
+        if outcome.kind is OutcomeKind.UNBOUNDED:
+            raise UnboundedRelaxation("LP relaxation is unbounded; integer minimum undefined")
+
+        assert outcome.value is not None and outcome.point is not None
+        if root is None:
+            root = outcome.tableau
+        if incumbent is not None and outcome.value >= incumbent[0]:
+            continue
+
+        frac_var = next((j for j, x in enumerate(outcome.point) if x.denominator != 1), None)
+        if frac_var is None:
+            incumbent = (outcome.value, outcome.point)
+            continue
+
+        x = outcome.point[frac_var]
+        floor = x.numerator // x.denominator
+        # LIFO: push the ceiling branch first so the floor branch is explored first.
+        stack.append((outcome.tableau, (frac_var, floor + 1, False), outcome.value))
+        stack.append((outcome.tableau, (frac_var, floor, True), outcome.value))
+
+    if incumbent is None:
+        return INFEASIBLE
+    return Outcome(OutcomeKind.OPTIMAL, incumbent[0], incumbent[1], tableau=root)
 
 
 # ---------------------------------------------------------------------------

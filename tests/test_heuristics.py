@@ -6,6 +6,8 @@ from itertools import permutations
 import pytest
 
 from ffreach import (
+    Instance,
+    OutcomeKind,
     PetriNet,
     Relation,
     StateEquationHeuristic,
@@ -14,12 +16,19 @@ from ffreach import (
     TargetSpec,
     Transition,
     directed_search,
+    ilp_min,
     zero_heuristic,
 )
 from ffreach import heuristics
 from ffreach.heuristics import INF
 from conftest import parity_net
-from oracles import enumerate_reachable, random_bounded_instance, remaining_distances
+from oracles import (
+    enumerate_reachable,
+    integer_box_min,
+    random_bounded_instance,
+    reference_simplex_min,
+    remaining_distances,
+)
 
 F = Fraction
 
@@ -227,6 +236,52 @@ class TestMemoMatchesFromScratch:
             assert (a.verdict, a.distance, a.witness) == (b.verdict, b.distance, b.witness)
             assert a.stats.expanded_markings == b.stats.expanded_markings
             assert a.stats.heuristic_calls == b.stats.heuristic_calls
+
+
+#: Weights with denominators 2, 3 and 4: ``L`` is 2, 3, 4, 6 or 12, so an
+#: optimum's numerators over ``den * L`` are never the value itself.
+UNEVEN_WEIGHTS = (F(1, 2), F(2, 3), F(3, 4))
+
+
+def _uneven(rng: random.Random, inst: Instance) -> Instance:
+    """``inst`` with each transition's weight drawn from UNEVEN_WEIGHTS."""
+    net = inst.net
+    transitions = [Transition(t.name, t.guard, t.produce, rng.choice(UNEVEN_WEIGHTS)) for t in net.transitions]
+    return Instance(PetriNet(net.places, transitions, net.name), inst.init, inst.init_upward, inst.target).validate()
+
+
+class TestIntegerMemoAgainstOracles:
+    """The memo keeps each optimum as integers over ``den * L``; every value
+    it answers, solved or derived, must be the exact optimum, returned as an
+    ``int`` exactly when it is integral."""
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["q", "z"])
+    def test_bfs_values(self, integral, solves):
+        rng = random.Random(1331)
+        calls = boxed = fractional = 0
+        for _ in range(60):
+            inst = _uneven(rng, random_bounded_instance(rng))
+            memo = StateEquationHeuristic(inst.net, inst.target, integral)
+            for m in _bfs_order(inst.net, inst.init):
+                value = memo(m)
+                calls += 1
+                problem = memo.lp(m)
+                expected = ilp_min(problem) if integral else reference_simplex_min(problem)
+                if expected.kind is OutcomeKind.INFEASIBLE:
+                    assert value == INF, m
+                    continue
+                assert expected.kind is OutcomeKind.OPTIMAL
+                assert value == expected.value, m
+                assert type(value) is (int if expected.value.denominator == 1 else F), m
+                fractional += type(value) is F
+                # All weights are >= 1/2, so an optimum fires at most 2 * value times.
+                box = int(2 * value)
+                if integral and (box + 1) ** problem.num_vars <= 5_000:
+                    assert integer_box_min(problem, box) == value, m
+                    boxed += 1
+        assert len(solves) < calls / 2, "few values were derived; the sweep tests little"
+        assert fractional >= 50, fractional
+        assert boxed >= (150 if integral else 0), boxed
 
 
 def brute_force_struct_table(net):

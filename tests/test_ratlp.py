@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,68 @@ class TestIntegerTableau:
             else:
                 assert out.value == expected
                 check_point(problem, out)
+
+
+class TestOutcomeContract:
+    """An optimal outcome reads its value and point from its tableau on
+    first use, and otherwise is the frozen record it always was."""
+
+    @staticmethod
+    def optimal_outcomes(rng: random.Random):
+        """Yield pairs of equal optimal outcomes, none read yet: cold, warm
+        and branch-and-bound ones."""
+        for _ in range(300):
+            problem = random_integer_lp(rng) if rng.random() < 0.5 else random_lp(rng)
+            cold = simplex_min(problem)
+            if cold.kind is not OutcomeKind.OPTIMAL:
+                continue
+            yield cold, simplex_min(problem)
+            step = {j: rng.randint(-2, 2) for j in range(problem.num_vars)}
+            warm = simplex_min(None, cold.tableau.shifted(step))
+            if warm.kind is OutcomeKind.OPTIMAL:
+                yield warm, simplex_min(None, cold.tableau.shifted(step))
+            box = Row(tuple(F(-1) for _ in range(problem.num_vars)), Relation.GEQ, F(-8))
+            boxed = RationalLP(problem.num_vars, problem.objective, problem.rows + (box,))
+            if all(c >= 0 for c in boxed.objective) and ilp_min(boxed).kind is OutcomeKind.OPTIMAL:
+                yield ilp_min(boxed), ilp_min(boxed)
+
+    def test_equal_hash_and_repr_of_an_eager_outcome(self):
+        kinds = set()
+        for first, second in self.optimal_outcomes(random.Random(2468)):
+            shown, hashed = repr(first), hash(second)
+            eager = Outcome(first.kind, first.value, first.point)
+            assert first == eager and eager == first and second == eager
+            assert hashed == hash(eager) == hash(first)
+            assert shown == repr(eager) == repr(second)
+            kinds.add(first.optimum is first.tableau)
+        # Both LP outcomes (read from their own tableau) and ILP ones (read
+        # from the optimal node's, mostly not the root's) were checked.
+        assert kinds == {True, False}
+
+    def test_repr_is_the_dataclass_one(self):
+        out = simplex_min(lp([1], [([1], Relation.GEQ, 3)]))
+        assert repr(out) == (
+            "Outcome(kind=<OutcomeKind.OPTIMAL: 'optimal'>, value=Fraction(3, 1), point=(Fraction(3, 1),), "
+            "lower_bound=None)"
+        )
+        cut = ilp_min(lp([1, 1], [([3, 2], Relation.EQ, 4)]), node_budget=1)
+        assert repr(cut) == (
+            "Outcome(kind=<OutcomeKind.BUDGET_EXHAUSTED: 'budget-exhausted'>, value=None, point=None, "
+            "lower_bound=Fraction(4, 3))"
+        )
+        assert cut != Outcome(OutcomeKind.BUDGET_EXHAUSTED, lower_bound=F(3, 2))
+
+    def test_fields_are_read_once_and_never_assigned(self):
+        for first, _ in self.optimal_outcomes(random.Random(1357)):
+            value, point = first.value, first.point
+            assert first.value is value and first.point is point
+            assert type(value) is F and all(type(x) is F for x in point)
+            for name in ("kind", "value", "point", "lower_bound", "tableau", "optimum", "_value"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(first, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(first, name)
+            assert first.value is value and first.point is point
 
 
 class TestLatticeReduction:

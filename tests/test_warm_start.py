@@ -14,7 +14,8 @@ import pytest
 from ffreach import OutcomeKind, PetriNet, RationalLP, Relation, Row, TargetSpec, Transition, ilp_min, simplex_min
 from ffreach import heuristics, ratlp
 from ffreach.heuristics import StateEquationHeuristic, make_heuristic
-from oracles import random_bounded_instance, reference_simplex_min
+import oracles
+from oracles import random_bounded_instance, reference_ilp_min, reference_simplex_min
 from test_ratlp import check_point, random_integer_lp, random_lp
 
 F = Fraction
@@ -229,6 +230,65 @@ class TestRunawayDive:
         dz = StateEquationHeuristic(net, target, integral=True, ilp_node_budget=40, deadline=monotonic() - 1)
         assert dz.lp((1, 1, 1, 2)) == RUNAWAY
         assert dz((1, 1, 1, 2)) == F(3, 2)
+
+
+class TestIntegerBranching:
+    """``ilp_min`` decides on the node tableaux' integers; the ``Fraction``
+    loop it replaced must return the same outcomes after the same node LPs."""
+
+    @pytest.fixture
+    def node_lps(self, monkeypatch):
+        """Counts the LPs either loop solves through ``ratlp.simplex_min``."""
+        count = [0]
+        solve = ratlp.simplex_min
+
+        def counted(lp, *args):
+            count[0] += 1
+            return solve(lp, *args)
+
+        monkeypatch.setattr(ratlp, "simplex_min", counted)
+        monkeypatch.setattr(oracles, "simplex_min", counted)
+        return count
+
+    @staticmethod
+    def assert_same_search(node_lps, problem, *args):
+        before = node_lps[0]
+        outcome = ilp_min(problem, *args)
+        solved, before = node_lps[0] - before, node_lps[0]
+        expected = reference_ilp_min(problem, *args)
+        assert outcome == expected, problem
+        assert solved == node_lps[0] - before, problem
+        if expected.tableau is None:
+            assert outcome.tableau is None
+        else:
+            assert (outcome.tableau.rows, outcome.tableau.basis) == (expected.tableau.rows, expected.tableau.basis)
+        return outcome, solved
+
+    def test_random_boxed_ilps(self, node_lps):
+        rng = random.Random(4545)
+        kinds, branched = set(), 0
+        for _ in range(500):
+            base = random_integer_lp(rng) if rng.random() < 0.5 else random_lp(rng)
+            box = Row(tuple(F(-1) for _ in range(base.num_vars)), G, F(-8))
+            problem = RationalLP(base.num_vars, base.objective, base.rows + (box,))
+            start = None
+            if rng.random() < 0.3:
+                root = simplex_min(problem)
+                if root.kind is OutcomeKind.OPTIMAL:
+                    step = {j: rng.randint(-1, 1) for j in range(problem.num_vars)}
+                    problem, start = shifted_lp(problem, step), root.tableau.shifted(step)
+            budget = rng.choice([1, 2, 3, 5, 5_000])
+            outcome, solved = self.assert_same_search(node_lps, problem, budget, start)
+            kinds.add(outcome.kind)
+            branched += solved > 1
+        assert kinds == {OutcomeKind.OPTIMAL, OutcomeKind.INFEASIBLE, OutcomeKind.BUDGET_EXHAUSTED}
+        assert branched >= 50, branched
+
+    def test_runaway_dive_and_past_deadline(self, node_lps):
+        outcome, solved = self.assert_same_search(node_lps, RUNAWAY, 40)
+        assert (outcome.kind, outcome.lower_bound, solved) == (OutcomeKind.BUDGET_EXHAUSTED, 30, 40)
+        outcome, solved = self.assert_same_search(node_lps, RUNAWAY, 40, None, monotonic() - 1)
+        assert (outcome.kind, outcome.lower_bound, solved) == (OutcomeKind.BUDGET_EXHAUSTED, F(3, 2), 1)
 
 
 class TestMemoWarmStarts:

@@ -1,17 +1,22 @@
-"""One SHA-256 over every JSON report of a benchmark workload.
+"""One SHA-256 over every JSON report of a benchmark workload, per seed.
 
     python3 tools/report_digest.py WORKLOAD SEED
+    python3 tools/report_digest.py WORKLOAD [WORKLOAD ...] SEED [SEED ...]
 
-Run from the root of a checkout.  The corpus is built from the seed by that
-checkout's ``perfbench/corpus.py`` and ``perfbench/workloads.py``, as
-``perfbench/run.py`` builds it, and every (instance, config) pair is solved
-once, in pair order, through ``perfbench/worker.make_solver`` with the
-ffreach under the checkout's ``src``.  The digest covers each report
-followed by a newline, so two checkouts print the same digest exactly when
-all their reports are byte-identical:
+Run from the root of a checkout.  The first form prints one digest line for
+one workload at one seed; the second prints one line for every (workload,
+seed) pair, workloads in the order given and, within each, seeds in the
+order given, so one call covers a whole byte-identity check.  Each corpus
+is built from its seed by that checkout's ``perfbench/corpus.py`` and
+``perfbench/workloads.py``, as ``perfbench/run.py`` builds it, and every
+(instance, config) pair is solved once, in pair order, through
+``perfbench/worker.make_solver`` with the ffreach under the checkout's
+``src``.  The digest covers each report followed by a newline, so two
+checkouts print the same line exactly when all its reports are
+byte-identical:
 
-    (cd old && python3 /path/to/report_digest.py small-batch 1)
-    (cd new && python3 /path/to/report_digest.py small-batch 1)
+    (cd old && python3 /path/to/report_digest.py lp-astar small-batch 1 2)
+    (cd new && python3 /path/to/report_digest.py lp-astar small-batch 1 2)
 
 A solve that raises is digested as the error report the benchmark records
 for it.  Like the benchmark's worker, the solves run with
@@ -27,8 +32,10 @@ from pathlib import Path
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not argv[1].isdigit():
-        print("usage: python3 tools/report_digest.py WORKLOAD SEED", file=sys.stderr)
+    split = next((i for i, arg in enumerate(argv) if arg.isdigit()), len(argv))
+    names, seeds = argv[:split], argv[split:]
+    if not names or not seeds or not all(arg.isdigit() for arg in seeds):
+        print("usage: python3 tools/report_digest.py WORKLOAD [WORKLOAD ...] SEED [SEED ...]", file=sys.stderr)
         return 64
     root = Path.cwd()
     if not (root / "perfbench" / "worker.py").is_file() or not (root / "src" / "ffreach").is_dir():
@@ -44,21 +51,24 @@ def main(argv: list[str]) -> int:
     from corpus import to_fnet
     from workloads import WORKLOADS
 
-    name, seed = argv[0], int(argv[1])
-    if name not in WORKLOADS:
-        print(f"report_digest.py: unknown workload {name!r}, one of {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
-        return 64
-    workload = WORKLOADS[name]
-    corpus = {
-        "configs": [config.as_list() for config in workload.configs],
-        "instances": [[inst.id, to_fnet(inst)] for inst, _ in workload.build(seed)],
-    }
+    for name in names:
+        if name not in WORKLOADS:
+            known = ", ".join(sorted(WORKLOADS))
+            print(f"report_digest.py: unknown workload {name!r}, one of {known}", file=sys.stderr)
+            return 64
     solve = worker.make_solver(ffreach)
-    digest = hashlib.sha256()
-    pairs = worker.Run(corpus).pairs
-    for pair in pairs:
-        digest.update(worker.attempt(solve, pair).encode() + b"\n")
-    print(f"{digest.hexdigest()}  {name} seed {seed}, {len(pairs)} reports")
+    for name in names:
+        workload = WORKLOADS[name]
+        for seed in map(int, seeds):
+            corpus = {
+                "configs": [config.as_list() for config in workload.configs],
+                "instances": [[inst.id, to_fnet(inst)] for inst, _ in workload.build(seed)],
+            }
+            digest = hashlib.sha256()
+            pairs = worker.Run(corpus).pairs
+            for pair in pairs:
+                digest.update(worker.attempt(solve, pair).encode() + b"\n")
+            print(f"{digest.hexdigest()}  {name} seed {seed}, {len(pairs)} reports", flush=True)
     return 0
 
 

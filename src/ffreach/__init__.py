@@ -12,91 +12,61 @@ from .heuristics import (
     StateEquationHeuristic,
     StructHeuristic,
     make_heuristic,
-    zero_heuristic,
 )
 from .instance_io import (
-    DuplicateIdError,
     FnetParseError,
     Instance,
-    NonPositiveWeightError,
     TargetSpec,
-    UnknownPlaceError,
     desugar_init,
     generator_names,
     parse_instance,
     serialize_instance,
 )
 from .net import (
-    MAX_TOKENS,
-    Marking,
     NetDefinitionError,
     NotFirableError,
     PetriNet,
     TokenOverflowError,
     Transition,
-    Witness,
 )
-from .prune import PruneResult, PruneVerdict, prune_instance, sign_analysis
+from .prune import PruneVerdict, prune_instance, sign_analysis
 from .ratlp import (
-    Outcome,
     OutcomeKind,
     RationalLP,
     Relation,
-    Row,
-    Tableau,
-    UnboundedRelaxation,
     ilp_min,
     simplex_min,
 )
 from .search import (
-    BrokenParentChainError,
     SearchLimits,
-    SearchResult,
-    SearchStats,
     Strategy,
     Verdict,
     directed_search,
-    reconstruct_witness,
 )
-from .cli import SolveReport, SplitMix64, random_walk, solve_instance
+from .cli import SolveReport, random_walk, solve_instance
 
 __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "MAX_TOKENS",
-    "BrokenParentChainError",
-    "DuplicateIdError",
     "FnetParseError",
     "Instance",
-    "Marking",
     "NetDefinitionError",
-    "NonPositiveWeightError",
     "NotFirableError",
-    "Outcome",
     "OutcomeKind",
     "PetriNet",
-    "PruneResult",
     "PruneVerdict",
     "RationalLP",
     "Relation",
-    "Row",
     "SearchLimits",
-    "SearchResult",
-    "SearchStats",
     "SolveReport",
-    "SplitMix64",
     "StateEquationHeuristic",
     "Strategy",
     "StructHeuristic",
-    "Tableau",
     "TargetSpec",
     "TokenOverflowError",
     "Transition",
-    "UnboundedRelaxation",
-    "UnknownPlaceError",
     "Verdict",
-    "Witness",
     "desugar_init",
     "directed_search",
     "generator_names",
@@ -105,10 +75,8 @@ __all__ = [
     "parse_instance",
     "prune_instance",
     "random_walk",
-    "reconstruct_witness",
     "serialize_instance",
     "sign_analysis",
     "simplex_min",
     "solve_instance",
-    "zero_heuristic",
 ]

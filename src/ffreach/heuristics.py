@@ -117,8 +117,9 @@ class StateEquationHeuristic:
     ``den * L`` for the lcm ``L`` of the weight denominators, by which the
     simplex scales the objective.  So deriving tests ``x*_t >= 1`` as a
     numerator ``>= den`` and subtracts ``L * w(t) * den`` from the value's
-    numerator; a warm ``q`` re-solve builds no :class:`RationalLP`, since
-    the dual simplex reads only its start.  A value is returned as an
+    numerator; a warm ``q`` or ``z`` re-solve builds no :class:`RationalLP`,
+    since the dual simplex reads only its start, and a warm ``z`` re-solve
+    skips the lattice test its predecessor passed.  A value is returned as an
     ``int`` whenever it is integral, and as a ``Fraction`` otherwise.
     """
 
@@ -186,7 +187,7 @@ class StateEquationHeuristic:
             tableau, shift, t = warm
             start = tableau.shifted({**shift, t: shift.get(t, 0) + 1})
         if self.integral:
-            outcome = ilp_min(self.lp(m), self.ilp_node_budget, start, self.deadline)
+            outcome = ilp_min(None if start else self.lp(m), self.ilp_node_budget, start, self.deadline)
         else:
             outcome = simplex_min(None if start else self.lp(m), start)
         if outcome.kind is OutcomeKind.INFEASIBLE:

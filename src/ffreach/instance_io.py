@@ -57,7 +57,7 @@ class NonPositiveWeightError(FnetParseError):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """One (relation, bound) constraint per place; GEQ 0 means unconstrained.
+    """One (relation, bound) constraint per place; GEQ 0 constrains nothing.
 
     The membership test is compiled once, when the spec is made: an exact
     target is a single tuple comparison, and any other target checks only
@@ -94,13 +94,6 @@ class TargetSpec:
         """The upward closure of ``marking`` (all constraints >=)."""
         return cls(tuple((Relation.GEQ, v) for v in marking))
 
-    @classmethod
-    def unconstrained(cls, num_places: int) -> "TargetSpec":
-        return cls(tuple((Relation.GEQ, 0) for _ in range(num_places)))
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
     def satisfied(self, m: Sequence[int]) -> bool:
         goal = self._goal
         if goal is not None:
@@ -115,9 +108,6 @@ class TargetSpec:
 
     def is_exact(self) -> bool:
         return self._goal is not None
-
-    def is_cover(self) -> bool:
-        return all(rel is Relation.GEQ for rel, _ in self.constraints)
 
 
 @dataclass(frozen=True)

@@ -164,8 +164,6 @@ class PetriNet:
     def _build_tables(self) -> None:
         """Every table derived from the net's parts, built once per net."""
         transitions = self.transitions
-        self.place_index = dict(zip(self.places, range(len(self.places))))
-        self.transition_index = {t.name: i for i, t in enumerate(transitions)}
         self._effects = effects = tuple([tuple(map(operator.sub, t.produce, t.guard)) for t in transitions])
         self._guards = tuple([tuple([(p, need) for p, need in enumerate(t.guard) if need]) for t in transitions])
         self._deltas = tuple([tuple([(p, delta) for p, delta in enumerate(e) if delta]) for e in effects])
@@ -183,19 +181,11 @@ class PetriNet:
     def num_transitions(self) -> int:
         return len(self.transitions)
 
-    def effect(self, t: int) -> tuple[int, ...]:
-        return self._effects[t]
-
     def min_weight(self) -> Fraction:
         """Smallest transition weight (1 for a net without transitions)."""
         if not self.transitions:
             return Fraction(1)
         return min(t.weight for t in self.transitions)
-
-    def max_weight(self) -> Fraction:
-        if not self.transitions:
-            return Fraction(1)
-        return max(t.weight for t in self.transitions)
 
     def check_marking(self, m: Sequence[int]) -> Marking:
         """Validate token counts against this net and return them as a tuple."""

@@ -26,29 +26,13 @@ class PruneVerdict(Enum):
 
 @dataclass(frozen=True)
 class PruneResult:
-    """Index maps are old index -> new index for the surviving items.
-
-    ``pruned_instance`` is equivalent to the input only under the PRUNED
+    """``pruned_instance`` is equivalent to the input only under the PRUNED
     verdict; an IMMEDIATELY_UNREACHABLE verdict settles the query by itself.
+    The pruned net keeps the names of the places and transitions it keeps.
     """
 
-    kept_places: dict[int, int]
-    kept_transitions: dict[int, int]
     pruned_instance: Instance
     verdict: PruneVerdict
-
-    @property
-    def original_transition_of(self) -> list[int]:
-        """Inverse transition map: new index -> old index."""
-        inverse = [0] * len(self.kept_transitions)
-        for old, new in self.kept_transitions.items():
-            inverse[new] = old
-        return inverse
-
-    def witness_on_original(self, sequence) -> list[int]:
-        """Map a pruned-net transition sequence back to original indices."""
-        inverse = self.original_transition_of
-        return [inverse[t] for t in sequence]
 
 
 def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
@@ -106,15 +90,9 @@ def prune_instance(inst: Instance) -> PruneResult:
     markable = sign_analysis(net, initially_marked)
 
     if len(markable) == net.num_places:
-        return PruneResult(
-            {p: p for p in range(net.num_places)},
-            {t: t for t in range(net.num_transitions)},
-            inst,
-            PruneVerdict.PRUNED,
-        )
+        return PruneResult(inst, PruneVerdict.PRUNED)
 
     kept_place_list = [p for p in range(net.num_places) if p in markable]
-    kept_places = {old: new for new, old in enumerate(kept_place_list)}
 
     verdict = PruneVerdict.PRUNED
     for p in range(net.num_places):
@@ -126,7 +104,6 @@ def prune_instance(inst: Instance) -> PruneResult:
     kept_transition_list = [
         t for t, guard in enumerate(net._guards) if all(p in markable for p, _ in guard)
     ]
-    kept_transitions = {old: new for new, old in enumerate(kept_transition_list)}
 
     def project(vec) -> tuple[int, ...]:
         return tuple(vec[p] for p in kept_place_list)
@@ -143,8 +120,8 @@ def prune_instance(inst: Instance) -> PruneResult:
     pruned = Instance(
         pruned_net,
         project(inst.init),
-        frozenset(kept_places[p] for p in inst.init_upward),
+        frozenset(new for new, p in enumerate(kept_place_list) if p in inst.init_upward),
         pruned_target,
     )
 
-    return PruneResult(kept_places, kept_transitions, pruned, verdict)
+    return PruneResult(pruned, verdict)

@@ -549,7 +549,7 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
 
 
 def ilp_min(
-    lp: RationalLP,
+    lp: RationalLP | None,
     node_budget: int = DEFAULT_ILP_NODE_BUDGET,
     start: Tableau | None = None,
     deadline: float | None = None,
@@ -560,12 +560,16 @@ def ilp_min(
     (floor branch explored first), pruning against the incumbent, one LP
     per node.  The root relaxation is solved from scratch, or re-solved from
     ``start`` as :func:`simplex_min` does; every other node is its parent's
-    final tableau plus one bound row, re-solved by the dual simplex.  When
-    the node budget runs out, or the ``time.monotonic()`` ``deadline``
-    passes (checked before each node after the root), the result carries
-    the best lower bound proven so far, which is always >= the root LP
-    relaxation value.  Every feasible outcome carries the root relaxation's
-    final tableau, which stays a warm start whatever the integer point is.
+    final tableau plus one bound row, re-solved by the dual simplex.  With
+    ``start``, ``lp`` may be None, which skips the lattice test: that is
+    sound for a start shifted by an integer vector from a problem that
+    passed the test, since the shift keeps the equality rows solvable over
+    the integers.  When the node budget runs out, or the
+    ``time.monotonic()`` ``deadline`` passes (checked before each node
+    after the root), the result carries the best lower bound proven so far,
+    which is always >= the root LP relaxation value.  Every feasible
+    outcome carries the root relaxation's final tableau, which stays a warm
+    start whatever the integer point is.
 
     The search reads the node tableaux' integers: ``x_j`` is fractional
     when its numerator is not a multiple of ``den``, and values are compared
@@ -573,10 +577,10 @@ def ilp_min(
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    if _lattice_infeasible(lp):
+    if lp is not None and _lattice_infeasible(lp):
         return INFEASIBLE
 
-    n = lp.num_vars
+    n = len(start.objective) if lp is None else lp.num_vars
     # The final tableau of the best integral node so far, and its value.
     incumbent: Tableau | None = None
     best_num = best_unit = 0

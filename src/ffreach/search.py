@@ -76,8 +76,6 @@ class SearchStats:
     discovered: int = 0
     heuristic_calls: int = 0
     wall_time_ms: float = 0.0
-    #: Markings in expansion (pop) order; the goal, when found, is last.
-    expanded_markings: list[Marking] = field(default_factory=list)
 
 
 @dataclass
@@ -168,7 +166,6 @@ def directed_search(
 
     heappop, heappush, g_get, successors_of = heapq.heappop, heapq.heappush, g.get, net.successors
     max_expansions, max_time_ms, monotonic = limits.max_expansions, limits.max_time_ms, time.monotonic
-    record_expanded = stats.expanded_markings.append
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
             result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason="expansion limit reached")
@@ -181,7 +178,6 @@ def directed_search(
         if g_m != g[m]:
             continue  # stale entry: this marking was re-pushed with a better path
         expanded += 1
-        record_expanded(m)
         if __debug__ and m in parents:
             parent, t = parents[m]
             assert g[parent] + weights[t] <= g_m, "parent link heavier than the best known path"

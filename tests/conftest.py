@@ -1,6 +1,28 @@
 import pytest
 
-from ffreach import Instance, PetriNet, TargetSpec, Transition
+from ffreach import Instance, PetriNet, TargetSpec, Transition, directed_search
+
+
+def search_expanding(inst: Instance, *args):
+    """``directed_search(inst, *args)`` and the markings it expanded, in
+    order.  The search calls the net's ``successors`` once for each marking
+    it expands except the goal, so a wrapper of that method records them; a
+    reachable result then adds the goal, its witness's final marking."""
+    net, order = inst.net, []
+    successors = net.successors
+
+    def recording(m):
+        order.append(m)
+        return successors(m)
+
+    net.successors = recording
+    try:
+        result = directed_search(inst, *args)
+    finally:
+        del net.successors
+    if result.reachable:
+        order.append(net.replay(inst.init, result.witness.sequence)[0])
+    return result, order
 
 
 def three_transition_net() -> PetriNet:

@@ -22,15 +22,13 @@ from fractions import Fraction
 from time import monotonic
 
 from ffreach import (
-    DuplicateIdError,
     FnetParseError,
     Instance,
-    NonPositiveWeightError,
     PetriNet,
     TargetSpec,
     Transition,
-    UnknownPlaceError,
 )
+from ffreach.instance_io import DuplicateIdError, NonPositiveWeightError, UnknownPlaceError
 from ffreach.ratlp import (
     DEFAULT_ILP_NODE_BUDGET,
     INFEASIBLE,
@@ -644,7 +642,7 @@ def _pre_basis(net: PetriNet, u):
     out = []
     for t in range(net.num_transitions):
         trans = net.transitions[t]
-        effect = net.effect(t)
+        effect = [p - g for p, g in zip(trans.produce, trans.guard)]
         pre = tuple(max(u[p] - effect[p], trans.guard[p]) for p in range(net.num_places))
         out.append(pre)
     return out

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from ffreach import (
     PetriNet,
-    SplitMix64,
     Transition,
     desugar_init,
     parse_instance,
     random_walk,
 )
+from ffreach.cli import SplitMix64
 from ffreach import cli
 from ffreach.cli import main
 
@@ -327,7 +327,8 @@ class TestWitnessEcho:
         assert code == 0
         payload = json.loads(out)
         inst = desugar_init(parse_instance(Path(upward_path).read_text()))
-        seq = [inst.net.transition_index[name] for name in payload["witness"]]
+        index = {t.name: i for i, t in enumerate(inst.net.transitions)}
+        seq = [index[name] for name in payload["witness"]]
         final, witness = inst.net.replay(inst.init, seq)
         assert inst.target.satisfied(final)
         assert str(witness.total_weight) == payload["distance"]["fraction"]

@@ -1,6 +1,8 @@
-"""Every narrative script under ``demos/`` runs to completion."""
+"""Every narrative script under ``demos/`` runs to completion, and the
+README's quick start prints what its comments say."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,17 @@ def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```", readme, re.S).group(1)
+    promised = re.findall(r"^print\(.*?\)\s+# (.*)$", block, re.M)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert printed == ["3", "(0, 1, 2)", "4"]
+    assert len(promised) == len(printed)
+    for value, comment in zip(printed, promised):
+        assert re.match(re.escape(value) + r"[: ]", comment), (value, comment)

@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffreach import (
-    DuplicateIdError,
     FnetParseError,
     Instance,
     NetDefinitionError,
-    NonPositiveWeightError,
     PetriNet,
     Relation,
     TargetSpec,
     Transition,
-    UnknownPlaceError,
     desugar_init,
     generator_names,
     parse_instance,
     serialize_instance,
 )
+from ffreach.instance_io import DuplicateIdError, NonPositiveWeightError, UnknownPlaceError
 
 
 class TestParse:
@@ -143,8 +141,7 @@ class TestTargetSpec:
 
     def test_exact_and_cover_builders(self):
         assert TargetSpec.exact((1, 0)).is_exact()
-        assert TargetSpec.cover((1, 0)).is_cover()
-        assert not TargetSpec.exact((1, 0)).is_cover()
+        assert TargetSpec.cover((1, 0)).constraints == ((Relation.GEQ, 1), (Relation.GEQ, 0))
 
     @pytest.mark.parametrize("kind", ["exact", "cover", "mixed"])
     def test_compiled_test_matches_each_constraint(self, kind):
@@ -238,7 +235,7 @@ class TestSerialize:
     def test_rational_weight_round_trip(self):
         places = ["a"]
         net = PetriNet(places, [Transition.from_maps("t", places, produce={"a": 1}, weight=Fraction(3, 2))])
-        inst = Instance(net, (0,), frozenset(), TargetSpec.unconstrained(1)).validate()
+        inst = Instance(net, (0,), frozenset(), TargetSpec.cover((0,))).validate()
         text = serialize_instance(inst)
         assert "weight 3/2" in text
         assert parse_instance(text) == inst
@@ -295,7 +292,7 @@ def test_desugar_generators_are_unit_producers(inst):
     gens = generator_names(inst, out)
     assert len(gens) == len(inst.init_upward)
     for name in gens:
-        t = out.net.transitions[out.net.transition_index[name]]
+        (t,) = [t for t in out.net.transitions if t.name == name]
         assert all(g == 0 for g in t.guard)
         assert sorted(t.produce, reverse=True)[:1] == [1]
         assert sum(t.produce) == 1

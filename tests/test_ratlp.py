@@ -5,17 +5,14 @@ from fractions import Fraction
 import pytest
 
 from ffreach import (
-    Outcome,
     OutcomeKind,
     RationalLP,
     Relation,
-    Row,
-    UnboundedRelaxation,
     ilp_min,
     simplex_min,
 )
 from ffreach import ratlp
-from ffreach.ratlp import _column_reduction, _lattice_infeasible
+from ffreach.ratlp import Outcome, Row, UnboundedRelaxation, _column_reduction, _lattice_infeasible
 import oracles
 from oracles import integer_box_min, reference_simplex_min, vertex_enumeration_min
 

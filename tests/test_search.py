@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ffreach import (
-    MAX_TOKENS,
-    BrokenParentChainError,
     Instance,
     PetriNet,
     Relation,
@@ -16,8 +14,10 @@ from ffreach import (
     Verdict,
     directed_search,
     make_heuristic,
-    reconstruct_witness,
 )
+from ffreach.net import MAX_TOKENS
+from ffreach.search import BrokenParentChainError, reconstruct_witness
+from conftest import search_expanding
 from oracles import (
     bounded_distance,
     enumerate_reachable,
@@ -35,19 +35,20 @@ def instance(net, init, target) -> Instance:
 
 class TestRunningExample:
     def test_astar_expands_only_the_shortest_path(self, n1_instance):
-        result = directed_search(n1_instance, Strategy.ASTAR, make_heuristic("q", n1_instance))
+        result, expanded = search_expanding(n1_instance, Strategy.ASTAR, make_heuristic("q", n1_instance))
         assert result.verdict is Verdict.REACHABLE
         assert result.distance == 3
         assert result.witness.sequence == (0, 1, 2)
-        assert result.stats.expanded_markings == [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert expanded == [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert result.stats.expanded == 4
 
     def test_gbfs_expands_the_same_markings(self, n1_instance):
-        astar = directed_search(n1_instance, Strategy.ASTAR, make_heuristic("q", n1_instance))
-        gbfs = directed_search(n1_instance, Strategy.GBFS, make_heuristic("q", n1_instance))
+        _, astar_expanded = search_expanding(n1_instance, Strategy.ASTAR, make_heuristic("q", n1_instance))
+        gbfs, gbfs_expanded = search_expanding(n1_instance, Strategy.GBFS, make_heuristic("q", n1_instance))
         assert gbfs.verdict is Verdict.REACHABLE
         assert gbfs.distance == 3
         assert gbfs.witness.sequence == (0, 1, 2)
-        assert gbfs.stats.expanded_markings == astar.stats.expanded_markings
+        assert gbfs_expanded == astar_expanded
 
     def test_dijkstra_agrees_on_distance(self, n1_instance):
         result = directed_search(n1_instance, Strategy.DIJKSTRA)
@@ -71,10 +72,10 @@ class TestRunningExample:
 
     def test_deterministic_expansion_order(self, n1_instance):
         runs = [
-            directed_search(n1_instance, Strategy.GBFS, make_heuristic("q", n1_instance))
+            search_expanding(n1_instance, Strategy.GBFS, make_heuristic("q", n1_instance))[1]
             for _ in range(2)
         ]
-        assert runs[0].stats.expanded_markings == runs[1].stats.expanded_markings
+        assert runs[0] == runs[1]
 
 
 class TestUnreachable:
@@ -159,22 +160,22 @@ class TestEveryExit:
 
     def run(self, inst, strategy, name, limits=None):
         counter = CountingHeuristic(make_heuristic(name, inst))
-        result = directed_search(inst, strategy, counter, limits)
+        result, expanded = search_expanding(inst, strategy, counter, limits)
         stats = result.stats
-        assert stats.expanded == len(stats.expanded_markings)
+        assert stats.expanded == len(expanded)
         assert stats.heuristic_calls == counter.calls
         assert stats.discovered == len(counter.finite)
-        return result
+        return result, expanded
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_goal(self, n1_instance, strategy):
-        result = self.run(n1_instance, strategy, "q")
+        result, expanded = self.run(n1_instance, strategy, "q")
         assert result.verdict is Verdict.REACHABLE
-        assert result.stats.expanded_markings[-1] == (0, 1)
+        assert expanded[-1] == (0, 1)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_expansion_limit(self, n1_instance, strategy):
-        result = self.run(n1_instance, strategy, "zero", SearchLimits(max_expansions=2))
+        result, _ = self.run(n1_instance, strategy, "zero", SearchLimits(max_expansions=2))
         assert result.verdict is Verdict.EXHAUSTED and "expansion" in result.reason
         assert result.stats.expanded == 2
 
@@ -183,28 +184,28 @@ class TestEveryExit:
         # An unbounded net whose target lies 2**65 firings away.
         net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 0)), Transition("move", (1, 0), (0, 1))])
         inst = instance(net, (0, 0), TargetSpec.exact((0, MAX_TOKENS)))
-        result = self.run(inst, strategy, "struct", SearchLimits(max_time_ms=5))
+        result, _ = self.run(inst, strategy, "struct", SearchLimits(max_time_ms=5))
         assert result.verdict is Verdict.EXHAUSTED and "time" in result.reason
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_token_overflow(self, strategy):
         net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 0)), Transition("swap", (1, 0), (0, 1))])
         inst = instance(net, (MAX_TOKENS - 1, 0), TargetSpec.exact((0, 2)))
-        result = self.run(inst, strategy, "zero")
+        result, _ = self.run(inst, strategy, "zero")
         assert result.verdict is Verdict.EXHAUSTED and "overflow" in result.reason
         assert result.stats.expanded >= 2
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("name", ["zero", "struct"])
     def test_empty_frontier(self, strategy, name):
-        result = self.run(draining_instance(), strategy, name)
+        result, _ = self.run(draining_instance(), strategy, name)
         assert result.verdict is Verdict.UNREACHABLE
         assert result.stats.expanded > 1
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_infinite_initial_value(self, strategy):
         # The state equation cannot make four c tokens out of three.
-        result = self.run(draining_instance(), strategy, "q")
+        result, _ = self.run(draining_instance(), strategy, "q")
         assert result.verdict is Verdict.UNREACHABLE
         assert result.stats.heuristic_calls == 1 and result.stats.expanded == result.stats.discovered == 0
 
@@ -283,8 +284,7 @@ class TestRandomCorpus:
         rng = random.Random(13579)
         for _ in range(25):
             inst = random_bounded_instance(rng)
-            result = directed_search(inst, Strategy.ASTAR, make_heuristic("q", inst))
-            expanded = result.stats.expanded_markings
+            _, expanded = search_expanding(inst, Strategy.ASTAR, make_heuristic("q", inst))
             assert len(expanded) == len(set(expanded))
 
     def test_gbfs_terminates_and_upper_bounds(self):
@@ -441,8 +441,8 @@ class TestHeuristicValueTypes:
         for _ in range(20):
             inst = random_bounded_instance(rng, rational_weights=True)
             for strategy in (Strategy.DIJKSTRA, Strategy.ASTAR):
-                plain = directed_search(inst, strategy, lambda m: 0)
-                zero = directed_search(inst, strategy, make_heuristic("zero", inst))
+                plain, plain_expanded = search_expanding(inst, strategy, lambda m: 0)
+                zero, zero_expanded = search_expanding(inst, strategy, make_heuristic("zero", inst))
                 assert plain.verdict is zero.verdict
                 assert plain.distance == zero.distance
-                assert plain.stats.expanded_markings == zero.stats.expanded_markings
+                assert plain_expanded == zero_expanded

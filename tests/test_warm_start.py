@@ -11,10 +11,24 @@ from time import monotonic
 
 import pytest
 
-from ffreach import OutcomeKind, PetriNet, RationalLP, Relation, Row, TargetSpec, Transition, ilp_min, simplex_min
+from ffreach import (
+    Instance,
+    OutcomeKind,
+    PetriNet,
+    RationalLP,
+    Relation,
+    Strategy,
+    TargetSpec,
+    Transition,
+    directed_search,
+    ilp_min,
+    simplex_min,
+)
+from ffreach.ratlp import Row
 from ffreach import heuristics, ratlp
 from ffreach.heuristics import StateEquationHeuristic, make_heuristic
 import oracles
+from conftest import chain_net
 from oracles import random_bounded_instance, reference_ilp_min, reference_simplex_min
 from test_ratlp import check_point, random_integer_lp, random_lp
 
@@ -312,6 +326,38 @@ class TestMemoWarmStarts:
             for m in _bfs_order(inst.net, inst.init):
                 assert memo(m) == StateEquationHeuristic(inst.net, inst.target, integral)(m), m
         assert sum(warm) >= 20
+
+    def test_warm_z_solves_skip_the_lattice_test(self, monkeypatch):
+        """A warm ``z`` re-solve gets no LP, so it skips the lattice test:
+        its start is a predecessor's tableau shifted by an integer firing
+        vector, which keeps the equality rows solvable over the integers.
+        Only the search's cold root runs the test."""
+        checks, solves = [], []
+        check, solver = ratlp._lattice_infeasible, heuristics.ilp_min
+
+        def counted_check(lp):
+            checks.append(lp)
+            return check(lp)
+
+        def recorded(lp, *args):
+            solves.append(lp)
+            return solver(lp, *args)
+
+        monkeypatch.setattr(ratlp, "_lattice_infeasible", counted_check)
+        monkeypatch.setattr(heuristics, "ilp_min", recorded)
+        inst = Instance(chain_net(), (1, 0, 0), frozenset(), TargetSpec.exact((0, 0, 3))).validate()
+        memo, asked = make_heuristic("z", inst), {}
+
+        def h(m):
+            asked[m] = memo(m)
+            return asked[m]
+
+        assert directed_search(inst, Strategy.ASTAR, h).distance == 8
+        assert solves[0] is not None and solves[1:] == [None, None]
+        assert len(checks) == 1
+        for m, value in asked.items():
+            cold = StateEquationHeuristic(inst.net, inst.target, integral=True)(m)
+            assert (value, type(value)) == (cold, type(cold)), m
 
 
 def _bfs_order(net, init):

@@ -37,7 +37,7 @@ print("  d_Z:", StateEquationHeuristic(parity, odd, integral=True)((0,)))
 
 # %% The structural bound: tokens travel along place-to-place edges induced
 # by transitions; the slowest token gives the bound.  Cheap to evaluate
-# after a one-off all-pairs shortest path precomputation.
+# after one Dijkstra from the target's support over the reversed edges.
 chain_places = ["p1", "p2", "p3"]
 chain = PetriNet(
     chain_places,

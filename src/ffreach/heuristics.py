@@ -18,7 +18,8 @@ Three families are provided, each bound to one net and target when built:
   no ``Fraction`` unless the value itself is fractional.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
-  its output places.
+  its output places; each place's cost to reach the target comes from one
+  Dijkstra from the target's support over the reversed edges.
 * the zero heuristic, which turns best-first search into Dijkstra.
 """
 
@@ -48,13 +49,6 @@ _NO_SHIFT: dict[int, int] = {}
 
 #: The memo entry of a marking whose state equation has no solution.
 _INFINITE = (INF, 0, None, 1, None, _NO_SHIFT)
-
-
-def _as_int(value):
-    """``value`` as an ``int`` when it is an integral Fraction, else unchanged."""
-    if value is not INF and value.denominator == 1:
-        return value.numerator
-    return value
 
 
 def _quotient(num: int, den: int):
@@ -193,7 +187,8 @@ class StateEquationHeuristic:
         if outcome.kind is OutcomeKind.INFEASIBLE:
             known = _INFINITE
         elif outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:
-            known = (_as_int(outcome.lower_bound), 0, None, 1, outcome.tableau, _NO_SHIFT)
+            bound = outcome.lower_bound
+            known = (_quotient(bound.numerator, bound.denominator), 0, None, 1, outcome.tableau, _NO_SHIFT)
         else:
             assert outcome.kind is OutcomeKind.OPTIMAL, "positive weights keep the LP bounded"
             optimum = outcome.optimum
@@ -207,56 +202,49 @@ class StructHeuristic:
     """``d_struct``: every token must travel to a legal target place or be
     destroyed; the slowest such token gives the bound.
 
-    Nodes of the abstraction are the places plus a sink (index ``sink``)
-    that stands for "token created from nothing / destroyed".  ``dist[p][q]``
-    is the minimal weight needed to move a token from p to q through
-    transitions, or INF.  Built once: all-pairs Dijkstra, then each place's
-    cost to reach the target support.
+    Nodes of the abstraction are the places plus a sink that stands for
+    "token created from nothing / destroyed"; each transition is an edge
+    from each of its input places (or the sink) to each of its output
+    places (or the sink).  A place's cost ``kappa`` is the minimal weight
+    that moves a token from it to the target support (the places a target
+    marking may hold tokens in) or to the sink, or INF.  Built once: one
+    Dijkstra from the support and the sink over the reversed edges.
     """
 
     def __init__(self, net: PetriNet, target: TargetSpec):
-        self.sink = sink = net.num_places
-        num_nodes = sink + 1
-        # Dijkstra runs on the net's weights times ``scale`` (``L``), as
-        # ints; distances are divided back at the end.
-        scale = net.scale
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        sink = net.num_places
+        # The reversed edges, into each output place or the sink.  A
+        # transition without inputs leaves the sink, whose cost is 0, so it
+        # adds none.  Dijkstra runs on the net's weights times ``scale``
+        # (``L``), as ints; costs are divided back at the end.
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
         for trans, guard, weight in zip(net.transitions, net._guards, net.scaled_weights):
-            ins = [p for p, _ in guard] or [sink]
-            outs = [p for p, count in enumerate(trans.produce) if count] or [sink]
-            for p in ins:
-                for q in outs:
-                    if p != q:
-                        adjacency[p].append((q, weight))
+            for q in [q for q, count in enumerate(trans.produce) if count] or [sink]:
+                preds[q].extend((p, weight) for p, _ in guard)
 
-        table = []
-        for source in range(num_nodes):
-            dist: list[object] = [INF] * num_nodes
-            dist[source] = 0
-            heap: list[tuple[int, int]] = [(0, source)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if d > dist[node]:
-                    continue
-                for succ, weight in adjacency[node]:
-                    nd = d + weight
-                    if nd < dist[succ]:
-                        dist[succ] = nd
-                        heapq.heappush(heap, (nd, succ))
-            table.append(dist)
-        # One Fraction per distinct distance; INF stays INF.
-        exact = {d: Fraction(d, scale) for dist in table for d in dist if d is not INF}
-        self.dist = tuple(tuple(exact.get(d, INF) for d in dist) for dist in table)
+        # Places where a token may legally sit in some target marking, plus
+        # the sink, all at cost 0; in increasing order, so already a heap.
+        heap = [(0, p) for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
+        heap.append((0, sink))
+        cost: list[object] = [INF] * (sink + 1)
+        for _, p in heap:
+            cost[p] = 0
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > cost[node]:
+                continue
+            for p, weight in preds[node]:
+                if d + weight < cost[p]:
+                    cost[p] = d + weight
+                    heapq.heappush(heap, (d + weight, p))
 
-        # Places where a token may legally sit in some target marking, plus sink.
-        support = [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
-        support.append(sink)
-        kappa = (min(self.dist[p][q] for q in support) for p in range(net.num_places))
         # Places of positive cost, costliest first: the first marked one
         # gives the value, an ``int`` when integral.  The sink is marked in
         # every marking and costs 0.
         self._by_cost = tuple(
-            sorted(((p, _as_int(k)) for p, k in enumerate(kappa) if k > 0), key=lambda entry: entry[1], reverse=True)
+            (p, k if k is INF else _quotient(k, net.scale))
+            for p, k in sorted(enumerate(cost[:sink]), key=lambda entry: entry[1], reverse=True)
+            if k
         )
 
     def __call__(self, m: Marking):

@@ -313,36 +313,96 @@ def brute_force_struct_table(net):
     return table
 
 
+def _unit(net, p):
+    return tuple(int(q == p) for q in range(net.num_places))
+
+
+def _support(target):
+    return [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
+
+
+def _chain(length):
+    """p0 -> p1 -> ... -> p(length-1) -> sink, each step of weight 1."""
+    places = [f"p{i}" for i in range(length)]
+    transitions = [
+        Transition.from_maps(f"t{i}", places, consume={places[i]: 1}, produce={places[i + 1]: 1})
+        for i in range(length - 1)
+    ]
+    transitions.append(Transition.from_maps("drain", places, consume={places[-1]: 1}))
+    return PetriNet(places, transitions, name="long-chain")
+
+
 class TestStructuralDistance:
     def test_abstraction_edges(self, n2):
-        ctx = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
-        sink = ctx.sink
-        assert ctx.dist[sink][0] == 1  # source transition: sink -> p1
-        assert ctx.dist[0][1] == 1  # p1 -> p2
-        assert ctx.dist[1][2] == 1  # p2 -> p3
-        assert ctx.dist[2][sink] == 1  # consumer: p3 -> sink
-        assert ctx.dist[2][0] == 1  # feedback: p3 -> p1
-        assert ctx.dist[1][0] == 2  # p2 -> p3 -> p1
+        # kappa of each unit marking; the four targets between them read
+        # every edge into a place or the sink.
+        towards = {
+            (1, 0, 0): (0, 2, 1),  # p2 -> p3 -> p1, p3 -> sink
+            (0, 0, 0): (3, 2, 1),  # p1 -> p2 -> p3 -> sink
+            (0, 1, 0): (1, 0, 1),  # p1 -> p2, p3 -> sink
+            (0, 0, 1): (2, 1, 0),  # p1 -> p2 -> p3
+        }
+        for target, kappas in towards.items():
+            h = StructHeuristic(n2, TargetSpec.exact(target))
+            assert tuple(h(_unit(n2, p)) for p in range(3)) == kappas, target
 
     def test_empty_transition_gives_no_self_loop(self):
         net = PetriNet(["a"], [Transition("noop", (0,), (0,))])
-        ctx = StructHeuristic(net, TargetSpec.exact((0,)))
-        assert ctx.dist[1][1] == 0
-        assert ctx.dist[0][1] == INF and ctx.dist[1][0] == INF
+        assert StructHeuristic(net, TargetSpec.exact((0,)))((1,)) == INF
+        assert StructHeuristic(net, TargetSpec.exact((1,)))((1,)) == 0
 
-    def test_table_matches_path_enumeration(self, n2):
-        ctx = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
-        oracle = brute_force_struct_table(n2)
-        for u in range(n2.num_places + 1):
-            for v in range(n2.num_places + 1):
-                assert ctx.dist[u][v] == oracle[(u, v)]
+    def test_kappa_matches_path_enumeration(self, n2):
+        # (net, its own target, its initial marking)
+        cases = [
+            (n2, TargetSpec.exact((1, 0, 0)), (0, 1, 1)),
+            (_chain(6), TargetSpec.exact((0,) * 6), (1, 0, 2, 0, 0, 1)),
+        ]
+        rng = random.Random(2718)
+        for i in range(30):
+            inst = random_bounded_instance(rng, rational_weights=i % 2 == 1)
+            cases.append((inst.net, inst.target, inst.init))
+        checked = fractional = 0
+        for net, own, init in cases:
+            table = brute_force_struct_table(net)
+            sink = net.num_places
+            mixed = TargetSpec(tuple((Relation.EQ if p % 2 else Relation.GEQ, v) for p, v in enumerate(init)))
+            for target in (own, TargetSpec.exact(init), TargetSpec.cover(init), mixed):
+                h = StructHeuristic(net, target)
+                support = _support(target)
+                for p in range(sink):
+                    expected = min(table[(p, q)] for q in support + [sink])
+                    if p in support:
+                        assert expected == 0
+                    value = h(_unit(net, p))
+                    assert value == expected, (net.places, target, p)
+                    if expected != INF:
+                        assert type(value) is (int if expected.denominator == 1 else F)
+                        fractional += expected.denominator != 1
+                    checked += 1
+        assert checked > 300 and fractional > 0, (checked, fractional)
 
     def test_worked_example(self, n2):
-        ctx = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
+        h = StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))
         # kappa(p2) = 2 and kappa(p3) = 1; the slowest token decides.
-        assert min(ctx.dist[1][q] for q in (0, ctx.sink)) == 2
-        assert min(ctx.dist[2][q] for q in (0, ctx.sink)) == 1
-        assert ctx((0, 1, 1)) == 2
+        assert h((0, 1, 0)) == 2
+        assert h((0, 0, 1)) == 1
+        assert h((0, 1, 1)) == 2
+
+    def test_one_dijkstra_bounds_the_work(self, monkeypatch):
+        net = _chain(40)
+        edges = net.num_transitions  # each moves one place's token to the next place or the sink
+        pops = 0
+        heappop = heuristics.heapq.heappop
+
+        def counting(heap):
+            nonlocal pops
+            pops += 1
+            return heappop(heap)
+
+        monkeypatch.setattr(heuristics.heapq, "heappop", counting)
+        h = StructHeuristic(net, TargetSpec.exact((0,) * 40))
+        assert 0 < pops <= net.num_places + 1 + edges
+        assert h(_unit(net, 0)) == 40
 
     def test_zero_on_satisfying_marking(self, n2):
         assert StructHeuristic(n2, TargetSpec.exact((1, 0, 0)))((1, 0, 0)) == 0
@@ -351,10 +411,9 @@ class TestStructuralDistance:
 
     def test_token_burial_distance(self, n2):
         # All tokens must drain through the pipeline and vanish at the sink.
-        ctx = StructHeuristic(n2, TargetSpec.exact((0, 0, 0)))
         oracle = brute_force_struct_table(n2)
-        assert oracle[(0, ctx.sink)] == 3
-        assert ctx((1, 0, 0)) == 3
+        assert oracle[(0, n2.num_places)] == 3
+        assert StructHeuristic(n2, TargetSpec.exact((0, 0, 0)))((1, 0, 0)) == 3
 
     def test_stuck_token_is_infinite(self):
         places = ["a", "b"]
@@ -464,9 +523,7 @@ def _brute_force_struct(net, target, m):
     """The slowest marked place's cost to reach the target support, from
     the path-enumeration table."""
     table = brute_force_struct_table(net)
-    sink = net.num_places
-    support = [p for p, (rel, bound) in enumerate(target.constraints) if rel is Relation.GEQ or bound > 0]
-    support.append(sink)
+    support = _support(target) + [net.num_places]
     costs = [min(table[(p, q)] for q in support) for p in range(net.num_places) if m[p] > 0]
     return max(costs, default=F(0))
 

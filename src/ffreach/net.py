@@ -6,19 +6,22 @@ vector (tokens added per place) and a positive rational weight.  Markings
 are plain tuples of token counts, which makes them canonical, hashable and
 directly usable as graph nodes.
 
-The token game reads sparse tables built once per net: each transition's
-guard as ``((place, need), ...)`` over the places it needs tokens from, and
-its effect as ``((place, delta), ...)`` over the places it changes.  Firing
-tests and edits only those entries, and only a positive delta can overflow.
+The token game reads one firing record per transition, built from the
+sparse guard and effect tables on first use (a net that is parsed or pruned
+but never fired never builds it): ``(t, p0, n0, rest, deltas, raises)`` is
+the guard's first ``(place, need)`` entry, tested inline (``(0, 0)`` when
+empty), its other entries, the ``(place, delta)`` effect entries, and the
+places with a positive delta, the only ones that can pass ``MAX_TOKENS``.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
 valid by construction (the parser's output after its own line-numbered
 checks, and the nets ``desugar_init`` and ``prune_instance`` derive from a
 valid one) are built through ``PetriNet._trusted``, without the check.  Both
-build every table in ``_build_tables``, once per net: besides the sparse
-tables, the dense effects the state equation reads, and ``L``, the lcm of
-the weight denominators, with the ``L``-scaled weights the search reads.
+build every other table in ``_build_tables``, once per net: besides the
+sparse tables, the dense effects the state equation reads, and ``L``, the
+lcm of the weight denominators, with the ``L``-scaled weights the search and
+``witness`` read.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 #: Markings are dense tuples of token counts, one entry per place.
@@ -162,7 +166,7 @@ class PetriNet:
         return net
 
     def _build_tables(self) -> None:
-        """Every table derived from the net's parts, built once per net."""
+        """Every table but the firing records, built once per net."""
         transitions = self.transitions
         self._effects = effects = tuple([tuple(map(operator.sub, t.produce, t.guard)) for t in transitions])
         self._guards = tuple([tuple([(p, need) for p, need in enumerate(t.guard) if need]) for t in transitions])
@@ -198,12 +202,19 @@ class PetriNet:
             raise NetDefinitionError(f"marking components must be in [0, 2**64): {marking}")
         return marking
 
+    @cached_property
+    def _firings(self) -> tuple[tuple, ...]:
+        """The firing record of each transition, in index order."""
+        return tuple([
+            (t, *(guard[0] if guard else (0, 0)), guard[1:], deltas, tuple([p for p, d in deltas if d > 0]))
+            for t, (guard, deltas) in enumerate(zip(self._guards, self._deltas))
+        ])
+
     def is_firable(self, m: Marking, t: int) -> bool:
         """True iff the marking dominates the guard of transition ``t``."""
-        for p, need in self._guards[t]:
-            if m[p] < need:
-                return False
-        return True
+        _, p0, n0, rest, _, _ = self._firings[t]
+        # An empty guard reads no place: a net without places has none to read.
+        return (not n0 or m[p0] >= n0) and all(m[p] >= need for p, need in rest)
 
     def fire(self, m: Marking, t: int) -> Marking:
         """Fire transition ``t``, returning the successor marking."""
@@ -213,41 +224,44 @@ class PetriNet:
                 f"transition {trans.name!r} is not firable: marking {m} below guard {trans.guard}",
                 transition=t,
             )
-        return self._apply(m, t)
-
-    def _apply(self, m: Marking, t: int) -> Marking:
-        """Add the effect of an enabled transition ``t`` to ``m``."""
+        _, _, _, _, deltas, raises = self._firings[t]
         result = list(m)
-        for p, delta in self._deltas[t]:
-            v = result[p] + delta
-            if delta > 0 and v > MAX_TOKENS:
-                raise TokenOverflowError(
-                    f"firing {self.transitions[t].name!r} overflows a token count", transition=t
-                )
-            result[p] = v
+        for p, delta in deltas:
+            result[p] += delta
+        if any(result[p] > MAX_TOKENS for p in raises):
+            raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
         return tuple(result)
 
     def successors(self, m: Marking) -> list[tuple[int, Marking]]:
         """All enabled transitions with their successor markings, in index order."""
+        if not m:  # a net without places: every guard is empty
+            return [(t, m) for t in range(len(self.transitions))]
         out = []
-        # is_firable's test, inlined: a call per transition costs more than the test.
-        for t, guard in enumerate(self._guards):
-            for p, need in guard:
+        # fire's rule, inlined: a call per enabled transition costs more than the rule.
+        for t, p0, n0, rest, deltas, raises in self._firings:
+            if m[p0] < n0:
+                continue
+            for p, need in rest:
                 if m[p] < need:
                     break
             else:
-                out.append((t, self._apply(m, t)))
+                result = list(m)
+                for p, delta in deltas:
+                    result[p] += delta
+                for p in raises:
+                    if result[p] > MAX_TOKENS:
+                        raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
+                out.append((t, tuple(result)))
         return out
 
     def witness(self, seq: Sequence[int]) -> Witness:
         """Package a transition sequence as a Witness (weight and Parikh counts)."""
         seq = tuple(int(t) for t in seq)
         parikh = [0] * self.num_transitions
-        total = Fraction(0)
         for t in seq:
             parikh[t] += 1
-            total += self.transitions[t].weight
-        return Witness(seq, total, tuple(parikh))
+        total = sum(map(operator.mul, parikh, self.scaled_weights))  # L times the weight
+        return Witness(seq, Fraction(total, self.scale), tuple(parikh))
 
     def replay(self, m0: Marking, seq: Sequence[int]) -> tuple[Marking, Witness]:
         """Fire ``seq`` from ``m0``; fails with the step index on a guard violation."""

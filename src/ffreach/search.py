@@ -9,7 +9,10 @@ non-minimal witness.
 Frontier management follows the classic lazy-deletion scheme: a marking is
 (re)pushed whenever its best known path weight improves, and stale heap
 entries are dropped on pop.  Ties are broken by smaller heuristic value,
-then insertion order, so runs are fully reproducible.
+then insertion order, so runs are fully reproducible.  One table maps each
+marking reached to its node ``(g, parent, t)``: its best known path weight,
+the marking it was reached from and the transition fired there (``None``
+and ``None`` at the root).
 
 The loop runs on integers.  It reads ``L``, the lcm of the transitions'
 weight denominators, and the ``L``-scaled weights from the net, which builds
@@ -19,8 +22,8 @@ is integral).  Scaling by ``L > 0`` keeps every priority order and every
 tie, so the expansions are those of the rational loop; the reported
 distance is the witness's ``Fraction`` weight.  A heuristic returns a
 ``Fraction`` (or ``int``), or any float infinity; an ``int`` value is scaled
-by one multiplication, which is why ``zero`` and ``struct`` return ``int``
-whenever their value is integral.
+by one inline multiplication, which is why ``zero`` and ``struct`` return
+``int`` whenever their value is integral.
 
 One expansion costs as little as the loop allows: its lookups are bound to
 locals once per search, the priority is picked by two booleans fixed per
@@ -28,10 +31,11 @@ strategy, the counters live in locals and are written to ``SearchStats``
 once, on exit, and the goal test is the one ``TargetSpec`` compiled when it
 was made (a single tuple comparison for an exact target).
 
-With assertions on, each expanded marking's parent link is checked in O(1):
-``g[parent] + L * w(t) <= g[m]``.  Every link is made with equality and a
-parent's ``g`` only falls later, so this holds for a correct loop; the full
-parent chain is rebuilt and weighed only for the goal's witness.
+With assertions on, each expanded marking's parent link is checked in O(1)
+on the node table: ``g(parent) + L * w(t) <= g(m)``.  Every link is made
+with equality and a parent's ``g`` only falls later, so this holds for a
+correct loop; the full parent chain is rebuilt and weighed only for the
+goal's witness.
 """
 
 from __future__ import annotations
@@ -92,10 +96,8 @@ class SearchResult:
 
 
 def _scaled(h, scale: int):
-    """``scale * h`` for a heuristic value ``h``: an ``int`` whenever it is
-    integral, and ``INF`` itself for any float infinity."""
-    if h.__class__ is int:
-        return h * scale
+    """``scale * h`` for a heuristic value ``h``: an ``int`` when integral, and
+    ``INF`` for any float infinity.  The loop scales an ``int`` ``h`` inline."""
     if not h:
         return 0
     if isinstance(h, float):
@@ -106,18 +108,18 @@ def _scaled(h, scale: int):
     return numerator // h.denominator
 
 
-def reconstruct_witness(parents: dict[Marking, tuple[Marking, int]], goal: Marking) -> list[int]:
-    """Follow parent links from the goal back to the root; returns the
-    transition sequence in firing order."""
+def reconstruct_witness(nodes: dict[Marking, tuple[int, Marking | None, int | None]], goal: Marking) -> list[int]:
+    """Follow the node table's parent links from the goal back to the root,
+    whose parent is ``None``; returns the transitions in firing order."""
     seq: list[int] = []
     m = goal
-    for _ in range(len(parents) + 1):
-        link = parents.get(m)
-        if link is None:
+    for _ in range(len(nodes)):
+        _, parent, t = nodes[m]
+        if parent is None:
             seq.reverse()
             return seq
-        m, t = link
         seq.append(t)
+        m = parent
     raise BrokenParentChainError(f"parent chain from {goal} does not terminate")
 
 
@@ -156,15 +158,14 @@ def directed_search(
 
     # The priority is g for Dijkstra, h for GBFS and g + h for A*.
     dijkstra, greedy = strategy is Strategy.DIJKSTRA, strategy is Strategy.GBFS
-    g: dict[Marking, int] = {init: 0}
-    parents: dict[Marking, tuple[Marking, int]] = {}
+    nodes: dict[Marking, tuple[int, Marking | None, int | None]] = {init: (0, None, None)}
     expanded, discovered, heuristic_calls = 0, 1, 1
     counter = 0
     frontier: list[tuple[object, object, int, int, Marking]] = [
         (0 if dijkstra else h_init, h_init, counter, 0, init)
     ]
 
-    heappop, heappush, g_get, successors_of = heapq.heappop, heapq.heappush, g.get, net.successors
+    heappop, heappush, node_of, successors_of = heapq.heappop, heapq.heappush, nodes.get, net.successors
     max_expansions, max_time_ms, monotonic = limits.max_expansions, limits.max_time_ms, time.monotonic
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
@@ -175,15 +176,15 @@ def directed_search(
             return finish(result, expanded, discovered, heuristic_calls)
 
         _, _, _, g_m, m = heappop(frontier)
-        if g_m != g[m]:
+        node = nodes[m]
+        if g_m != node[0]:
             continue  # stale entry: this marking was re-pushed with a better path
         expanded += 1
-        if __debug__ and m in parents:
-            parent, t = parents[m]
-            assert g[parent] + weights[t] <= g_m, "parent link heavier than the best known path"
+        if __debug__ and node[1] is not None:  # node = (g, parent, t)
+            assert nodes[node[1]][0] + weights[node[2]] <= g_m, "parent link heavier than the best known path"
 
         if satisfied(m):
-            witness = net.witness(reconstruct_witness(parents, m))
+            witness = net.witness(reconstruct_witness(nodes, m))
             # The recorded parent chain is a real path, never worse than g.
             assert witness.total_weight * scale <= g_m
             if not greedy:
@@ -200,17 +201,17 @@ def directed_search(
 
         for t, succ in successors:
             g_new = g_m + weights[t]
-            g_old = g_get(succ)
-            if g_old is not None and g_new >= g_old:
+            old = node_of(succ)
+            if old is not None and g_new >= old[0]:
                 continue
             heuristic_calls += 1
-            h = _scaled(heuristic(succ), scale)
+            h = heuristic(succ)
+            h = h * scale if h.__class__ is int else _scaled(h, scale)
             if h is INF:
                 continue  # the target is unreachable from succ; skip it entirely
-            if g_old is None:
+            if old is None:
                 discovered += 1
-            g[succ] = g_new
-            parents[succ] = (m, t)
+            nodes[succ] = (g_new, m, t)
             counter += 1
             heappush(frontier, (g_new if dijkstra else h if greedy else g_new + h, h, counter, g_new, succ))
 

@@ -251,6 +251,7 @@ def assert_same_tables(net: PetriNet) -> None:
     assert net._guards == rebuilt._guards
     assert net._deltas == rebuilt._deltas
     assert net._effects == rebuilt._effects
+    assert net._firings == rebuilt._firings
     assert net.scale == rebuilt.scale
     assert net.scaled_weights == rebuilt.scaled_weights
 
@@ -303,13 +304,34 @@ def test_replay_weight_equals_length_on_unit_weights(case):
         assert witness.parikh[t] == seq.count(t)
 
 
+def _dense_fire(net, m, t):
+    """Reference firing straight from the dense guard/produce vectors, with
+    token counts limited to 64 bits."""
+    trans = net.transitions[t]
+    if any(have < need for have, need in zip(m, trans.guard)):
+        raise NotFirableError("reference: not firable", t)
+    succ = tuple(v - g + p for v, g, p in zip(m, trans.guard, trans.produce))
+    if max(succ, default=0) > MAX_TOKENS:
+        raise TokenOverflowError("reference: overflow", t)
+    return succ
+
+
 def _dense_successors(net, m):
-    """Reference token game straight from the dense guard/produce vectors."""
-    out = []
-    for t, trans in enumerate(net.transitions):
-        if all(have >= need for have, need in zip(m, trans.guard)):
-            out.append((t, tuple(v - g + p for v, g, p in zip(m, trans.guard, trans.produce))))
-    return out
+    """Reference token game: every enabled transition with its successor, in
+    index order; raises at the first one whose result passes MAX_TOKENS."""
+    return [
+        (t, _dense_fire(net, m, t))
+        for t, trans in enumerate(net.transitions)
+        if all(have >= need for have, need in zip(m, trans.guard))
+    ]
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the kind and transition of its error."""
+    try:
+        return call()
+    except (NotFirableError, TokenOverflowError) as exc:
+        return type(exc), exc.transition
 
 
 class TestSparseTokenGame:
@@ -329,6 +351,49 @@ class TestSparseTokenGame:
                     assert net.fire(m, t) == succ
                 checked += 1
         assert checked > 500
+
+    def test_overflow_matches_dense_reference(self):
+        """Markings with counts near the 64-bit limit, on random nets that
+        include guards of several entries and a zero-effect self-loop:
+        ``successors`` and ``fire`` return what the reference returns, or
+        raise for the same transition, and ``is_firable`` agrees."""
+        rng = random.Random(6464)
+        counts = (0, 1, 2, MAX_TOKENS - 2, MAX_TOKENS - 1, MAX_TOKENS)
+        overflows = long_guards = full_loops = 0
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            places = [f"p{i}" for i in range(n)]
+            transitions = []
+            for k in range(rng.randint(1, 6)):
+                guard, produce = [0] * n, [0] * n
+                for _ in range(rng.randint(0, 3)):
+                    guard[rng.randrange(n)] += 1
+                for _ in range(rng.randint(0, 3)):
+                    produce[rng.randrange(n)] += 1
+                transitions.append(Transition(f"t{k}", tuple(guard), tuple(produce)))
+            loop_place = rng.randrange(n)
+            loop = tuple(int(p == loop_place) for p in range(n))
+            transitions.insert(rng.randint(0, len(transitions)), Transition("loop", loop, loop))
+            net = PetriNet(places, transitions)
+            for _ in range(30):
+                m = tuple(rng.choice(counts) for _ in places)
+                expected = _outcome(lambda: _dense_successors(net, m))
+                assert _outcome(lambda: net.successors(m)) == expected
+                for t, trans in enumerate(net.transitions):
+                    assert _outcome(lambda: net.fire(m, t)) == _outcome(lambda: _dense_fire(net, m, t))
+                    enabled = net.is_firable(m, t)
+                    assert enabled == all(have >= need for have, need in zip(m, trans.guard))
+                    long_guards += enabled and sum(map(bool, trans.guard)) >= 2
+                    full_loops += enabled and trans.name == "loop" and m[loop_place] == MAX_TOKENS
+                overflows += not isinstance(expected, list)  # (TokenOverflowError, t)
+        assert overflows >= 100 and long_guards >= 100 and full_loops >= 50
+
+    def test_net_without_places(self):
+        # Pruning can remove every place; its one marking () enables every transition.
+        net = PetriNet([], [Transition("t", (), ()), Transition("u", (), (), 2)])
+        assert net.successors(()) == [(0, ()), (1, ())]
+        assert net.is_firable((), 1) and net.fire((), 1) == ()
+        assert net.replay((), [1, 0, 1])[1].total_weight == 5
 
     def _overflow_net(self) -> PetriNet:
         places = ["a", "b", "c"]

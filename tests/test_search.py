@@ -211,17 +211,20 @@ class TestEveryExit:
 
 
 class TestWitnessReconstruction:
+    """The node table maps a marking to ``(g, parent, t)``; the root's
+    parent and transition are ``None``."""
+
     def test_empty_chain(self):
-        assert reconstruct_witness({}, (0, 0)) == []
+        assert reconstruct_witness({(0, 0): (0, None, None)}, (0, 0)) == []
 
     def test_two_step_chain(self):
-        parents = {(2,): ((1,), 7), (1,): ((0,), 4)}
-        assert reconstruct_witness(parents, (2,)) == [4, 7]
+        nodes = {(0,): (0, None, None), (1,): (1, (0,), 4), (2,): (3, (1,), 7)}
+        assert reconstruct_witness(nodes, (2,)) == [4, 7]
 
     def test_cycle_detected(self):
-        parents = {(0,): ((1,), 0), (1,): ((0,), 1)}
+        nodes = {(0,): (1, (1,), 0), (1,): (1, (0,), 1)}
         with pytest.raises(BrokenParentChainError):
-            reconstruct_witness(parents, (0,))
+            reconstruct_witness(nodes, (0,))
 
 
 def gbfs_trap_instance() -> Instance:

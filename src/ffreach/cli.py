@@ -15,9 +15,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .heuristics import HEURISTIC_NAMES, make_heuristic
 from .instance_io import (
@@ -128,8 +128,7 @@ def _json(value, indent: str = "\n") -> str:
 _FIELD_INDENT = "\n  "
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     """Everything cmd_solve prints; JSON keys are stable and timing-free."""
 
     verdict: str
@@ -239,9 +238,8 @@ def solve_instance(
                 pruned.verdict.value,
             )
         if pruned.verdict is PruneVerdict.IMMEDIATELY_UNREACHABLE:
-            result = SearchResult(Verdict.UNREACHABLE)
-            result.reason = "target demands tokens in a place that can never be marked"
-            return result, [], 0
+            reason = "target demands tokens in a place that can never be marked"
+            return SearchResult(Verdict.UNREACHABLE, reason=reason), [], 0
         search_inst = pruned.pruned_instance
 
     deadline = None

@@ -26,9 +26,8 @@ as a token-by-token reading would.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .net import MAX_TOKENS, Marking, NetDefinitionError, PetriNet, Transition, _nat_vector
 from .ratlp import Relation
@@ -55,18 +54,19 @@ class NonPositiveWeightError(FnetParseError):
     pass
 
 
-@dataclass(frozen=True)
 class TargetSpec:
     """One (relation, bound) constraint per place; GEQ 0 constrains nothing.
 
     The membership test is compiled once, when the spec is made: an exact
     target is a single tuple comparison, and any other target checks only
-    its ``=`` places and its ``>=`` places with a positive bound."""
+    its ``=`` places and its ``>=`` places with a positive bound.  Immutable,
+    and compared, hashed and shown by ``constraints`` alone."""
+
+    __slots__ = ("constraints", "_goal", "_equal", "_at_least")
 
     constraints: tuple[tuple[Relation, int], ...]
 
-    def __post_init__(self):
-        constraints = self.constraints
+    def __init__(self, constraints: Sequence[tuple[Relation, int]]):
         equal, at_least = [], []
         for p, (rel, bound) in enumerate(constraints):
             if rel is Relation.EQ:
@@ -76,13 +76,34 @@ class TargetSpec:
             elif bound:
                 at_least.append((p, bound))
         bounds = _nat_vector([bound for _, bound in constraints], "target bounds")
-        # The dataclass is frozen, so what is derived is set through object.
         if type(constraints) is not tuple or list in map(type, constraints):
             # Keep the checked pairs, so that a spec given lists is hashable.
-            object.__setattr__(self, "constraints", tuple(zip([rel for rel, _ in constraints], bounds)))
-        object.__setattr__(self, "_goal", bounds if len(equal) == len(constraints) else None)
-        object.__setattr__(self, "_equal", tuple(equal))
-        object.__setattr__(self, "_at_least", tuple(at_least))
+            constraints = tuple(zip([rel for rel, _ in constraints], bounds))
+        # The spec rejects assignment, so its slots are set through object.
+        init = object.__setattr__
+        init(self, "constraints", constraints)
+        init(self, "_goal", bounds if len(equal) == len(constraints) else None)
+        init(self, "_equal", tuple(equal))
+        init(self, "_at_least", tuple(at_least))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.constraints == other.constraints
+
+    def __hash__(self):
+        return hash((self.constraints,))
+
+    def __repr__(self):
+        return f"TargetSpec(constraints={self.constraints!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild the spec rather than set its slots
+        return TargetSpec, (self.constraints,)
 
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
@@ -110,8 +131,7 @@ class TargetSpec:
         return self._goal is not None
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A solvable problem: net, initial marking, upward flags, target."""
 
     net: PetriNet
@@ -120,25 +140,23 @@ class Instance:
     target: TargetSpec
 
     def validate(self) -> "Instance":
-        """Check the parts against the net.  Keeps what it checked: ``init``
-        as a tuple of ``int``s and the flags as a frozenset, so that the
-        instance is hashable whatever containers it was given."""
+        """Check the parts against the net.  Returns a copy with what it
+        checked: ``init`` as a tuple of ``int``s and the flags as a frozenset,
+        so that the copy is hashable whatever containers it was given."""
         net = self.net
         init = net.check_marking(self.init)
-        object.__setattr__(self, "init", init)
-        if type(self.init_upward) is not frozenset:
-            object.__setattr__(self, "init_upward", frozenset(self.init_upward))
+        upward = frozenset(self.init_upward)  # the flags themselves when already a frozenset
         num_places = len(net.places)
         if len(self.target.constraints) != num_places:
             raise NetDefinitionError("target spec length differs from place count")
-        for p in self.init_upward:
+        for p in upward:
             if not 0 <= p < num_places:
                 raise NetDefinitionError(f"init_upward references place index {p}")
             if init[p] < 1:
                 raise NetDefinitionError(
                     f"upward-flagged place {net.places[p]!r} needs at least 1 initial token"
                 )
-        return self
+        return self._replace(init=init, init_upward=upward)
 
 
 _ID_RE = re.compile(r"^[^\s=:>#]+$")

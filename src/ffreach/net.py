@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 #: Markings are dense tuples of token counts, one entry per place.
 Marking = tuple[int, ...]
@@ -83,8 +82,7 @@ def _nat_vector(values: Iterable[int], what: str) -> tuple[int, ...]:
     return vec
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One transition: guard and produce vectors indexed like the net's places."""
 
     name: str
@@ -112,8 +110,7 @@ class Transition:
         return cls(name, _nat_vector(guard, "guard"), _nat_vector(prod, "produce"), _as_weight(weight))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A fired transition sequence with its total weight and occurrence counts."""
 
     sequence: tuple[int, ...]

@@ -12,8 +12,8 @@ removed place, the instance is settled on the spot.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .instance_io import Instance, TargetSpec
 from .net import PetriNet, Transition
@@ -24,8 +24,7 @@ class PruneVerdict(Enum):
     IMMEDIATELY_UNREACHABLE = "immediately-unreachable"
 
 
-@dataclass(frozen=True)
-class PruneResult:
+class PruneResult(NamedTuple):
     """``pruned_instance`` is equivalent to the input only under the PRUNED
     verdict; an IMMEDIATELY_UNREACHABLE verdict settles the query by itself.
     The pruned net keeps the names of the places and transitions it keeps.
@@ -87,6 +86,8 @@ def prune_instance(inst: Instance) -> PruneResult:
     net = inst.net
     initially_marked = {p for p in range(net.num_places) if inst.init[p] > 0}
     initially_marked |= inst.init_upward
+    if len(initially_marked) == net.num_places:
+        return PruneResult(inst, PruneVerdict.PRUNED)  # the fixpoint cannot drop a marked place
     markable = sign_analysis(net, initially_marked)
 
     if len(markable) == net.num_places:

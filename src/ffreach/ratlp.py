@@ -75,13 +75,12 @@ negative entry proves the problem infeasible.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from time import monotonic
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 ZERO = Fraction(0)
 
@@ -104,27 +103,30 @@ class UnboundedRelaxation(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     coeffs: tuple[int | Fraction, ...]
     relation: Relation
     rhs: int | Fraction
 
 
-@dataclass(frozen=True)
-class RationalLP:
-    """min objective . x  subject to rows, x >= 0 componentwise."""
-
+class _LPFields(NamedTuple):
     num_vars: int
     objective: tuple[int | Fraction, ...]
     rows: tuple[Row, ...]
 
-    def __post_init__(self):
-        if len(self.objective) != self.num_vars:
+
+class RationalLP(_LPFields):
+    """min objective . x  subject to rows, x >= 0 componentwise."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, objective: tuple[int | Fraction, ...], rows: tuple[Row, ...]):
+        if len(objective) != num_vars:
             raise ValueError("objective length differs from num_vars")
-        for row in self.rows:
-            if len(row.coeffs) != self.num_vars:
+        for row in rows:
+            if len(row.coeffs) != num_vars:
                 raise ValueError("row length differs from num_vars")
+        return super().__new__(cls, num_vars, objective, rows)
 
     @classmethod
     def build(cls, objective: Sequence, rows: Sequence[tuple[Sequence, Relation, object]]) -> "RationalLP":
@@ -223,7 +225,8 @@ class Outcome:
     """Result of :func:`simplex_min` or :func:`ilp_min`.
 
     Immutable, and compared, hashed and shown by ``kind``, ``value``,
-    ``point`` and ``lower_bound``, as a frozen dataclass of those fields is.
+    ``point`` and ``lower_bound``: equal outcomes are those with equal
+    fields, and the hash is that of the tuple of the four.
     An optimal outcome of the solver is built from ``optimum``, the
     integer tableau whose basic solution it is, and makes its ``Fraction``
     value and point only when they are first read; both stay the same
@@ -280,9 +283,11 @@ class Outcome:
         return point
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # an AttributeError, imported only when raised
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:

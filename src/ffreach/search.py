@@ -43,9 +43,9 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .heuristics import INF, Heuristic, zero_heuristic
 from .instance_io import Instance
@@ -68,27 +68,26 @@ class BrokenParentChainError(RuntimeError):
     """Parent links do not lead back to the initial marking (internal bug)."""
 
 
-@dataclass
-class SearchLimits:
+class SearchLimits(NamedTuple):
     max_expansions: int | None = None
     max_time_ms: float | None = None
 
 
-@dataclass
 class SearchStats:
-    expanded: int = 0
-    discovered: int = 0
-    heuristic_calls: int = 0
-    wall_time_ms: float = 0.0
+    __slots__ = ("expanded", "discovered", "heuristic_calls", "wall_time_ms")
+
+    def __init__(self, expanded: int = 0, discovered: int = 0, heuristic_calls: int = 0, wall_time_ms: float = 0.0):
+        self.expanded, self.discovered, self.heuristic_calls = expanded, discovered, heuristic_calls
+        self.wall_time_ms = wall_time_ms
 
 
-@dataclass
 class SearchResult:
-    verdict: Verdict
-    distance: Fraction | None = None
-    witness: Witness | None = None
-    stats: SearchStats = field(default_factory=SearchStats)
-    reason: str | None = None
+    __slots__ = ("verdict", "distance", "witness", "stats", "reason")
+
+    def __init__(self, verdict: Verdict, distance: Fraction | None = None, witness: Witness | None = None,
+                 stats: SearchStats | None = None, reason: str | None = None):
+        self.verdict, self.distance, self.witness, self.reason = verdict, distance, witness, reason
+        self.stats = SearchStats() if stats is None else stats
 
     @property
     def reachable(self) -> bool:

@@ -721,8 +721,13 @@ def random_bounded_instance(
     rational_weights: bool = False,
     upward: bool = False,
 ) -> Instance:
-    """A random instance whose reachable set is finite by construction:
-    every transition consumes at least as many tokens as it produces.
+    """A random instance whose transitions never add tokens: each one
+    consumes at least as many as it produces.  Without ``upward`` the
+    reachable set is therefore finite.  With ``upward=True`` it is not:
+    ``desugar_init`` turns each flag into a generator transition, and a
+    search whose heuristic cannot prove the target unreachable (Dijkstra
+    with ``zero``, GBFS with ``struct``) may never stop on an unreachable
+    target, so such solves need a ``SearchLimits`` bound.
 
     Half of the targets are endpoints of a short random walk (reachable by
     construction, usually at a nonzero distance); the rest are arbitrary

@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -254,6 +255,20 @@ REPORTS = {
 }
 
 
+def test_report_record():
+    report = make_report()
+    names = (
+        "verdict", "distance", "witness_ids", "generator_firings", "reason",
+        "expanded", "discovered", "heuristic_calls", "wall_time_ms", "config",
+    )
+    assert report == tuple(getattr(report, name) for name in names) == make_report()
+    assert report != make_report(expanded=5)
+    with pytest.raises(TypeError):  # its config is a dict
+        hash(report)
+    with pytest.raises(AttributeError):
+        report.verdict = "unreachable"
+
+
 class TestJsonRendering:
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_matches_standard_encoder(self, name):
@@ -456,6 +471,17 @@ class TestGenWalk:
         assert code == 65
         assert err.count("\n") == 1 and str(path) in err and "'t'" in err
         assert not out_path.exists()
+
+
+class TestStartUp:
+    def test_import_builds_no_dataclasses(self):
+        # Records are NamedTuples and slotted classes, so importing ffreach
+        # loads neither ``dataclasses`` nor the ``inspect`` it imports.
+        code = "import sys, ffreach; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestSubprocessReproducibility:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -190,6 +192,22 @@ class TestTargetSpec:
         for spec in (TargetSpec(()), TargetSpec.exact(()), TargetSpec.cover(())):
             assert spec.satisfied(())
             assert spec.satisfied([])
+
+    def test_record_contract(self):
+        spec = TargetSpec(((Relation.EQ, 0), (Relation.GEQ, 1)))
+        listed = TargetSpec([[Relation.EQ, 0], (Relation.GEQ, 1)])
+        assert listed.constraints == spec.constraints and type(listed.constraints[0]) is tuple
+        assert listed == spec and hash(listed) == hash(spec) == hash((spec.constraints,))
+        assert spec != TargetSpec.cover((0, 1)) and spec != spec.constraints
+        assert repr(spec) == "TargetSpec(constraints=((<Relation.EQ: '='>, 0), (<Relation.GEQ: '>='>, 1)))"
+        for name in ("constraints", "_goal", "_equal", "_at_least", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and twin is not spec
+            assert twin.satisfied((0, 3)) and not twin.satisfied((1, 3))
 
 
 class TestDesugar:

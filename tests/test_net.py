@@ -22,7 +22,7 @@ from ffreach import (
     prune_instance,
     serialize_instance,
 )
-from ffreach.net import MAX_TOKENS
+from ffreach.net import MAX_TOKENS, Witness
 from oracles import enumerate_reachable, random_bounded_instance
 
 T1, T2, T3 = 0, 1, 2
@@ -205,9 +205,45 @@ class TestValidation:
         assert target.constraints == ((Relation.EQ, 0), (Relation.GEQ, 1))
         assert hash(target) == hash(TargetSpec(((Relation.EQ, 0), (Relation.GEQ, 1))))
         assert hash(TargetSpec(([Relation.EQ, 0], (Relation.GEQ, 1)))) == hash(target)
-        inst = Instance(n1, [1, 0], {0}, TargetSpec.exact((0, 1))).validate()
+        given = Instance(n1, [1, 0], {0}, TargetSpec.exact((0, 1)))
+        inst = given.validate()
         assert (inst.init, inst.init_upward) == ((1, 0), frozenset({0}))
+        assert type(inst.init) is tuple and type(inst.init_upward) is frozenset
         assert hash(inst) == hash(Instance(n1, (1, 0), frozenset({0}), TargetSpec.exact((0, 1))))
+        # The receiver keeps what it was given.
+        assert given.init == [1, 0] and given.init_upward == {0} and type(given.init_upward) is set
+
+    def test_records_compare_and_hash_as_their_field_tuples(self, n1):
+        fields = {
+            Transition: ("name", "guard", "produce", "weight"),
+            Witness: ("sequence", "total_weight", "parikh"),
+            Instance: ("net", "init", "init_upward", "target"),
+        }
+        target = TargetSpec.exact((0, 1))
+        records = [
+            Transition("t", (1, 0), (0, 1)),
+            Transition("t", (1, 0), (0, 1), Fraction(1)),
+            Transition("t", (1, 0), (0, 1), Fraction(2)),
+            Witness((0, 1), Fraction(2), (1, 1)),
+            Witness((0, 1), Fraction(2), (1, 1)),
+            Witness((1, 0), Fraction(2), (1, 1)),
+            Instance(n1, (1, 0), frozenset(), target),
+            Instance(n1, (1, 0), frozenset(), TargetSpec.exact((0, 1))),
+            Instance(n1, (0, 0), frozenset(), target),
+        ]
+        equal_pairs = 0
+        for a in records:
+            as_tuple = tuple(getattr(a, name) for name in fields[type(a)])
+            assert hash(a) == hash(as_tuple)
+            for b in records:
+                if type(b) is type(a):
+                    same = as_tuple == tuple(getattr(b, name) for name in fields[type(b)])
+                    assert (a == b) is same
+                    equal_pairs += same and a is not b
+            for name in fields[type(a)]:
+                with pytest.raises(AttributeError):
+                    setattr(a, name, None)
+        assert equal_pairs == 6
 
 
 class TestWeightNormalization:

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from ffreach import (
     Instance,
     PetriNet,
@@ -15,6 +17,8 @@ from ffreach import (
     prune_instance,
     sign_analysis,
 )
+from ffreach import prune
+from ffreach.prune import PruneResult
 from oracles import enumerate_reachable, random_bounded_instance
 
 
@@ -107,6 +111,41 @@ class TestPruneInstance:
                 assert result.verdict is PruneVerdict.PRUNED
             counts[removes_nothing] += 1
         assert min(counts.values()) >= 20
+
+
+    def test_fully_marked_instance_skips_the_fixpoint(self, monkeypatch):
+        calls = []
+
+        def counting(net, initially_marked):
+            calls.append(net)
+            return sign_analysis(net, initially_marked)
+
+        monkeypatch.setattr(prune, "sign_analysis", counting)
+        rng = random.Random(171717)
+        counts = {True: 0, False: 0}
+        for _ in range(200):
+            inst = desugar_init(random_bounded_instance(rng, upward=rng.random() < 0.3))
+            all_marked = all(inst.init)
+            calls.clear()
+            result = prune_instance(inst)
+            assert len(calls) == (0 if all_marked else 1)
+            if all_marked:
+                assert result == PruneResult(inst, PruneVerdict.PRUNED) and result.pruned_instance is inst
+            counts[all_marked] += 1
+        assert min(counts.values()) >= 20
+        # An upward-flagged place counts as marked before desugaring too.
+        net = self_loop_net()
+        inst = Instance(net, (1, 1), frozenset({1}), TargetSpec.cover((0, 2))).validate()
+        calls.clear()
+        assert prune_instance(inst).pruned_instance is inst and not calls
+
+    def test_result_record(self, n1_instance):
+        result = prune_instance(n1_instance)
+        assert hash(result) == hash((n1_instance, PruneVerdict.PRUNED))
+        assert result == PruneResult(n1_instance, PruneVerdict.PRUNED)
+        assert result != PruneResult(n1_instance, PruneVerdict.IMMEDIATELY_UNREACHABLE)
+        with pytest.raises(AttributeError):
+            result.verdict = PruneVerdict.IMMEDIATELY_UNREACHABLE
 
 
 class TestSoundness:

@@ -104,6 +104,24 @@ class TestSimplex:
         assert out.value == vertex_enumeration_min(problem) == 6
         check_point(problem, out)
 
+    def test_problem_records(self):
+        row = Row((F(1), F(2)), Relation.GEQ, F(3))
+        problem = RationalLP(2, (F(1), F(0)), (row,))
+        assert hash(row) == hash((row.coeffs, row.relation, row.rhs))
+        assert hash(problem) == hash((2, problem.objective, (row,)))
+        assert problem == RationalLP.build([1, 0], [([1, 2], Relation.GEQ, 3)])
+        assert problem != RationalLP(2, (F(1), F(1)), (row,))
+        assert row != Row((F(1), F(2)), Relation.EQ, F(3))
+        for record, name in ((row, "rhs"), (problem, "rows"), (problem, "num_vars")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(ValueError, match="objective length"):
+            RationalLP(2, (F(1),), ())
+        with pytest.raises(ValueError, match="row length"):
+            RationalLP(1, (F(1),), (row,))
+        with pytest.raises(ValueError, match="row length"):
+            RationalLP.build([1, 0], [([1], Relation.EQ, 0)])
+
 
 class TestIlp:
     def test_parity_gap(self):

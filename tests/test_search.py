@@ -16,7 +16,7 @@ from ffreach import (
     make_heuristic,
 )
 from ffreach.net import MAX_TOKENS
-from ffreach.search import BrokenParentChainError, reconstruct_witness
+from ffreach.search import BrokenParentChainError, SearchResult, reconstruct_witness
 from conftest import search_expanding
 from oracles import (
     bounded_distance,
@@ -113,6 +113,18 @@ class TestLimits:
         )
         assert result.verdict is Verdict.EXHAUSTED
         assert "time" in result.reason
+
+    def test_limits_record(self):
+        limits = SearchLimits(max_time_ms=5.0)
+        assert limits == SearchLimits(None, 5.0) and hash(limits) == hash((None, 5.0))
+        assert limits != SearchLimits(max_expansions=5)
+        with pytest.raises(AttributeError):
+            limits.max_time_ms = 1.0
+
+    def test_each_result_has_its_own_stats(self):
+        first, second = SearchResult(Verdict.UNREACHABLE), SearchResult(Verdict.UNREACHABLE)
+        first.stats.expanded += 1
+        assert (first.stats.expanded, second.stats.expanded) == (1, 0)
 
     def test_token_overflow_reported(self):
         net = PetriNet(["a"], [Transition("grow", (0,), (1,))])

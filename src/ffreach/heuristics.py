@@ -132,9 +132,10 @@ class StateEquationHeuristic:
         # The simplex scales this objective to ``L * w(t)`` and reads values
         # over ``den * L``, for the net's ``L``.
         self._scaled_weights, self._scale = net.scaled_weights, net.scale
-        # Row p is column p of the net's effect table.  Effects and token
-        # gaps stay ints, so the simplex needs no scaling.
-        self._effects = effects = net._effects
+        # Row p is column p of the effect table, each transition's produce
+        # minus guard.  Effects and token gaps stay ints, so the simplex
+        # needs no scaling.
+        self._effects = effects = tuple([tuple(map(operator.sub, t.produce, t.guard)) for t in net.transitions])
         self._rows = tuple(
             (tuple(effect[p] for effect in effects), rel, bound) for p, (rel, bound) in enumerate(target.constraints)
         )
@@ -218,9 +219,9 @@ class StructHeuristic:
         # adds none.  Dijkstra runs on the net's weights times ``scale``
         # (``L``), as ints; costs are divided back at the end.
         preds: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
-        for trans, guard, weight in zip(net.transitions, net._guards, net.scaled_weights):
+        for trans, weight in zip(net.transitions, net.scaled_weights):
             for q in [q for q, count in enumerate(trans.produce) if count] or [sink]:
-                preds[q].extend((p, weight) for p, _ in guard)
+                preds[q].extend((p, weight) for p, need in enumerate(trans.guard) if need)
 
         # Places where a token may legally sit in some target marking, plus
         # the sink, all at cost 0; in increasing order, so already a heap.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .net import MAX_TOKENS, Marking, NetDefinitionError, PetriNet, Transition, _nat_vector
 from .ratlp import Relation
@@ -54,56 +54,31 @@ class NonPositiveWeightError(FnetParseError):
     pass
 
 
-class TargetSpec:
-    """One (relation, bound) constraint per place; GEQ 0 constrains nothing.
-
-    The membership test is compiled once, when the spec is made: an exact
-    target is a single tuple comparison, and any other target checks only
-    its ``=`` places and its ``>=`` places with a positive bound.  Immutable,
-    and compared, hashed and shown by ``constraints`` alone."""
-
-    __slots__ = ("constraints", "_goal", "_equal", "_at_least")
-
+class _TargetFields(NamedTuple):
     constraints: tuple[tuple[Relation, int], ...]
 
-    def __init__(self, constraints: Sequence[tuple[Relation, int]]):
-        equal, at_least = [], []
-        for p, (rel, bound) in enumerate(constraints):
-            if rel is Relation.EQ:
-                equal.append((p, bound))
-            elif rel is not Relation.GEQ:
+
+class TargetSpec(_TargetFields):
+    """One (relation, bound) constraint per place; GEQ 0 constrains nothing.
+
+    Made from pairs of a relation and a natural bound, and keeps them as a
+    tuple of tuples, so that a spec given lists is hashable.  The membership
+    test is compiled by :meth:`goal_test`, once per search."""
+
+    __slots__ = ()
+
+    def __new__(cls, constraints: Sequence[tuple[Relation, int]]):
+        try:
+            relations = [rel for rel, _ in constraints]
+        except (TypeError, ValueError):  # an entry that is not a pair
+            raise NetDefinitionError(f"target constraints must be (relation, bound) pairs: {constraints!r}") from None
+        for rel in relations:
+            if rel is not Relation.EQ and rel is not Relation.GEQ:
                 raise NetDefinitionError(f"bad target relation {rel}")
-            elif bound:
-                at_least.append((p, bound))
         bounds = _nat_vector([bound for _, bound in constraints], "target bounds")
         if type(constraints) is not tuple or list in map(type, constraints):
-            # Keep the checked pairs, so that a spec given lists is hashable.
-            constraints = tuple(zip([rel for rel, _ in constraints], bounds))
-        # The spec rejects assignment, so its slots are set through object.
-        init = object.__setattr__
-        init(self, "constraints", constraints)
-        init(self, "_goal", bounds if len(equal) == len(constraints) else None)
-        init(self, "_equal", tuple(equal))
-        init(self, "_at_least", tuple(at_least))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.constraints == other.constraints
-
-    def __hash__(self):
-        return hash((self.constraints,))
-
-    def __repr__(self):
-        return f"TargetSpec(constraints={self.constraints!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild the spec rather than set its slots
-        return TargetSpec, (self.constraints,)
+            constraints = tuple(zip(relations, bounds))
+        return super().__new__(cls, constraints)
 
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
@@ -115,20 +90,36 @@ class TargetSpec:
         """The upward closure of ``marking`` (all constraints >=)."""
         return cls(tuple((Relation.GEQ, v) for v in marking))
 
+    def goal_test(self) -> Callable[[Marking], bool]:
+        """The membership test of a marking tuple: for an exact target one
+        tuple comparison, else a check of only the ``=`` places and the
+        ``>=`` places with a positive bound."""
+        equal, at_least = [], []
+        for p, (rel, bound) in enumerate(self.constraints):
+            if rel is Relation.EQ:
+                equal.append((p, bound))
+            elif bound:
+                at_least.append((p, bound))
+        if len(equal) == len(self.constraints):
+            return tuple([bound for _, bound in equal]).__eq__
+
+        def test(m: Marking) -> bool:
+            for p, bound in equal:
+                if m[p] != bound:
+                    return False
+            for p, bound in at_least:
+                if m[p] < bound:
+                    return False
+            return True
+
+        return test
+
     def satisfied(self, m: Sequence[int]) -> bool:
-        goal = self._goal
-        if goal is not None:
-            return tuple(m) == goal
-        for p, bound in self._equal:
-            if m[p] != bound:
-                return False
-        for p, bound in self._at_least:
-            if m[p] < bound:
-                return False
-        return True
+        """Whether ``m`` is in the target set, by :meth:`goal_test`."""
+        return self.goal_test()(tuple(m))
 
     def is_exact(self) -> bool:
-        return self._goal is not None
+        return all(rel is Relation.EQ for rel, _ in self.constraints)
 
 
 class Instance(NamedTuple):
@@ -145,12 +136,12 @@ class Instance(NamedTuple):
         so that the copy is hashable whatever containers it was given."""
         net = self.net
         init = net.check_marking(self.init)
-        upward = frozenset(self.init_upward)  # the flags themselves when already a frozenset
+        upward = frozenset(_nat_vector(self.init_upward, "init_upward"))
         num_places = len(net.places)
         if len(self.target.constraints) != num_places:
             raise NetDefinitionError("target spec length differs from place count")
         for p in upward:
-            if not 0 <= p < num_places:
+            if p >= num_places:
                 raise NetDefinitionError(f"init_upward references place index {p}")
             if init[p] < 1:
                 raise NetDefinitionError(
@@ -231,8 +222,9 @@ def parse_instance(text: str) -> Instance:
     malformed token, and the entries fill the marking, target and arc
     vectors in place.  Only a line with a bad entry is read again, entry by
     entry, to name the first bad one.  Every syntax error, unknown or
-    duplicate id, and non-positive weight raises an FnetParseError carrying
-    its line number, with the message a token-by-token reading gives; token
+    duplicate id, non-positive weight and numeral longer than ``int()``
+    converts raises an FnetParseError carrying its line number, with the
+    message a token-by-token reading gives; token
     counts of the initial marking beyond the 64-bit range raise
     NetDefinitionError."""
     name: str | None = None
@@ -251,121 +243,126 @@ def parse_instance(text: str) -> Instance:
     # True outside the sections between 'places:' and the end of 'target:'.
     closed = True
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        parts = raw.split(None, 1)
-        if not parts:
-            continue
-        keyword = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            parts = raw.split(None, 1)
+            if not parts:
+                continue
+            keyword = parts[0]
+            rest = parts[1] if len(parts) > 1 else ""
 
-        if keyword == "consume" or keyword == "produce":
-            if closed:
+            if keyword == "consume" or keyword == "produce":
+                if closed:
+                    raise _misplaced(name, places, lineno)
+                if not names:
+                    raise FnetParseError(f"'{keyword}' outside a transition block", lineno)
+                vector = arcs.pop(keyword, None)
+                if vector is None:
+                    raise DuplicateIdError(f"duplicate '{keyword}' line for transition {names[-1]!r}", lineno)
+                seen = set()
+                entries = _ARC_ENTRIES_RE.findall(rest)
+                for pid, nat, _ in entries:
+                    idx = place_index.get(pid)
+                    if idx is None or idx in seen:
+                        raise _entry_error(entries, lineno, place_index, keyword)
+                    seen.add(idx)
+                    vector[idx] = int(nat)
+
+            elif keyword == "transition":
+                if closed:
+                    raise _misplaced(name, places, lineno)
+                tokens = rest.split()
+                if not tokens:
+                    raise FnetParseError("'transition' requires an id", lineno)
+                tid = tokens[0]
+                if not _ID_RE.match(tid):
+                    raise FnetParseError(f"invalid transition id {tid!r}", lineno)
+                if tid in place_index or tid in transition_ids:
+                    raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
+                transition_ids.add(tid)
+                weight = _UNIT_WEIGHT
+                if len(tokens) > 1:
+                    if tokens[1] != "weight":
+                        raise FnetParseError(f"unexpected token {tokens[1]!r} after transition id", lineno)
+                    weight = _parse_weight(tokens[2:], lineno)
+                names.append(tid)
+                weights.append(weight)
+                arcs = {"consume": [0] * num, "produce": [0] * num}
+                guards.append(arcs["consume"])
+                produces.append(arcs["produce"])
+
+            elif keyword == "init:":
+                if closed:
+                    raise _misplaced(name, places, lineno)
+                if init is not None:
+                    raise FnetParseError("duplicate 'init:' line", lineno)
+                if names:
+                    raise FnetParseError("'init:' must come before transitions", lineno)
+                init = [0] * num
+                seen = set()
+                entries = _MARKING_ENTRIES_RE.findall(rest)
+                for pid, op, nat, _ in entries:
+                    idx = place_index.get(pid)
+                    if idx is None or idx in seen:
+                        raise _entry_error(entries, lineno, place_index, "init")
+                    seen.add(idx)
+                    init[idx] = int(nat)
+                    if op == ">=":
+                        init_flagged.add(idx)
+                for idx in init_flagged:
+                    if init[idx] < 1:
+                        raise FnetParseError(
+                            f"upward-flagged place {places[idx]!r} needs at least 1 token "
+                            "(use id=0 for an exactly-empty place)",
+                            lineno,
+                        )
+
+            elif keyword == "target:":
+                if closed:
+                    raise _misplaced(name, places, lineno)
+                seen = set()
+                entries = _MARKING_ENTRIES_RE.findall(rest)
+                for pid, op, nat, _ in entries:
+                    idx = place_index.get(pid)
+                    if idx is None or idx in seen:
+                        raise _entry_error(entries, lineno, place_index, "target")
+                    seen.add(idx)
+                    constraints[idx] = (_RELATION_OF_OP[op], int(nat))
+                closed = True
+
+            elif keyword == "net":
+                if name is not None:
+                    raise FnetParseError("duplicate 'net' line", lineno)
+                if not rest:
+                    raise FnetParseError("'net' requires a name", lineno)
+                name = " ".join(rest.split())
+
+            elif keyword == "places:":
+                if name is None:
+                    raise _misplaced(name, places, lineno)
+                if places is not None:
+                    raise FnetParseError("duplicate 'places:' line", lineno)
+                places = rest.split()
+                for pid in places:
+                    if not _ID_RE.match(pid):
+                        raise FnetParseError(f"invalid place id {pid!r}", lineno)
+                    if pid in place_index:
+                        raise DuplicateIdError(f"place {pid!r} declared twice", lineno)
+                    place_index[pid] = len(place_index)
+                num = len(places)
+                constraints = [_UNCONSTRAINED] * num
+                closed = False
+
+            elif closed:
                 raise _misplaced(name, places, lineno)
-            if not names:
-                raise FnetParseError(f"'{keyword}' outside a transition block", lineno)
-            vector = arcs.pop(keyword, None)
-            if vector is None:
-                raise DuplicateIdError(f"duplicate '{keyword}' line for transition {names[-1]!r}", lineno)
-            seen = set()
-            entries = _ARC_ENTRIES_RE.findall(rest)
-            for pid, nat, _ in entries:
-                idx = place_index.get(pid)
-                if idx is None or idx in seen:
-                    raise _entry_error(entries, lineno, place_index, keyword)
-                seen.add(idx)
-                vector[idx] = int(nat)
-
-        elif keyword == "transition":
-            if closed:
-                raise _misplaced(name, places, lineno)
-            tokens = rest.split()
-            if not tokens:
-                raise FnetParseError("'transition' requires an id", lineno)
-            tid = tokens[0]
-            if not _ID_RE.match(tid):
-                raise FnetParseError(f"invalid transition id {tid!r}", lineno)
-            if tid in place_index or tid in transition_ids:
-                raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
-            transition_ids.add(tid)
-            weight = _UNIT_WEIGHT
-            if len(tokens) > 1:
-                if tokens[1] != "weight":
-                    raise FnetParseError(f"unexpected token {tokens[1]!r} after transition id", lineno)
-                weight = _parse_weight(tokens[2:], lineno)
-            names.append(tid)
-            weights.append(weight)
-            arcs = {"consume": [0] * num, "produce": [0] * num}
-            guards.append(arcs["consume"])
-            produces.append(arcs["produce"])
-
-        elif keyword == "init:":
-            if closed:
-                raise _misplaced(name, places, lineno)
-            if init is not None:
-                raise FnetParseError("duplicate 'init:' line", lineno)
-            if names:
-                raise FnetParseError("'init:' must come before transitions", lineno)
-            init = [0] * num
-            seen = set()
-            entries = _MARKING_ENTRIES_RE.findall(rest)
-            for pid, op, nat, _ in entries:
-                idx = place_index.get(pid)
-                if idx is None or idx in seen:
-                    raise _entry_error(entries, lineno, place_index, "init")
-                seen.add(idx)
-                init[idx] = int(nat)
-                if op == ">=":
-                    init_flagged.add(idx)
-            for idx in init_flagged:
-                if init[idx] < 1:
-                    raise FnetParseError(
-                        f"upward-flagged place {places[idx]!r} needs at least 1 token "
-                        "(use id=0 for an exactly-empty place)",
-                        lineno,
-                    )
-
-        elif keyword == "target:":
-            if closed:
-                raise _misplaced(name, places, lineno)
-            seen = set()
-            entries = _MARKING_ENTRIES_RE.findall(rest)
-            for pid, op, nat, _ in entries:
-                idx = place_index.get(pid)
-                if idx is None or idx in seen:
-                    raise _entry_error(entries, lineno, place_index, "target")
-                seen.add(idx)
-                constraints[idx] = (_RELATION_OF_OP[op], int(nat))
-            closed = True
-
-        elif keyword == "net":
-            if name is not None:
-                raise FnetParseError("duplicate 'net' line", lineno)
-            if not rest:
-                raise FnetParseError("'net' requires a name", lineno)
-            name = " ".join(rest.split())
-
-        elif keyword == "places:":
-            if name is None:
-                raise _misplaced(name, places, lineno)
-            if places is not None:
-                raise FnetParseError("duplicate 'places:' line", lineno)
-            places = rest.split()
-            for pid in places:
-                if not _ID_RE.match(pid):
-                    raise FnetParseError(f"invalid place id {pid!r}", lineno)
-                if pid in place_index:
-                    raise DuplicateIdError(f"place {pid!r} declared twice", lineno)
-                place_index[pid] = len(place_index)
-            num = len(places)
-            constraints = [_UNCONSTRAINED] * num
-            closed = False
-
-        elif closed:
-            raise _misplaced(name, places, lineno)
-        else:
-            raise FnetParseError(f"unrecognized keyword {keyword!r}", lineno)
+            else:
+                raise FnetParseError(f"unrecognized keyword {keyword!r}", lineno)
+    except FnetParseError:
+        raise
+    except ValueError:  # int() of a numeral longer than the interpreter's int-string limit
+        raise FnetParseError("number has too many digits", lineno) from None
 
     if name is None:
         raise FnetParseError("missing 'net <name>' line")

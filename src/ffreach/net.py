@@ -6,21 +6,20 @@ vector (tokens added per place) and a positive rational weight.  Markings
 are plain tuples of token counts, which makes them canonical, hashable and
 directly usable as graph nodes.
 
-The token game reads one firing record per transition, built from the
-sparse guard and effect tables on first use (a net that is parsed or pruned
-but never fired never builds it): ``(t, p0, n0, rest, deltas, raises)`` is
-the guard's first ``(place, need)`` entry, tested inline (``(0, 0)`` when
-empty), its other entries, the ``(place, delta)`` effect entries, and the
-places with a positive delta, the only ones that can pass ``MAX_TOKENS``.
+The token game reads one firing record per transition,
+``(t, p0, n0, rest, deltas, raises)``: the guard's first ``(place, need)``
+entry, tested inline (``(0, 0)`` when empty), its other entries, the
+``(place, delta)`` effect entries, and the places with a positive delta, the
+only ones that can pass ``MAX_TOKENS``.  Sign analysis reads the records too.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
 valid by construction (the parser's output after its own line-numbered
 checks, and the nets ``desugar_init`` and ``prune_instance`` derive from a
 valid one) are built through ``PetriNet._trusted``, without the check.  Both
-build every other table in ``_build_tables``, once per net: besides the
-sparse tables, the dense effects the state equation reads, and ``L``, the
-lcm of the weight denominators, with the ``L``-scaled weights the search and
+build every other table in ``_build_tables``, once per net: the firing
+records, read straight off the dense vectors, and ``L``, the lcm of the
+weight denominators, with the ``L``-scaled weights the search and
 ``witness`` read.
 """
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 #: Markings are dense tuples of token counts, one entry per place.
@@ -163,11 +161,16 @@ class PetriNet:
         return net
 
     def _build_tables(self) -> None:
-        """Every table but the firing records, built once per net."""
+        """The firing records and the scaled weights, built once per net."""
         transitions = self.transitions
-        self._effects = effects = tuple([tuple(map(operator.sub, t.produce, t.guard)) for t in transitions])
-        self._guards = tuple([tuple([(p, need) for p, need in enumerate(t.guard) if need]) for t in transitions])
-        self._deltas = tuple([tuple([(p, delta) for p, delta in enumerate(e) if delta]) for e in effects])
+        firings = []
+        for t, trans in enumerate(transitions):
+            guard = [(p, need) for p, need in enumerate(trans.guard) if need]
+            deltas = tuple([(p, d) for p, d in enumerate(map(operator.sub, trans.produce, trans.guard)) if d])
+            p0, n0 = guard[0] if guard else (0, 0)
+            firings.append((t, p0, n0, tuple(guard[1:]), deltas, tuple([p for p, d in deltas if d > 0])))
+        #: The firing record of each transition, in index order.
+        self._firings = tuple(firings)
         ratios = [t.weight.as_integer_ratio() for t in transitions]
         #: ``L``, the lcm of the weight denominators (1 without transitions).
         self.scale = scale = math.lcm(*[den for _, den in ratios])
@@ -198,14 +201,6 @@ class PetriNet:
         if max(marking, default=0) > MAX_TOKENS:
             raise NetDefinitionError(f"marking components must be in [0, 2**64): {marking}")
         return marking
-
-    @cached_property
-    def _firings(self) -> tuple[tuple, ...]:
-        """The firing record of each transition, in index order."""
-        return tuple([
-            (t, *(guard[0] if guard else (0, 0)), guard[1:], deltas, tuple([p for p, d in deltas if d > 0]))
-            for t, (guard, deltas) in enumerate(zip(self._guards, self._deltas))
-        ])
 
     def is_firable(self, m: Marking, t: int) -> bool:
         """True iff the marking dominates the guard of transition ``t``."""

@@ -39,25 +39,25 @@ def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
 
     Worklist over newly marked places; each transition is counted down once
     per distinct unmarked guard place, so the total work is linear in the
-    size of the guards.  Only the net's sparse guard and effect tables are
-    read.
+    size of the guards.  Only the net's firing records are read.
     """
     marked = set(initially_marked)
     needs: list[list[int]] = [[] for _ in range(net.num_places)]
     remaining = []
     queue: deque[int] = deque()
+    firings = net._firings
 
     def fire(t: int) -> None:
         # A place the transition feeds but does not raise is one of its guard
-        # places, which are all marked by now; so the places with a positive
-        # delta are the ones it can newly mark.
-        for q, delta in net._deltas[t]:
-            if delta > 0 and q not in marked:
+        # places, which are all marked by now; so the places it raises are
+        # the ones it can newly mark.
+        for q in firings[t][5]:
+            if q not in marked:
                 marked.add(q)
                 queue.append(q)
 
-    for t, guard in enumerate(net._guards):
-        missing = [p for p, _ in guard if p not in marked]
+    for t, p0, n0, rest, _, _ in firings:
+        missing = [p for p, need in ((p0, n0), *rest) if need and p not in marked]
         remaining.append(len(missing))
         for p in missing:
             needs[p].append(t)
@@ -103,7 +103,7 @@ def prune_instance(inst: Instance) -> PruneResult:
                 verdict = PruneVerdict.IMMEDIATELY_UNREACHABLE
 
     kept_transition_list = [
-        t for t, guard in enumerate(net._guards) if all(p in markable for p, _ in guard)
+        t for t, trans in enumerate(net.transitions) if all(p in markable for p, need in enumerate(trans.guard) if need)
     ]
 
     def project(vec) -> tuple[int, ...]:

@@ -28,8 +28,8 @@ by one inline multiplication, which is why ``zero`` and ``struct`` return
 One expansion costs as little as the loop allows: its lookups are bound to
 locals once per search, the priority is picked by two booleans fixed per
 strategy, the counters live in locals and are written to ``SearchStats``
-once, on exit, and the goal test is the one ``TargetSpec`` compiled when it
-was made (a single tuple comparison for an exact target).
+once, on exit, and the goal test is compiled by ``TargetSpec.goal_test``
+once per search (a single tuple comparison for an exact target).
 
 With assertions on, each expanded marking's parent link is checked in O(1)
 on the node table: ``g(parent) + L * w(t) <= g(m)``.  Every link is made
@@ -139,7 +139,7 @@ def directed_search(
     if heuristic is None:
         heuristic = zero_heuristic
     limits = limits or SearchLimits()
-    net, satisfied = inst.net, inst.target.satisfied
+    net, satisfied = inst.net, inst.target.goal_test()
     init = net.check_marking(inst.init)
     stats = SearchStats()
     start = time.monotonic()

@@ -425,8 +425,9 @@ def reference_ilp_min(
 
 # ---------------------------------------------------------------------------
 # reference parser: the token-by-token ``.fnet`` parser the one-pass parser in
-# ffreach.instance_io replaced, kept unchanged.  On every text both must
-# return equal instances, or raise the same error with the same line.
+# ffreach.instance_io replaced, kept unchanged but for its error on a numeral
+# too long to convert.  On every text both must return equal instances, or
+# raise the same error with the same line.
 
 
 _ID_RE = re.compile(r"^[^\s=:>#]+$")
@@ -443,6 +444,13 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
+def _int(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        raise FnetParseError("number has too many digits", lineno) from None
+
+
 def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
     if len(tokens) != 1:
         raise FnetParseError("expected a single rational after 'weight'", lineno)
@@ -450,8 +458,8 @@ def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
     m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
     if not m:
         raise FnetParseError(f"invalid rational {text!r}", lineno)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _int(m.group(1), lineno)
+    den = _int(m.group(2), lineno) if m.group(2) else 1
     if den == 0:
         raise FnetParseError(f"invalid rational {text!r} (zero denominator)", lineno)
     weight = Fraction(num, den)
@@ -481,7 +489,7 @@ def _parse_entries(
         idx = places[pid]
         if idx in values:
             raise DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
-        values[idx] = int(m.group("nat"))
+        values[idx] = _int(m.group("nat"), lineno)
         if m.group("op") == ">=":
             flagged.add(idx)
     return values, flagged
@@ -499,8 +507,9 @@ def reference_parse_instance(text: str) -> Instance:
     """Parse ``.fnet`` text into a validated Instance.
 
     This is where outside input is checked: every syntax error, unknown or
-    duplicate id, and non-positive weight raises an FnetParseError carrying
-    its line number, and token counts beyond the 64-bit range raise
+    duplicate id, non-positive weight and numeral longer than ``int()``
+    converts raises an FnetParseError carrying its line number, and token
+    counts beyond the 64-bit range raise
     NetDefinitionError."""
     name: str | None = None
     places: list[str] | None = None

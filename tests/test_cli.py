@@ -136,6 +136,13 @@ class TestSolveCommand:
         assert code == 65
         assert "line 3" in err
 
+    def test_numeral_too_long_to_convert(self, tmp_path, capsys):
+        path = tmp_path / "long.fnet"
+        path.write_text("net x\nplaces: a\ninit: a=" + "9" * 5000 + "\n")
+        code, _, err = run_main(["solve", str(path)], capsys)
+        assert code == 65
+        assert "line 3" in err and "internal error" not in err
+
     def test_distance_absent_unless_reachable(self, tmp_path, capsys):
         path = tmp_path / "dead.fnet"
         path.write_text("net dead\nplaces: a\ntarget: a=1\n")

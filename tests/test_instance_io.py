@@ -132,6 +132,23 @@ class TestParse:
         with pytest.raises(NetDefinitionError):
             parse_instance(f"net n\nplaces: a\ninit: a={2**64}\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["init: a=NUM", "target: a>=NUM", "  consume a:NUM", "  produce a:NUM", "transition u weight NUM/2",
+         "transition u weight 1/NUM"],
+        ids=["init", "target", "consume", "produce", "weight-numerator", "weight-denominator"],
+    )
+    def test_numeral_too_long_to_convert(self, line):
+        # One digit past the interpreter's int-string limit (4,300 by default).
+        text = "net n\nplaces: a\ntransition t\n" + line.replace("NUM", "1" * 4301) + "\n"
+        if line.startswith("init:"):
+            text = text.replace("transition t\n", "")
+        with pytest.raises(FnetParseError) as exc:
+            parse_instance(text)
+        assert type(exc.value) is FnetParseError
+        assert exc.value.line == (3 if line.startswith("init:") else 4)
+        assert str(exc.value) == f"line {exc.value.line}: number has too many digits"
+
 
 class TestTargetSpec:
     def test_satisfaction_mixed(self):
@@ -208,6 +225,31 @@ class TestTargetSpec:
         for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
             assert twin == spec and twin is not spec
             assert twin.satisfied((0, 3)) and not twin.satisfied((1, 3))
+
+
+class TestMalformedParts:
+    """Parts of the wrong shape or type are a NetDefinitionError, like a bad
+    value, not whatever error Python raises on reading them."""
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [[5], [(Relation.EQ, 1, 2)], [(Relation.EQ,)], [(Relation.GEQ, 0), None], 5, [("=", 1)]],
+        ids=["not-a-pair", "triple", "single", "none-entry", "not-a-sequence", "string-relation"],
+    )
+    def test_target_constraints_must_be_pairs(self, constraints):
+        with pytest.raises(NetDefinitionError):
+            TargetSpec(constraints)
+
+    @pytest.mark.parametrize("flags", [{0.0}, {"0"}, {1.5}, None], ids=["float", "str", "fraction", "none"])
+    def test_upward_flags_must_be_indices(self, flags):
+        net = PetriNet(["a"], [])
+        with pytest.raises(NetDefinitionError):
+            Instance(net, (1,), flags, TargetSpec.cover((0,))).validate()
+
+    def test_upward_flags_are_kept_as_ints(self):
+        net = PetriNet(["a", "b"], [])
+        inst = Instance(net, (1, 1), [True, 1], TargetSpec.cover((0, 0))).validate()
+        assert inst.init_upward == frozenset({1}) and type(next(iter(inst.init_upward))) is int
 
 
 class TestDesugar:

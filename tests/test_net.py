@@ -284,9 +284,6 @@ def assert_same_tables(net: PetriNet) -> None:
     """``net`` has the tables of a checked rebuild of its parts."""
     rebuilt = PetriNet(net.places, net.transitions, name=net.name)
     assert net == rebuilt
-    assert net._guards == rebuilt._guards
-    assert net._deltas == rebuilt._deltas
-    assert net._effects == rebuilt._effects
     assert net._firings == rebuilt._firings
     assert net.scale == rebuilt.scale
     assert net.scaled_weights == rebuilt.scaled_weights

@@ -27,6 +27,34 @@ def self_loop_net():
     return PetriNet(places, [Transition.from_maps("t", places, consume={"a": 1}, produce={"a": 1})])
 
 
+def reference_markable(net: PetriNet, initially_marked: set[int]) -> set[int]:
+    """The least fixpoint of sign analysis by brute force on the dense
+    vectors: a transition whose guard places are all marked marks every
+    place it produces into, until no transition marks a new place."""
+    marked = set(initially_marked)
+    changed = True
+    while changed:
+        changed = False
+        for trans in net.transitions:
+            if all(p in marked for p, need in enumerate(trans.guard) if need):
+                new = {p for p, count in enumerate(trans.produce) if count} - marked
+                changed = changed or bool(new)
+                marked |= new
+    return marked
+
+
+def self_raising_net():
+    """Self-loops, and transitions that raise one of their own guard places."""
+    places = ["a", "b", "c", "d"]
+    return PetriNet(places, [
+        Transition.from_maps("loop", places, consume={"d": 1}, produce={"d": 1}),
+        Transition.from_maps("grow", places, consume={"a": 1}, produce={"a": 2, "b": 1}),
+        Transition.from_maps("join", places, consume={"b": 1, "c": 1}, produce={"a": 1, "d": 1}),
+        Transition.from_maps("feed", places, consume={"b": 2}, produce={"b": 3, "c": 1}),
+        Transition.from_maps("keep", places, consume={"c": 1, "d": 2}, produce={"c": 1, "d": 2}),
+    ])
+
+
 class TestSignAnalysis:
     def test_empty_guard_seeds_the_fixpoint(self, n1):
         assert sign_analysis(n1, set()) == {0, 1}
@@ -54,6 +82,31 @@ class TestSignAnalysis:
                 permuted, {p for p in range(net.num_places) if inst.init[p] > 0}
             )
             assert marked == permuted_marked
+
+
+    def test_self_raising_transitions(self):
+        net = self_raising_net()
+        assert sign_analysis(net, {0}) == {0, 1, 2, 3}
+        assert sign_analysis(net, {1}) == {0, 1, 2, 3}
+        assert sign_analysis(net, {2}) == {2}
+        assert sign_analysis(net, {3}) == {3}
+
+    def test_matches_a_reference_fixpoint(self):
+        rng = random.Random(5150)
+        nets = [self_loop_net(), self_raising_net()]
+        for k in range(150):
+            inst = random_bounded_instance(rng, max_places=6, max_transitions=8, upward=k % 3 == 0)
+            nets.append(desugar_init(inst).net)
+        grew = stopped_short = 0
+        for net in nets:
+            subsets = [set(), set(range(net.num_places))]
+            subsets += [{p for p in range(net.num_places) if rng.random() < 0.3} for _ in range(4)]
+            for initially_marked in subsets:
+                expected = reference_markable(net, initially_marked)
+                assert sign_analysis(net, initially_marked) == expected, (net.transitions, initially_marked)
+                grew += expected != initially_marked
+                stopped_short += len(expected) < net.num_places
+        assert grew >= 100 and stopped_short >= 100  # neither side of the fixpoint is vacuous
 
 
 class TestPruneInstance:

@@ -1,11 +1,11 @@
 """A byte-identity gate on the JSON reports of ``ffreach solve``.
 
-Fifty small random instances are solved under four configs through
-``cli.main``, so each report is built exactly as ``cmd_solve`` builds it,
-and one SHA-256 over all 200 reports is compared with a recorded constant.
-A change meant to keep every report (a speedup, a refactor) must leave the
-digest alone.  A change that alters reports on purpose updates
-``REPORTS_SHA256`` and says why in CHANGES.md.
+Fifty small random instances are solved through ``cli.main``, so each report
+is built exactly as ``cmd_solve`` builds it, under two sets of configs; one
+SHA-256 over all the reports of a set is compared with a recorded constant.
+A change meant to keep every report (a speedup, a refactor) must leave both
+digests alone.  A change that alters reports on purpose updates the digest
+and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from oracles import random_bounded_instance
 from ffreach import serialize_instance
 from ffreach.cli import main
 
-#: The digest of the reports below; recorded before the leaner token game
-#: and node table, whose reports must equal the older code's byte for byte.
+#: The digest of the reports under ``CONFIGS``; recorded before the leaner
+#: token game and node table, whose reports must equal the older code's byte
+#: for byte.
 REPORTS_SHA256 = "69a671a7903a28306a8ba51034ac87bc497be9a11daf86c5d30dea987f8ec379"
 
 CONFIGS = [
@@ -29,21 +30,48 @@ CONFIGS = [
     ["--strategy", "gbfs", "--heuristic", "struct"],
 ]
 
+#: The digest of the reports under ``MORE_CONFIGS``, the pairs ``CONFIGS``
+#: lacks; recorded before the net's firing records were built eagerly and
+#: ``TargetSpec`` became a NamedTuple.
+MORE_REPORTS_SHA256 = "6a5b175660a095d11dd4932ff8e80ab469c4ddd38e86fb50b1d6f423b763840a"
 
-def test_reports_match_the_recorded_digest(tmp_path, monkeypatch, capsys):
+#: Without pruning, an unreachable target on a net with generators has an
+#: infinite state space, so Dijkstra is capped: three instances end
+#: EXHAUSTED, which puts that report in the digest too.
+MORE_CONFIGS = [
+    ["--strategy", "astar", "--heuristic", "struct"],
+    ["--strategy", "dijkstra", "--heuristic", "zero", "--no-prune", "--max-expansions", "2000"],
+    ["--strategy", "gbfs", "--heuristic", "q"],
+]
+
+
+def reports_digest(configs, tmp_path, monkeypatch, capsys) -> tuple[str, set[int]]:
+    """The SHA-256 over the reports of the fifty instances under ``configs``,
+    and the set of exit codes they gave."""
     monkeypatch.chdir(tmp_path)  # the report names the file; keep the name relative
     digest = hashlib.sha256()
-    verdicts = set()
+    codes = set()
     for seed in range(50):
         rng = random.Random(seed)
         inst = random_bounded_instance(rng, rational_weights=seed % 2 == 0, upward=seed % 3 == 0)
         name = f"i{seed:02d}.fnet"
         (tmp_path / name).write_text(serialize_instance(inst))
-        for config in CONFIGS:
+        for config in configs:
             code = main(["solve", name, *config, "--format", "json"])
             out, err = capsys.readouterr()
-            assert code in (0, 1) and not err, (name, config, err)
-            verdicts.add(code)
+            assert not err, (name, config, err)
+            codes.add(code)
             digest.update(out.encode())
-    assert verdicts == {0, 1}  # both verdicts are covered
-    assert digest.hexdigest() == REPORTS_SHA256
+    return digest.hexdigest(), codes
+
+
+def test_reports_match_the_recorded_digest(tmp_path, monkeypatch, capsys):
+    digest, codes = reports_digest(CONFIGS, tmp_path, monkeypatch, capsys)
+    assert codes == {0, 1}  # both verdicts are covered
+    assert digest == REPORTS_SHA256
+
+
+def test_more_reports_match_their_recorded_digest(tmp_path, monkeypatch, capsys):
+    digest, codes = reports_digest(MORE_CONFIGS, tmp_path, monkeypatch, capsys)
+    assert codes == {0, 1, 2}  # both verdicts and the expansion cap are covered
+    assert digest == MORE_REPORTS_SHA256

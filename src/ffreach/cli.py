@@ -89,14 +89,10 @@ def _float_or_none(value: Fraction) -> float | None:
         return None
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the values a report holds: dicts
-    with ``str`` keys, lists, strings, ints, finite floats, booleans and None.
-
-    The standard encoder's pure-Python path leaves a reference cycle of
-    closures per call, which only the cyclic collector frees; this leaves
-    none.  A non-finite float raises ValueError, as strict JSON has no
-    spelling for it."""
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for a report's leaves: strings, None, booleans,
+    ints and finite floats.  A non-finite float raises ValueError, as strict
+    JSON has no spelling for it; any other value raises TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -111,21 +107,7 @@ def _json(value, indent: str = "\n") -> str:
         if not math.isfinite(value):
             raise ValueError(f"a JSON report cannot hold {value!r}")
         return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + indent + "]"
     raise TypeError(f"a JSON report cannot hold {type(value).__name__}")
-
-
-#: The indentation of a report's top-level fields, as ``_json`` takes it.
-_FIELD_INDENT = "\n  "
 
 
 class SolveReport(NamedTuple):
@@ -162,24 +144,26 @@ class SolveReport(NamedTuple):
         return payload
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, written directly in
-        the report's fixed shape; only the decimal distance, the witness and
-        the config go through ``_json``."""
+        """``json.dumps(self.to_json_dict(), indent=2)``, written in one pass
+        over the fixed shape; unlike the standard encoder's pure-Python path,
+        it leaves no reference cycle for the cyclic collector."""
         parts = ['{\n  "verdict": ', encode_basestring_ascii(self.verdict)]
         if self.distance is not None:
+            witness = list(map(_json_scalar, self.witness_ids or ()))
             parts += [
                 ',\n  "distance": {\n    "fraction": ', encode_basestring_ascii(str(self.distance)),
-                ',\n    "decimal": ', _json(_float_or_none(self.distance)),
-                '\n  },\n  "witness": ', _json(list(self.witness_ids or []), _FIELD_INDENT),
+                ',\n    "decimal": ', _json_scalar(_float_or_none(self.distance)),
+                '\n  },\n  "witness": ', "[\n    " + ",\n    ".join(witness) + "\n  ]" if witness else "[]",
                 ',\n  "generator_firings": ', int.__repr__(self.generator_firings or 0),
             ]
         if self.reason is not None:
             parts += [',\n  "reason": ', encode_basestring_ascii(self.reason)]
+        config = [encode_basestring_ascii(key) + ": " + _json_scalar(value) for key, value in self.config.items()]
         parts += [
             ',\n  "stats": {\n    "expanded": ', int.__repr__(self.expanded),
             ',\n    "discovered": ', int.__repr__(self.discovered),
             ',\n    "heuristic_calls": ', int.__repr__(self.heuristic_calls),
-            '\n  },\n  "config": ', _json(self.config, _FIELD_INDENT), "\n}",
+            '\n  },\n  "config": ', "{\n    " + ",\n    ".join(config) + "\n  }\n}" if config else "{}\n}",
         ]
         return "".join(parts)
 

@@ -80,6 +80,9 @@ class TargetSpec(_TargetFields):
             constraints = tuple(zip(relations, bounds))
         return super().__new__(cls, constraints)
 
+    #: ``_replace`` builds through ``_make``, so both keep the checks of ``__new__``.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
         """The singleton target set containing exactly ``marking``."""
@@ -423,8 +426,12 @@ def generator_names(original: Instance, desugared: Instance) -> set[str]:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Emit canonical ``.fnet`` text; parse_instance round-trips it."""
+    """Emit canonical ``.fnet`` text; parse_instance round-trips it.  A net
+    name or id that parsing would not give back unchanged raises
+    NetDefinitionError."""
     net = inst.net
+    if not net.name or "#" in net.name or net.name != " ".join(net.name.split()):
+        raise NetDefinitionError(f"net name {net.name!r} is not serializable")
     for pid in net.places:
         if not _ID_RE.match(pid):
             raise NetDefinitionError(f"place id {pid!r} is not serializable")

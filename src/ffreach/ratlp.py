@@ -128,6 +128,9 @@ class RationalLP(_LPFields):
                 raise ValueError("row length differs from num_vars")
         return super().__new__(cls, num_vars, objective, rows)
 
+    #: ``_replace`` builds through ``_make``, so both keep the checks of ``__new__``.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @classmethod
     def build(cls, objective: Sequence, rows: Sequence[tuple[Sequence, Relation, object]]) -> "RationalLP":
         """Convenience constructor converting everything to Fraction."""

@@ -378,22 +378,24 @@ def test_criterion_10_reproducible_reports(tmp_path, capsys):
         for i in range(2):
             out = tmp_path / f"walk{i}.fnet"
             proc = subprocess.run(
-                [sys.executable, "-m", "ffreach.cli", "gen-walk", str(src),
+                [sys.executable, "-m", "ffreach", "gen-walk", str(src),
                  "--length", "8", "--seed", "31337", "--out", str(out)],
                 capture_output=True,
             )
             assert proc.returncode == 0
+            assert b"RuntimeWarning" not in proc.stderr
             walks.append(out.read_bytes())
         assert walks[0] == walks[1]
 
         reports = []
         for _ in range(2):
             proc = subprocess.run(
-                [sys.executable, "-m", "ffreach.cli", "solve", str(tmp_path / "walk0.fnet"),
+                [sys.executable, "-m", "ffreach", "solve", str(tmp_path / "walk0.fnet"),
                  "--strategy", "gbfs", "--heuristic", "z", "--format", "json"],
                 capture_output=True,
             )
             assert proc.returncode == 0
+            assert b"RuntimeWarning" not in proc.stderr
             reports.append(proc.stdout)
         assert reports[0] == reports[1]
         json.loads(reports[0])  # the payload is well-formed JSON

@@ -282,14 +282,15 @@ class TestJsonRendering:
         report = REPORTS[name]
         assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
-    def test_nested_and_empty_containers(self):
-        payload = {"a": [], "b": {}, "c": [[1, -2], {"d": [True, False, None]}], "e": 1e-7, "f": -0.0}
-        assert cli._json(payload) == json.dumps(payload, indent=2)
-
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_floats(self, value):
         with pytest.raises(ValueError):
-            cli._json({"max_time_ms": value})
+            make_report(config={"max_time_ms": value}).to_json()
+
+    @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "dict"])
+    def test_rejects_nested_config_values(self, value):
+        with pytest.raises(TypeError):
+            make_report(config={"file": "net.fnet", "max_time_ms": value}).to_json()
 
     def test_rendering_leaves_no_garbage(self):
         reports = list(REPORTS.values())
@@ -493,10 +494,11 @@ class TestStartUp:
 
 class TestSubprocessReproducibility:
     def test_identical_json_across_processes(self, fig1_path):
-        cmd = [sys.executable, "-m", "ffreach.cli", "solve", fig1_path, "--format", "json"]
+        cmd = [sys.executable, "-m", "ffreach", "solve", fig1_path, "--format", "json"]
         runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
+        assert all(b"RuntimeWarning" not in run.stderr for run in runs)
 
     @pytest.mark.parametrize(
         "args",
@@ -518,10 +520,11 @@ class TestSubprocessReproducibility:
     def test_usage_error_exit_code(self, fig1_path, tmp_path, args):
         args = [a.format(file=fig1_path, out=tmp_path / "w.fnet") for a in args]
         proc = subprocess.run(
-            [sys.executable, "-m", "ffreach.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "ffreach", *args], capture_output=True, text=True
         )
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_python_m_ffreach_runs_the_cli(self, fig1_path, capsys):
         proc = subprocess.run(
@@ -538,9 +541,10 @@ class TestSubprocessReproducibility:
 
         env = dict(os.environ, FFREACH_LOG="debug")
         proc = subprocess.run(
-            [sys.executable, "-m", "ffreach.cli", "solve", fig1_path],
+            [sys.executable, "-m", "ffreach", "solve", fig1_path],
             capture_output=True,
             env=env,
         )
         assert proc.returncode == 0
         assert b"ffreach DEBUG" in proc.stderr
+        assert b"RuntimeWarning" not in proc.stderr

@@ -226,6 +226,13 @@ class TestTargetSpec:
             assert twin == spec and twin is not spec
             assert twin.satisfied((0, 3)) and not twin.satisfied((1, 3))
 
+    def test_replace_keeps_the_checks(self):
+        spec = TargetSpec.exact((1,))
+        with pytest.raises(NetDefinitionError):
+            spec._replace(constraints=[[Relation.EQ, 0.5]])
+        replaced = spec._replace(constraints=[[Relation.GEQ, 2]])
+        assert replaced == TargetSpec.cover((2,)) and hash(replaced) == hash(TargetSpec.cover((2,)))
+
 
 class TestMalformedParts:
     """Parts of the wrong shape or type are a NetDefinitionError, like a bad
@@ -305,6 +312,18 @@ class TestSerialize:
         text = serialize_instance(inst)
         assert "a>=2" in text
         assert parse_instance(text) == inst
+
+    @pytest.mark.parametrize(
+        "name, serializable",
+        [("x\ny", False), ("", False), ("a#b", False), ("  two  words ", False), ("two words", True)],
+    )
+    def test_net_name_must_parse_back_unchanged(self, name, serializable):
+        inst = Instance(PetriNet(["a"], name=name), (0,), frozenset(), TargetSpec.cover((0,))).validate()
+        if serializable:
+            assert parse_instance(serialize_instance(inst)) == inst
+        else:
+            with pytest.raises(NetDefinitionError, match="net name"):
+                serialize_instance(inst)
 
 
 # Random instance generation for the round-trip law.

@@ -122,6 +122,13 @@ class TestSimplex:
         with pytest.raises(ValueError, match="row length"):
             RationalLP.build([1, 0], [([1], Relation.EQ, 0)])
 
+    def test_replace_keeps_the_checks(self):
+        problem = RationalLP(1, (1,), ())
+        with pytest.raises(ValueError, match="objective length"):
+            problem._replace(num_vars=3)
+        row = Row((F(1), F(2)), Relation.GEQ, F(3))
+        assert problem._replace(num_vars=2, objective=(1, 0), rows=(row,)) == RationalLP(2, (1, 0), (row,))
+
 
 class TestIlp:
     def test_parity_gap(self):

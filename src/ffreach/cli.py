@@ -243,7 +243,8 @@ def solve_instance(
     if result.witness is not None:
         names = [search_inst.net.transitions[t].name for t in result.witness.sequence]
         witness_ids = names
-        generator_firings = sum(1 for n in names if n in gen_names)
+        if gen_names:
+            generator_firings = sum(1 for n in names if n in gen_names)
     return result, witness_ids, generator_firings
 
 

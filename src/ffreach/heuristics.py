@@ -15,7 +15,9 @@ Three families are provided, each bound to one net and target when built:
   from a remembered predecessor's optimum where it can, instead of solving;
   where it cannot, it re-solves from a remembered predecessor's basis.  It
   keeps each optimum as the simplex tableau's integers, so deriving makes
-  no ``Fraction`` unless the value itself is fractional.
+  no ``Fraction`` unless the value itself is fractional.  It builds the
+  system's integer standard form once; a cold solve, the first of a
+  search, writes only the right-hand side into it.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places; each place's cost to reach the target comes from one
@@ -33,7 +35,8 @@ from typing import Callable
 
 from .instance_io import Instance, TargetSpec
 from .net import Marking, PetriNet
-from .ratlp import DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, Row, Tableau, ilp_min, simplex_min
+from .ratlp import (DEFAULT_ILP_NODE_BUDGET, OutcomeKind, RationalLP, Relation, Row, StandardForm, Tableau,
+                    ilp_min, simplex_min)
 
 #: Extended value for "target unreachable even in the relaxation".
 INF = math.inf
@@ -67,7 +70,9 @@ class StateEquationHeuristic:
     least for ``>=`` constraints.  The ``>=`` rows realize the minimum over
     the whole (infinite) target set without enumerating it.  Coefficients
     and objective depend on the net only; a marking only shifts the
-    right-hand side.
+    right-hand side.  So the system's integer standard form is built once,
+    and a cold solve reads :meth:`form`, which writes only the right-hand
+    side; :meth:`lp` is the reference problem it stands for.
 
     With ``integral``, when the branch-and-bound node budget runs out the
     proven lower bound is returned instead; it is sandwiched between the
@@ -111,7 +116,7 @@ class StateEquationHeuristic:
     ``den * L`` for the lcm ``L`` of the weight denominators, by which the
     simplex scales the objective.  So deriving tests ``x*_t >= 1`` as a
     numerator ``>= den`` and subtracts ``L * w(t) * den`` from the value's
-    numerator; a warm ``q`` or ``z`` re-solve builds no :class:`RationalLP`,
+    numerator; a warm ``q`` or ``z`` re-solve builds no problem at all,
     since the dual simplex reads only its start, and a warm ``z`` re-solve
     skips the lattice test its predecessor passed.  A value is returned as an
     ``int`` whenever it is integral, and as a ``Fraction`` otherwise.
@@ -128,28 +133,50 @@ class StateEquationHeuristic:
         self.integral = integral
         self.ilp_node_budget = ilp_node_budget
         self.deadline = deadline
-        self._objective = tuple(t.weight for t in net.transitions)
-        # The simplex scales this objective to ``L * w(t)`` and reads values
+        self._net = net
+        # The simplex scales the objective to ``L * w(t)`` and reads values
         # over ``den * L``, for the net's ``L``.
         self._scaled_weights, self._scale = net.scaled_weights, net.scale
-        # Row p is column p of the effect table, each transition's produce
-        # minus guard.  Effects and token gaps stay ints, so the simplex
-        # needs no scaling.
+        # Column t of the state equation: transition t's produce minus guard.
         self._effects = effects = tuple([tuple(map(operator.sub, t.produce, t.guard)) for t in net.transitions])
-        self._rows = tuple(
-            (tuple(effect[p] for effect in effects), rel, bound) for p, (rel, bound) in enumerate(target.constraints)
-        )
+        # Row p of its integer standard form, as (row, relation, bound):
+        # place p's entry of every effect, then one surplus column per >=
+        # row, -1 in the row's own.  Effects are ints, so no row is scaled.
+        constraints = target.constraints
+        zeros = (0,) * sum(rel is Relation.GEQ for rel, _ in constraints)
+        rows: list[tuple[tuple[int, ...], Relation, int]] = []
+        geq_seen = 0
+        for coeffs, (rel, bound) in zip(zip(*effects) if effects else [()] * len(constraints), constraints):
+            if rel is Relation.GEQ:
+                rows.append((coeffs + zeros[:geq_seen] + (-1,) + zeros[geq_seen + 1 :], rel, bound))
+                geq_seen += 1
+            else:
+                rows.append((coeffs + zeros, rel, bound))
+        self._rows = tuple(rows)
         #: marking -> (value; for an optimum, its value times ``den * L``,
         #: firing counts times ``den``, and ``den``, else 0, None and 1;
         #: tableau or None; pending shift of that tableau)
         self._memo: dict[Marking, tuple[object, int, tuple[int, ...] | None, int, Tableau | None, dict[int, int]]] = {}
 
     def lp(self, m: Marking) -> RationalLP:
-        """The state equation for reaching the target set from ``m``."""
-        rows = tuple(
-            Row(coeffs, rel, bound - tokens) for (coeffs, rel, bound), tokens in zip(self._rows, m)
-        )
-        return RationalLP(len(self._objective), self._objective, rows)
+        """The state equation for reaching the target set from ``m``: the
+        reference problem, which :meth:`form` writes in standard form."""
+        n = len(self._effects)
+        rows = tuple(Row(row[:n], rel, bound - tokens) for (row, rel, bound), tokens in zip(self._rows, m))
+        return RationalLP(n, tuple(t.weight for t in self._net.transitions), rows)
+
+    def form(self, m: Marking) -> StandardForm:
+        """``standard_form(self.lp(m))``, written from the rows built once:
+        each row gets the gap ``bound - m[p]`` as its right-hand side, and
+        is negated when the gap is negative."""
+        n, lines, eq_coeffs, eq_rhs = len(self._effects), [], [], []
+        for (row, rel, bound), tokens in zip(self._rows, m):
+            rhs = bound - tokens
+            lines.append([*row, rhs] if rhs >= 0 else [*map(operator.neg, row), -rhs])
+            if rel is Relation.EQ:
+                eq_coeffs.append(row[:n])
+                eq_rhs.append(rhs)
+        return StandardForm(lines, n, self._scaled_weights, self._scale, tuple(eq_coeffs), tuple(eq_rhs))
 
     def __call__(self, m: Marking):
         """The remembered value of ``m``, else one derived from a remembered
@@ -160,7 +187,7 @@ class StateEquationHeuristic:
         if known is not None:
             return known[0]
         warm = None
-        for t, effect in enumerate(self._effects):
+        for t, effect in enumerate(self._effects if memo else ()):  # a first call has no predecessor
             pred = memo.get(tuple(map(operator.sub, m, effect)))
             if pred is None:
                 continue
@@ -182,9 +209,9 @@ class StateEquationHeuristic:
             tableau, shift, t = warm
             start = tableau.shifted({**shift, t: shift.get(t, 0) + 1})
         if self.integral:
-            outcome = ilp_min(None if start else self.lp(m), self.ilp_node_budget, start, self.deadline)
+            outcome = ilp_min(None if start else self.form(m), self.ilp_node_budget, start, self.deadline)
         else:
-            outcome = simplex_min(None if start else self.lp(m), start)
+            outcome = simplex_min(None if start else self.form(m), start)
         if outcome.kind is OutcomeKind.INFEASIBLE:
             known = _INFINITE
         elif outcome.kind is OutcomeKind.BUDGET_EXHAUSTED:

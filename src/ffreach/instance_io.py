@@ -84,6 +84,13 @@ class TargetSpec(_TargetFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
+    def _trusted(cls, constraints: tuple[tuple[Relation, int], ...]) -> "TargetSpec":
+        """A spec built without the checks of ``__new__``, from a tuple of
+        ``(Relation, int)`` tuples already known to be valid: the parser's
+        after its own checks, or a projection of a valid spec."""
+        return tuple.__new__(cls, (constraints,))
+
+    @classmethod
     def exact(cls, marking: Sequence[int]) -> "TargetSpec":
         """The singleton target set containing exactly ``marking``."""
         return cls(tuple((Relation.EQ, v) for v in marking))
@@ -377,7 +384,8 @@ def parse_instance(text: str) -> Instance:
     # non-positive weight with its line number, so the net is not checked again.
     net = PetriNet._trusted(tuple(places), transitions, name)
     marking = (0,) * num if init is None else tuple(init)
-    target = TargetSpec(tuple(constraints))
+    # Every target entry was checked on its line, so the spec is not checked again.
+    target = TargetSpec._trusted(tuple(constraints))
     # Of the checks of Instance.validate, the lines above leave only the
     # 64-bit bound on the initial marking, which check_marking raises for.
     if max(marking, default=0) > MAX_TOKENS:
@@ -409,12 +417,14 @@ def desugar_init(inst: Instance) -> Instance:
     net = inst.net
     taken = set(net.places) | {t.name for t in net.transitions}
     gen_weight = net.min_weight()
+    num = net.num_places
+    zeros = (0,) * num
+    units = (*zeros, 1, *zeros)  # the unit vector of place p is units[num - p : 2 * num - p]
     extra = []
     for p in sorted(inst.init_upward):
         name = _fresh_name(f"gen_{net.places[p]}", taken)
         taken.add(name)
-        produce = tuple(1 if i == p else 0 for i in range(net.num_places))
-        extra.append(Transition(name, (0,) * net.num_places, produce, gen_weight))
+        extra.append(Transition(name, zeros, units[num - p : 2 * num - p], gen_weight))
     # The generators are valid by construction, so the net is not checked again.
     new_net = PetriNet._trusted(net.places, net.transitions + tuple(extra), net.name)
     return Instance(new_net, inst.init, frozenset(), inst.target)

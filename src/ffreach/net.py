@@ -186,10 +186,12 @@ class PetriNet:
         return len(self.transitions)
 
     def min_weight(self) -> Fraction:
-        """Smallest transition weight (1 for a net without transitions)."""
-        if not self.transitions:
+        """Smallest transition weight (1 for a net without transitions):
+        the first least one, found on the integer scaled weights."""
+        weights = self.scaled_weights
+        if not weights:
             return Fraction(1)
-        return min(t.weight for t in self.transitions)
+        return self.transitions[weights.index(min(weights))].weight
 
     def check_marking(self, m: Sequence[int]) -> Marking:
         """Validate token counts against this net and return them as a tuple."""

@@ -117,7 +117,8 @@ def prune_instance(inst: Instance) -> PruneResult:
     # A projection of a valid net onto some of its places, with a subset of
     # its transitions, is valid: the net is not checked again.
     pruned_net = PetriNet._trusted(tuple(net.places[p] for p in kept_place_list), transitions, net.name)
-    pruned_target = TargetSpec(tuple(inst.target.constraints[p] for p in kept_place_list))
+    # Likewise, a projection of a valid target is valid.
+    pruned_target = TargetSpec._trusted(tuple(inst.target.constraints[p] for p in kept_place_list))
     pruned = Instance(
         pruned_net,
         project(inst.init),

@@ -12,10 +12,14 @@ pivoting rule, which guarantees termination.  Exactness and determinism are
 the contract.
 
 The tableau holds Python ints and one positive common denominator ``den``:
-it stands for the rational tableau ``T / den``.  At the boundary each
-constraint row is scaled to integers by the lcm of its denominators (rows
-that are all ints, such as the state equations, are taken as they are), and
-the objective by the lcm of its own.  A pivot is one fraction-free
+it stands for the rational tableau ``T / den``.  A cold solve starts from
+the problem's integer standard form (:class:`StandardForm`): each
+constraint row scaled to integers by the lcm of its denominators (rows that
+are all ints, such as the state equations, are taken as they are) and
+negated when its rhs is negative, and the objective scaled by the lcm of
+its own.  :func:`standard_form` makes it from a :class:`RationalLP`; a
+caller that solves one system at many right-hand sides, such as the
+state-equation heuristic, may build it itself.  A pivot is one fraction-free
 (Bareiss) step: row ``a`` with pivot-column entry ``f`` becomes
 ``(a*p - f*b) / den`` for pivot row ``b`` and pivot ``p``, and ``p`` becomes
 the denominator.  ``den`` is the absolute value of the basis
@@ -362,8 +366,10 @@ def _run_simplex(tableau: list[list[int]], basis: list[int], den: int, num_cols:
     m = len(basis)
     while True:
         cost = tableau[-1]
-        col = next((j for j in range(num_cols) if cost[j] < 0), None)
-        if col is None:
+        for col in range(num_cols):
+            if cost[col] < 0:
+                break
+        else:
             return den
         best_row, best_a, best_rhs = -1, 1, 0
         for i in range(m):
@@ -414,14 +420,52 @@ def _optimum(
     return Outcome(OutcomeKind.OPTIMAL, tableau=final, optimum=final)
 
 
-def simplex_min(lp: RationalLP | None, start: Tableau | None = None) -> Outcome:
+class StandardForm(NamedTuple):
+    """An LP in the integer standard form the two-phase simplex starts from:
+    ``lines`` are the constraint rows ``[variables | surplus | rhs]``, each
+    rhs >= 0, and ``objective`` is the objective times ``obj_scale``.  The
+    lattice test reads ``eq_coeffs`` and ``eq_rhs``, the ``=`` rows'
+    coefficients and right-hand sides as given: its cached reduction is
+    keyed by the coefficients alone."""
+
+    lines: list[list[int]]
+    num_vars: int
+    objective: tuple[int, ...]
+    obj_scale: int
+    eq_coeffs: tuple[tuple[int | Fraction, ...], ...]
+    eq_rhs: tuple[int | Fraction, ...]
+
+
+def standard_form(lp: RationalLP) -> StandardForm:
+    """``lp`` in the integer standard form :func:`simplex_min` solves."""
+    n = lp.num_vars
+    geq_rows = [i for i, row in enumerate(lp.rows) if row.relation is Relation.GEQ]
+    surplus_of = {i: n + k for k, i in enumerate(geq_rows)}
+    lines = []
+    for i, row in enumerate(lp.rows):
+        line, _ = _scaled((*row.coeffs, row.rhs))
+        line[n:n] = [0] * len(geq_rows)
+        if i in surplus_of:
+            line[surplus_of[i]] = -1
+        if line[-1] < 0:
+            line = [-v for v in line]
+        lines.append(line)
+    objective, obj_scale = _scaled(lp.objective)
+    eq_rows = [row for row in lp.rows if row.relation is Relation.EQ]
+    return StandardForm(
+        lines, n, tuple(objective), obj_scale, tuple(row.coeffs for row in eq_rows), tuple(row.rhs for row in eq_rows)
+    )
+
+
+def simplex_min(lp: RationalLP | StandardForm | None, start: Tableau | None = None) -> Outcome:
     """Exact simplex minimization over x >= 0.
 
-    Without ``start``, a two-phase simplex from scratch.  With ``start``, a
-    dual-feasible tableau of ``lp`` (an outcome's tableau, shifted or
-    bounded to stand for ``lp``; ``lp`` itself is then not read, and may be
-    None), re-solved by the dual simplex; such a re-solve is never
-    UNBOUNDED.
+    Without ``start``, a two-phase simplex from scratch on the standard form
+    of ``lp``, or on ``lp`` itself when it already is a
+    :class:`StandardForm`.  With ``start``, a dual-feasible tableau of
+    ``lp`` (an outcome's tableau, shifted or bounded to stand for ``lp``;
+    ``lp`` itself is then not read, and may be None), re-solved by the dual
+    simplex; such a re-solve is never UNBOUNDED.
 
     The outcome's point satisfies every row exactly; callers can (and tests
     do) verify it by substitution.
@@ -433,30 +477,17 @@ def simplex_min(lp: RationalLP | None, start: Tableau | None = None) -> Outcome:
             return INFEASIBLE
         return _optimum(tableau, basis, den, start.objective, start.obj_scale)
 
-    n = lp.num_vars
-    geq_rows = [i for i, row in enumerate(lp.rows) if row.relation is Relation.GEQ]
-    surplus_of = {i: n + k for k, i in enumerate(geq_rows)}
-    num_structural = n + len(geq_rows)
-
-    # Standard form rows: [structural coeffs | rhs], rhs >= 0, each row
-    # scaled to integers; artificials are virtual.
-    tableau: list[list[int]] = []
-    for i, row in enumerate(lp.rows):
-        line, _ = _scaled((*row.coeffs, row.rhs))
-        line[n:n] = [0] * len(geq_rows)
-        if i in surplus_of:
-            line[surplus_of[i]] = -1
-        if line[-1] < 0:
-            line = [-v for v in line]
-        tableau.append(line)
+    form = lp if lp.__class__ is StandardForm else standard_form(lp)
+    # The constraint rows are the form's lines; artificials are virtual.
+    tableau = list(form.lines)
+    num_surplus = len(tableau) - len(form.eq_coeffs)
+    num_structural = form.num_vars + num_surplus
     basis = [num_structural + i for i in range(len(tableau))]
 
     # Phase 1: minimize the sum of artificials; one that leaves never returns.
-    phase1 = [0] * (num_structural + 1)
-    for line in tableau:
-        phase1 = [c - v for c, v in zip(phase1, line)]
-    objective, obj_scale = _scaled(lp.objective)
-    tableau += [objective + [0] * (len(geq_rows) + 1), phase1]
+    phase1 = [-sum(column) for column in zip(*tableau)] if tableau else [0] * (num_structural + 1)
+    objective = form.objective
+    tableau += [[*objective, *[0] * (num_surplus + 1)], phase1]
     den = _run_simplex(tableau, basis, 1, num_structural)
     if tableau.pop()[-1] != 0:  # the phase-1 row holds -(phase-1 value)
         return INFEASIBLE
@@ -475,7 +506,7 @@ def simplex_min(lp: RationalLP | None, start: Tableau | None = None) -> Outcome:
     den = _run_simplex(tableau, basis, den, num_structural)
     if den is None:
         return UNBOUNDED
-    return _optimum(tableau, basis, den, tuple(objective), obj_scale)
+    return _optimum(tableau, basis, den, objective, form.obj_scale)
 
 
 @lru_cache(maxsize=256)
@@ -524,7 +555,7 @@ def _column_reduction(
     return tuple(scales), tuple(map(tuple, matrix)), tuple(pivot_col_of_row)
 
 
-def _lattice_infeasible(lp: RationalLP) -> bool:
+def _lattice_infeasible(lp: RationalLP | StandardForm) -> bool:
     """True when the equality rows already have no solution over Z^n
     (ignoring nonnegativity), decided by integer column elimination.
 
@@ -534,15 +565,15 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
     node budget.  Sound by construction: column operations are unimodular,
     so they preserve integer solvability exactly.
     """
-    eq_rows = [row for row in lp.rows if row.relation is Relation.EQ]
-    if not eq_rows:
+    form = lp if lp.__class__ is StandardForm else standard_form(lp)
+    if not form.eq_coeffs:
         return False
-    scales, matrix, pivot_col_of_row = _column_reduction(tuple(row.coeffs for row in eq_rows))
+    scales, matrix, pivot_col_of_row = _column_reduction(form.eq_coeffs)
 
     # Forward substitution: each pivot must divide its residual exactly.
     y: dict[int, int] = {}
-    for row, scale, reduced, col in zip(eq_rows, scales, matrix, pivot_col_of_row):
-        rhs = row.rhs * scale
+    for b, scale, reduced, col in zip(form.eq_rhs, scales, matrix, pivot_col_of_row):
+        rhs = b * scale
         if rhs.denominator != 1:
             return True  # integer left-hand side can never equal a fraction
         residual = rhs.numerator - sum(reduced[j] * y[j] for j in y)
@@ -557,7 +588,7 @@ def _lattice_infeasible(lp: RationalLP) -> bool:
 
 
 def ilp_min(
-    lp: RationalLP | None,
+    lp: RationalLP | StandardForm | None,
     node_budget: int = DEFAULT_ILP_NODE_BUDGET,
     start: Tableau | None = None,
     deadline: float | None = None,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from enum import Enum
 from fractions import Fraction
@@ -184,10 +185,13 @@ def directed_search(
 
         if satisfied(m):
             witness = net.witness(reconstruct_witness(nodes, m))
-            # The recorded parent chain is a real path, never worse than g.
-            assert witness.total_weight * scale <= g_m
-            if not greedy:
-                assert witness.total_weight * scale == g_m
+            if __debug__:
+                # The recorded parent chain is a real path, never worse than
+                # g; both are compared times L, as integers.
+                total = sum(map(operator.mul, witness.parikh, weights))
+                assert total <= g_m
+                if not greedy:
+                    assert total == g_m
             result = SearchResult(Verdict.REACHABLE, witness.total_weight, witness, stats)
             return finish(result, expanded, discovered, heuristic_calls)
 

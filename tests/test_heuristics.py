@@ -15,10 +15,13 @@ from ffreach import (
     StructHeuristic,
     TargetSpec,
     Transition,
+    desugar_init,
     directed_search,
     ilp_min,
+    simplex_min,
 )
 from ffreach.heuristics import zero_heuristic
+from ffreach.ratlp import DEFAULT_ILP_NODE_BUDGET, standard_form
 from ffreach import heuristics
 from ffreach.heuristics import INF
 from conftest import parity_net, search_expanding
@@ -282,6 +285,67 @@ class TestIntegerMemoAgainstOracles:
         assert len(solves) < calls / 2, "few values were derived; the sweep tests little"
         assert fractional >= 50, fractional
         assert boxed >= (150 if integral else 0), boxed
+
+
+class TestColdStandardForm:
+    """A cold solve reads the heuristic's integer standard form, whose rows
+    are built once and get only their right-hand sides per marking.  It
+    must be the standard form of the reference problem ``lp(m)``, and a
+    fresh heuristic's first answer must be the reference problem's."""
+
+    @staticmethod
+    def cases():
+        """About 200 nets, with rational weights, desugared upward inits and
+        exact, cover and mixed targets, each with markings around the
+        target bounds, so that many right-hand sides are negative."""
+        rng = random.Random(2020)
+        negative = geq = 0
+        for k in range(200):
+            inst = random_bounded_instance(rng, rational_weights=k % 2 == 0, upward=k % 3 == 0)
+            net = desugar_init(inst).net
+            near = tuple(rng.randint(0, 3) for _ in net.places)
+            target = (inst.target, TargetSpec.exact(near), TargetSpec.cover(near))[k % 3]
+            bounds = [bound for _, bound in target.constraints]
+            markings = [inst.init, *(tuple(max(0, b + rng.randint(-2, 2)) for b in bounds) for _ in range(2))]
+            for m in markings:
+                negative += any(b < tokens for b, tokens in zip(bounds, m))
+                geq += any(rel is Relation.GEQ for rel, _ in target.constraints)
+                yield net, target, m
+        assert negative >= 300 and geq >= 300, (negative, geq)
+
+    def test_form_is_the_reference_problems(self):
+        for net, target, m in self.cases():
+            for integral in (False, True):
+                memo = StateEquationHeuristic(net, target, integral)
+                assert memo.form(m) == standard_form(memo.lp(m)), m
+                assert memo.form(m) == standard_form(memo.lp(m)), m  # writing a form leaves the rows as built
+
+    def test_first_answer_is_the_reference_solve(self):
+        rng = random.Random(2021)
+        kinds = set()
+        for net, target, m in self.cases():
+            for integral in (False, True):
+                budget = rng.choice((1, 2, DEFAULT_ILP_NODE_BUDGET))
+                memo = StateEquationHeuristic(net, target, integral, budget)
+                value = memo(m)
+                problem = memo.lp(m)
+                expected = ilp_min(problem, budget) if integral else simplex_min(problem)
+                kinds.add(expected.kind)
+                entry = memo._memo[m]
+                if expected.kind is OutcomeKind.INFEASIBLE:
+                    assert value == INF and entry[2] is None and entry[4] is None, m
+                    continue
+                if expected.kind is OutcomeKind.BUDGET_EXHAUSTED:
+                    assert value == expected.lower_bound and entry[2] is None, m
+                else:
+                    optimum = expected.optimum
+                    assert value == expected.value, m
+                    assert entry[1:4] == (optimum.value()[0], tuple(optimum.point()), optimum.den), m
+                tableau = entry[4]
+                reference = expected.tableau
+                assert (tableau.rows, tableau.basis, tableau.den) == (reference.rows, reference.basis, reference.den)
+                assert (tableau.objective, tableau.obj_scale) == (reference.objective, reference.obj_scale)
+        assert kinds == {OutcomeKind.OPTIMAL, OutcomeKind.INFEASIBLE, OutcomeKind.BUDGET_EXHAUSTED}
 
 
 def brute_force_struct_table(net):

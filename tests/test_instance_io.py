@@ -18,9 +18,11 @@ from ffreach import (
     desugar_init,
     generator_names,
     parse_instance,
+    prune_instance,
     serialize_instance,
 )
 from ffreach.instance_io import DuplicateIdError, NonPositiveWeightError, UnknownPlaceError
+from oracles import random_bounded_instance
 
 
 class TestParse:
@@ -234,6 +236,47 @@ class TestTargetSpec:
         assert replaced == TargetSpec.cover((2,)) and hash(replaced) == hash(TargetSpec.cover((2,)))
 
 
+class TestTrustedTargetSpec:
+    """The parser and the pruner build their specs without the checks of
+    ``__new__``; each must be the spec the checks would have built."""
+
+    @staticmethod
+    def specs():
+        rng = random.Random(2020)
+        shrunk = 0
+        for k in range(150):
+            inst = random_bounded_instance(rng, rational_weights=k % 2 == 0, upward=k % 3 == 0)
+            parsed = parse_instance(serialize_instance(inst))
+            pruned = prune_instance(desugar_init(parsed)).pruned_instance
+            shrunk += len(pruned.target.constraints) < len(parsed.target.constraints)
+            yield rng, parsed.target
+            yield rng, pruned.target
+        assert shrunk >= 20, f"only {shrunk} pruned specs dropped a place; the sweep tests little"
+
+    def test_equal_to_the_checked_spec(self):
+        outcomes = set()
+        for rng, spec in self.specs():
+            checked = TargetSpec(spec.constraints)
+            assert type(spec) is TargetSpec and type(spec.constraints) is tuple
+            assert all(type(entry) is tuple and type(entry[1]) is int for entry in spec.constraints)
+            assert spec == checked and hash(spec) == hash(checked) and repr(spec) == repr(checked)
+            test, reference = spec.goal_test(), checked.goal_test()
+            for _ in range(10):
+                m = tuple(max(0, bound + rng.randint(-1, 1)) for _, bound in spec.constraints)
+                assert test(m) is reference(m)
+                outcomes.add(test(m))
+        assert outcomes == {True, False}
+
+    def test_replace_and_make_keep_the_checks(self):
+        for _, spec in self.specs():
+            n = len(spec.constraints)
+            with pytest.raises(NetDefinitionError):
+                spec._replace(constraints=[(Relation.EQ, -1)] * (n or 1))
+            with pytest.raises(NetDefinitionError):
+                spec._make([[("=", 1)] * (n or 1)])
+            assert spec._replace(constraints=list(spec.constraints)) == spec
+
+
 class TestMalformedParts:
     """Parts of the wrong shape or type are a NetDefinitionError, like a bad
     value, not whatever error Python raises on reading them."""
@@ -285,6 +328,34 @@ class TestDesugar:
         )
         out = desugar_init(parse_instance(text))
         assert out.net.transitions[-1].weight == Fraction(1, 3)
+
+    def test_generator_weight_equals_min_weight(self):
+        # Rational weights with ties: 1/2 and 2/4 are the same least weight.
+        rng = random.Random(20)
+        ties = 0
+        for _ in range(100):
+            names = ["a", "b", "c"]
+            weights = [Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+            transitions = [Transition(f"t{k}", (1, 0, 0), (0, 1, 0), w) for k, w in enumerate(weights)]
+            net = PetriNet(names, transitions)
+            least = min(t.weight for t in net.transitions)  # compares Fractions
+            ties += [t.weight for t in net.transitions].count(least) > 1
+            assert net.min_weight() is least
+            inst = Instance(net, (1, 2, 0), {0, 1}, TargetSpec.cover((0, 0, 1))).validate()
+            out = desugar_init(inst)
+            for gen in out.net.transitions[len(weights):]:
+                assert gen.weight == least and type(gen.weight) is Fraction
+            produce = [t.produce for t in out.net.transitions[len(weights):]]
+            assert produce == [(1, 0, 0), (0, 1, 0)]
+            assert [t.guard for t in out.net.transitions[len(weights):]] == [(0, 0, 0)] * 2
+        assert ties >= 10, ties
+
+    def test_generator_weight_without_transitions_is_one(self):
+        inst = Instance(PetriNet(["p", "q"], []), (0, 3), {1}, TargetSpec.cover((0, 4))).validate()
+        (gen,) = desugar_init(inst).net.transitions
+        assert (gen.weight, type(gen.weight)) == (Fraction(1), Fraction)
+        assert (inst.net.min_weight(), type(inst.net.min_weight())) == (Fraction(1), Fraction)
+        assert (gen.guard, gen.produce) == ((0, 0), (0, 1))
 
     def test_generator_name_collision_resolved(self):
         text = "net n\nplaces: p1\ninit: p1>=1\ntransition gen_p1\n  produce p1:1\n"

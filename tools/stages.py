@@ -1,0 +1,164 @@
+"""Untraced stage times of the benchmark's solve, in process.
+
+    python3 tools/stages.py WORKLOAD SEED
+    python3 tools/stages.py WORKLOAD SEED OTHER_CHECKOUT
+
+Run from the root of a checkout.  The workload's corpus is built from the
+seed by this checkout's ``perfbench/corpus.py`` and
+``perfbench/workloads.py``, as ``perfbench/run.py`` builds it, and every
+(instance, config) pair is solved by ``perfbench/worker.make_solver``, the
+benchmark's own solve: parse the ``.fnet`` text, call ``solve_instance``,
+render the JSON report.  Only the stages are timed, by
+``time.perf_counter`` around ``parse_instance``, ``solve_instance`` and the
+four calls ``solve_instance`` makes: ``desugar_init``, ``prune_instance``,
+``make_heuristic`` (the heuristic build) and ``directed_search`` (the
+search, the heuristic's calls included).  ``other`` is the rest of
+``solve_instance``, and ``report`` the rest of the solve.  Nothing inside a
+stage is traced, so small stages are not inflated by span overhead, as the
+benchmark's traced layers are.
+
+Each pass solves every pair once, and the least pass total of each stage
+over PASSES passes is printed, in milliseconds.  With OTHER_CHECKOUT (say,
+a clone of the parent commit), the ffreach under each checkout's ``src`` is
+imported side by side and the passes alternate between the two, swapping
+which goes first each round, as ``tools/startup.py`` does; one untimed pass
+of each comes first.  Both columns are printed, with this checkout's time
+over the other's, and then, since the host's speed drifts between rounds,
+the median over the rounds of the two passes' ratio of totals.  Every
+report must match the untimed pass's, and with two checkouts the other
+checkout's too.
+
+Like the benchmark's worker, the solves run with ``PYTHONHASHSEED=0``.
+Nothing is written, bytecode caches included.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+PASSES = 7
+#: The ``cli`` globals that ``solve_instance`` calls, and the stage of each.
+INNER = {"desugar_init": "desugar", "prune_instance": "prune", "make_heuristic": "build", "directed_search": "search"}
+STAGES = ("parse", "desugar", "prune", "build", "search", "other", "report", "total")
+
+
+def load_ffreach(root: Path):
+    """The ``ffreach`` package under ``root / "src"``, imported apart from
+    any other: its modules leave ``sys.modules`` again and keep working,
+    since each one reads the others through its own globals."""
+    if not (root / "src" / "ffreach").is_dir():
+        raise SystemExit(f"stages.py: {root} is not the root of a checkout")
+    sys.path.insert(0, str(root / "src"))
+    try:
+        import ffreach
+    finally:
+        sys.path.pop(0)
+    for name in [name for name in sys.modules if name == "ffreach" or name.startswith("ffreach.")]:
+        del sys.modules[name]
+    return ffreach
+
+
+def timed(function, stage: str, totals: dict[str, float]):
+    def wrapper(*args, **kwargs):
+        t0 = perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            totals[stage] += perf_counter() - t0
+
+    return wrapper
+
+
+def staged_solver(ff, worker, totals: dict[str, float]):
+    """``worker.make_solver(ff)`` with its stages timed into ``totals``;
+    ``ff`` is a package of its own, so its functions are wrapped in place."""
+    for name, stage in INNER.items():
+        setattr(ff.cli, name, timed(getattr(ff.cli, name), stage, totals))
+    ff.parse_instance = timed(ff.parse_instance, "parse", totals)
+    ff.solve_instance = timed(ff.solve_instance, "solve", totals)
+    return timed(worker.make_solver(ff), "total", totals)
+
+
+def run_pass(solve, pairs, totals: dict[str, float]) -> tuple[dict[str, float], list[str]]:
+    """Solve every pair once; the pass's stage totals and its reports."""
+    for key in totals:
+        totals[key] = 0.0
+    reports = [solve(*pair) for pair in pairs]
+    stages = {key: totals[key] for key in ("parse", *INNER.values(), "total")}
+    stages["other"] = totals["solve"] - sum(totals[stage] for stage in INNER.values())
+    stages["report"] = totals["total"] - totals["solve"] - totals["parse"]
+    return stages, reports
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (2, 3) or not argv[1].isdigit():
+        print("usage: python3 tools/stages.py WORKLOAD SEED [OTHER_CHECKOUT]", file=sys.stderr)
+        return 64
+    root = Path.cwd()
+    if not (root / "perfbench" / "worker.py").is_file():
+        print(f"stages.py: {root} is not the root of a checkout", file=sys.stderr)
+        return 2
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "perfbench"))
+    import worker
+    from corpus import to_fnet
+    from workloads import WORKLOADS
+
+    name, seed = argv[0], int(argv[1])
+    if name not in WORKLOADS:
+        print(f"stages.py: unknown workload {name!r}, one of {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
+        return 64
+    workload = WORKLOADS[name]
+    corpus = {
+        "configs": [config.as_list() for config in workload.configs],
+        "instances": [[inst.id, to_fnet(inst)] for inst, _ in workload.build(seed)],
+    }
+    pairs = worker.Run(corpus).pairs
+
+    roots = [root, *(Path(arg).resolve() for arg in argv[2:])]
+    sides = []
+    for root_ in roots:
+        totals = dict.fromkeys(("parse", "solve", "total", *INNER.values()), 0.0)
+        solve = staged_solver(load_ffreach(root_), worker, totals)
+        sides.append((solve, totals, run_pass(solve, pairs, totals)[1]))
+    if any(reports != sides[0][2] for _, _, reports in sides):
+        print("stages.py: the two checkouts' reports differ", file=sys.stderr)
+        return 1
+
+    passes: list[list[dict[str, float]]] = [[] for _ in roots]
+    for k in range(PASSES):
+        order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
+        for side in order:
+            solve, totals, first = sides[side]
+            stages, reports = run_pass(solve, pairs, totals)
+            if reports != first:
+                print(f"stages.py: {roots[side]}: a report differs from the first pass's", file=sys.stderr)
+                return 1
+            passes[side].append(stages)
+
+    best = [{stage: min(p[stage] for p in side) for stage in STAGES} for side in passes]
+    print(f"{name} seed {seed}, {len(pairs)} solves per pass, least of {PASSES} passes, ms per pass")
+    print(f"{'stage':<8}" + "".join(f"{str(r)[-28:]:>30}" for r in roots) + ("   ratio" if len(roots) == 2 else ""))
+    for stage in STAGES:
+        line = f"{stage:<8}" + "".join(f"{b[stage] * 1000:>30.1f}" for b in best)
+        if len(roots) == 2:
+            line += f"{best[0][stage] / best[1][stage]:>8.3f}" if best[1][stage] > 0 else f"{'-':>8}"
+        print(line)
+    if len(roots) == 2:
+        # The host's speed drifts between rounds; the passes of one round ran back to back.
+        ratios = [mine["total"] / other["total"] for mine, other in zip(*passes)]
+        wins = sum(ratio < 1 for ratio in ratios)
+        print(f"total, this checkout over the other per round: median {statistics.median(ratios):.3f}, "
+              f"faster in {wins} of {PASSES} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

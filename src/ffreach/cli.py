@@ -389,14 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging() -> None:
     level_name = os.environ.get("FFREACH_LOG", "").upper()
     if level_name:
-        level = getattr(logging, level_name, logging.INFO)
+        # Only ``logging``'s int attributes are levels; anything else is INFO.
+        level = getattr(logging, level_name, None)
+        level = level if type(level) is int else logging.INFO
         logging.basicConfig(stream=sys.stderr, level=level, format="ffreach %(levelname)s: %(message)s")
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except Exception as exc:  # a crash must never look like a verdict
         logger.debug("internal error", exc_info=True)

@@ -17,7 +17,8 @@ Three families are provided, each bound to one net and target when built:
   keeps each optimum as the simplex tableau's integers, so deriving makes
   no ``Fraction`` unless the value itself is fractional.  It builds the
   system's integer standard form once; a cold solve, the first of a
-  search, writes only the right-hand side into it.
+  search, writes only the right-hand side into it, unless the signs of its
+  gaps already settle it as INF or, in the target set, as 0.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places; each place's cost to reach the target comes from one
@@ -72,7 +73,11 @@ class StateEquationHeuristic:
     and objective depend on the net only; a marking only shifts the
     right-hand side.  So the system's integer standard form is built once,
     and a cold solve reads :meth:`form`, which writes only the right-hand
-    side; :meth:`lp` is the reference problem it stands for.
+    side; :meth:`lp` is the reference problem it stands for.  Before that,
+    the signs decide two cases exactly, for ``q`` and ``z`` alike: a place
+    whose positive gap no effect raises, or whose negative ``=`` gap none
+    lowers, makes ``m`` INF; a marking with no open gap is in the target set
+    and is remembered with value 0, ``x* = 0`` and no tableau.
 
     With ``integral``, when the branch-and-bound node budget runs out the
     proven lower bound is returned instead; it is sandwiched between the
@@ -208,6 +213,24 @@ class StateEquationHeuristic:
         if warm is not None:
             tableau, shift, t = warm
             start = tableau.shifted({**shift, t: shift.get(t, 0) + 1})
+        else:
+            # Presolve from the signs of the gaps (see the class docstring).
+            # A row's surplus entries are 0 or -1, so they never raise p.
+            n, closed = len(self._effects), True
+            for (row, rel, bound), tokens in zip(self._rows, m):
+                if bound > tokens:
+                    if not row or max(row) <= 0:
+                        memo[m] = _INFINITE
+                        return INF
+                    closed = False
+                elif bound < tokens and rel is Relation.EQ:
+                    if min(row[:n], default=0) >= 0:
+                        memo[m] = _INFINITE
+                        return INF
+                    closed = False
+            if closed:
+                memo[m] = (0, 0, (0,) * n, 1, None, _NO_SHIFT)
+                return 0
         if self.integral:
             outcome = ilp_min(None if start else self.form(m), self.ilp_node_budget, start, self.deadline)
         else:

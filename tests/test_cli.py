@@ -226,6 +226,14 @@ class TestInternalError:
         assert err == "ffreach: internal error: RuntimeError('boom')\n"
         assert "Traceback" in caplog.text  # the debug channel carries the details
 
+    def test_start_up_crash_exits_70(self, fig1_path, capsys, monkeypatch):
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_configure_logging", crash)
+        code, out, err = run_main(["solve", fig1_path], capsys)
+        assert (code, out, err) == (70, "", "ffreach: internal error: RuntimeError('boom')\n")
+
 
 class TestGoldenReport:
     def test_json_matches_frozen_schema(self, fig1_path, capsys):
@@ -548,3 +556,15 @@ class TestSubprocessReproducibility:
         assert proc.returncode == 0
         assert b"ffreach DEBUG" in proc.stderr
         assert b"RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["basic_format", "_styles"])
+    def test_log_env_var_that_names_no_level_falls_back(self, fig1_path, value):
+        # ``logging.BASIC_FORMAT`` is a str and ``logging._STYLES`` a dict:
+        # neither is a level, so both log at INFO like an unknown name.
+        cmd = [sys.executable, "-m", "ffreach", "solve", fig1_path, "--format", "json"]
+        env = {key: v for key, v in os.environ.items() if key != "FFREACH_LOG"}
+        plain = subprocess.run(cmd, capture_output=True, env=env)
+        proc = subprocess.run(cmd, capture_output=True, env={**env, "FFREACH_LOG": value})
+        assert plain.returncode == proc.returncode == 0, proc.stderr
+        assert proc.stdout == plain.stdout
+        assert b"Traceback" not in proc.stderr

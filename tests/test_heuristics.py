@@ -137,6 +137,13 @@ def solves(monkeypatch):
     return seen
 
 
+def _lp_only_infinite():
+    """A net and target under which only the LP proves ``(1, 0)`` INF: ``t``
+    empties p1 but fills p2, and the target is ``(0, 0)``.  The successor
+    ``(0, 1)`` is INF by its signs alone, since nothing lowers p2."""
+    return PetriNet(["p1", "p2"], [Transition("t", (1, 0), (0, 1))]), TargetSpec.exact((0, 0))
+
+
 class TestParentShortcut:
     """A marking whose predecessor's optimal firing-count vector fires the
     connecting transition at least once is answered without a solve."""
@@ -172,10 +179,11 @@ class TestParentShortcut:
         assert dz((2, 1)) == dz((2, 1)) == 2
         assert len(solves) == 1
 
-    def test_infinite_marking_is_solved_once(self, n1, solves):
-        dq = StateEquationHeuristic(n1, TargetSpec.exact((0, 1)))
-        assert dq((1, 2)) == INF
-        assert dq((1, 2)) == INF
+    def test_infinite_marking_is_solved_once(self, solves):
+        net, target = _lp_only_infinite()
+        dq = StateEquationHeuristic(net, target)
+        assert dq((1, 0)) == INF
+        assert dq((1, 0)) == INF
         assert len(solves) == 1
 
     def test_budget_exhausted_parent_never_seeds_a_value(self, solves):
@@ -294,13 +302,13 @@ class TestColdStandardForm:
     fresh heuristic's first answer must be the reference problem's."""
 
     @staticmethod
-    def cases():
-        """About 200 nets, with rational weights, desugared upward inits and
+    def cases(seed=2020, nets=200):
+        """``nets`` nets, with rational weights, desugared upward inits and
         exact, cover and mixed targets, each with markings around the
         target bounds, so that many right-hand sides are negative."""
-        rng = random.Random(2020)
+        rng = random.Random(seed)
         negative = geq = 0
-        for k in range(200):
+        for k in range(nets):
             inst = random_bounded_instance(rng, rational_weights=k % 2 == 0, upward=k % 3 == 0)
             net = desugar_init(inst).net
             near = tuple(rng.randint(0, 3) for _ in net.places)
@@ -311,7 +319,7 @@ class TestColdStandardForm:
                 negative += any(b < tokens for b, tokens in zip(bounds, m))
                 geq += any(rel is Relation.GEQ for rel, _ in target.constraints)
                 yield net, target, m
-        assert negative >= 300 and geq >= 300, (negative, geq)
+        assert negative >= 3 * nets // 2 and geq >= 3 * nets // 2, (negative, geq)
 
     def test_form_is_the_reference_problems(self):
         for net, target, m in self.cases():
@@ -320,18 +328,35 @@ class TestColdStandardForm:
                 assert memo.form(m) == standard_form(memo.lp(m)), m
                 assert memo.form(m) == standard_form(memo.lp(m)), m  # writing a form leaves the rows as built
 
-    def test_first_answer_is_the_reference_solve(self):
+    def test_first_answer_is_the_reference_solve(self, solves):
+        """A marking in the target set is answered 0 with ``x* = 0`` and no
+        tableau, and one with a gap that no effect's sign can close is INF,
+        both without a solve; every other first answer is the reference
+        solve's, tableau included."""
         rng = random.Random(2021)
         kinds = set()
+        goals = signed = solved = 0
         for net, target, m in self.cases():
+            goal = target.goal_test()(m)
             for integral in (False, True):
                 budget = rng.choice((1, 2, DEFAULT_ILP_NODE_BUDGET))
                 memo = StateEquationHeuristic(net, target, integral, budget)
                 value = memo(m)
                 problem = memo.lp(m)
+                entry = memo._memo[m]
+                if goal:
+                    assert value == 0 and entry == (0, 0, (0,) * problem.num_vars, 1, None, {}) and not solves, m
+                    goals += 1
+                    continue
+                if _sign_infeasible(problem):
+                    assert value == INF and entry is heuristics._INFINITE and not solves, m
+                    signed += 1
+                    continue
+                assert len(solves) == 1, m
+                solves.clear()
+                solved += 1
                 expected = ilp_min(problem, budget) if integral else simplex_min(problem)
                 kinds.add(expected.kind)
-                entry = memo._memo[m]
                 if expected.kind is OutcomeKind.INFEASIBLE:
                     assert value == INF and entry[2] is None and entry[4] is None, m
                     continue
@@ -346,6 +371,46 @@ class TestColdStandardForm:
                 assert (tableau.rows, tableau.basis, tableau.den) == (reference.rows, reference.basis, reference.den)
                 assert (tableau.objective, tableau.obj_scale) == (reference.objective, reference.obj_scale)
         assert kinds == {OutcomeKind.OPTIMAL, OutcomeKind.INFEASIBLE, OutcomeKind.BUDGET_EXHAUSTED}
+        assert min(goals, signed, solved) >= 50, (goals, signed, solved)
+
+
+def _sign_infeasible(problem):
+    """Whether a row of ``problem`` has a right-hand side that the signs of
+    its coefficients cannot reach with ``x >= 0``: positive with no positive
+    coefficient, or, for an ``=`` row, negative with no negative one."""
+    return any(
+        (row.rhs > 0 and all(c <= 0 for c in row.coeffs))
+        or (row.relation is Relation.EQ and row.rhs < 0 and all(c >= 0 for c in row.coeffs))
+        for row in problem.rows
+    )
+
+
+class TestPresolve:
+    """A cold solve settled by the signs of its gaps must answer what the
+    solver answers: INF for INFEASIBLE, the proven bound when the node
+    budget runs out, else the optimum."""
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["q", "z"])
+    def test_first_answer_equals_the_solvers(self, integral, solves):
+        rng = random.Random(2022)
+        counts = {"presolved 0": 0, "presolved INF": 0, "solved": 0}
+        for net, target, m in TestColdStandardForm.cases(2022, 300):
+            budget = rng.choice((1, 2, DEFAULT_ILP_NODE_BUDGET))
+            h = StateEquationHeuristic(net, target, integral, budget)
+            value = h(m)
+            expected = ilp_min(h.lp(m), budget) if integral else simplex_min(h.lp(m))
+            if expected.kind is OutcomeKind.INFEASIBLE:
+                assert value == INF, m
+            elif expected.kind is OutcomeKind.BUDGET_EXHAUSTED:
+                assert value == expected.lower_bound, m
+            else:
+                assert value == expected.value, m
+            if solves:
+                counts["solved"] += 1
+                solves.clear()
+            else:
+                counts["presolved INF" if value == INF else "presolved 0"] += 1
+        assert min(counts.values()) >= 50, counts
 
 
 def brute_force_struct_table(net):
@@ -550,15 +615,18 @@ class TestInfinitePredecessor:
 
     @pytest.mark.parametrize("integral", [False, True])
     def test_successor_of_infinite_marking(self, n1, solves, integral):
-        target = TargetSpec.exact((0, 1))
-        h = StateEquationHeuristic(n1, target, integral=integral)
-        assert h((1, 2)) == INF
+        net, target = _lp_only_infinite()
+        h = StateEquationHeuristic(net, target, integral=integral)
+        assert h((1, 0)) == INF
         assert len(solves) == 1
-        for t, succ in n1.successors((1, 2)):
-            assert h(succ) == INF
-            assert StateEquationHeuristic(n1, target, integral=integral)(succ) == INF
-        # Each from-scratch check above is one solve; the memoizing object made none.
-        assert len(solves) == 1 + len(n1.successors((1, 2)))
+        assert [succ for _, succ in net.successors((1, 0))] == [(0, 1)]
+        assert h((0, 1)) == INF
+        assert StateEquationHeuristic(net, target, integral=integral)((0, 1)) == INF
+        # The memoizing object made no solve, and neither did the sign presolve.
+        assert len(solves) == 1
+        # No transition of n1 lowers p2, so the signs of the gaps settle (1, 2).
+        assert StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=integral)((1, 2)) == INF
+        assert len(solves) == 1
 
     def test_matches_from_scratch_on_random_nets(self, solves):
         rng = random.Random(5150)

@@ -251,7 +251,7 @@ def solve_instance(
 def _read_instance(path: str) -> Instance | None:
     """Parse an instance file, or report why it cannot be read and return None."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_instance(fh.read())
     except (OSError, FnetParseError, NetDefinitionError, UnicodeDecodeError) as exc:
         print(f"ffreach: {path}: {exc}", file=sys.stderr)

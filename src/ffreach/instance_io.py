@@ -410,7 +410,9 @@ def desugar_init(inst: Instance) -> Instance:
     minimum transition weight of the net, keeping the minimal-weight floor of
     the instance unchanged.  Reachability answers under the upward-closed
     reading of the initial marking are preserved: generator firings commute
-    to the front of any firing sequence.
+    to the front of any firing sequence.  The generators are valid by
+    construction: the new net is not checked, and keeps the firing records of
+    ``inst.net``, adding only the generators' (``PetriNet._extended``).
     """
     if not inst.init_upward:
         return inst
@@ -425,9 +427,7 @@ def desugar_init(inst: Instance) -> Instance:
         name = _fresh_name(f"gen_{net.places[p]}", taken)
         taken.add(name)
         extra.append(Transition(name, zeros, units[num - p : 2 * num - p], gen_weight))
-    # The generators are valid by construction, so the net is not checked again.
-    new_net = PetriNet._trusted(net.places, net.transitions + tuple(extra), net.name)
-    return Instance(new_net, inst.init, frozenset(), inst.target)
+    return Instance(net._extended(tuple(extra)), inst.init, frozenset(), inst.target)
 
 
 def generator_names(original: Instance, desugared: Instance) -> set[str]:

@@ -15,12 +15,13 @@ only ones that can pass ``MAX_TOKENS``.  Sign analysis reads the records too.
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
 valid by construction (the parser's output after its own line-numbered
-checks, and the nets ``desugar_init`` and ``prune_instance`` derive from a
-valid one) are built through ``PetriNet._trusted``, without the check.  Both
-build every other table in ``_build_tables``, once per net: the firing
-records, read straight off the dense vectors, and ``L``, the lcm of the
-weight denominators, with the ``L``-scaled weights the search and
-``witness`` read.
+checks, and the projections ``prune_instance`` makes of a valid one) are
+built through ``PetriNet._trusted``, without the check.  Both read the
+firing records off the dense vectors in ``_firings``, one loop per
+transition.  ``_extended``, the net ``desugar_init`` makes, keeps its
+parent's records and reads only those of the transitions it appends.  Every
+net computes ``L``, the lcm of its weight denominators, and the
+``L``-scaled weights the search and ``witness`` read, in ``_set_tables``.
 """
 
 from __future__ import annotations
@@ -116,6 +117,25 @@ class Witness(NamedTuple):
     parikh: tuple[int, ...]
 
 
+def _firings(transitions: Sequence[Transition], first: int) -> tuple:
+    """The firing records of ``transitions``, numbered from ``first``, read off their dense vectors."""
+    firings = []
+    for t, trans in enumerate(transitions, first):
+        guard, deltas, raises = [], [], []
+        p = 0
+        for need, made in zip(trans.guard, trans.produce):
+            if need:
+                guard.append((p, need))
+            if made != need:
+                deltas.append((p, made - need))
+                if made > need:
+                    raises.append(p)
+            p += 1
+        p0, n0 = guard.pop(0) if guard else (0, 0)
+        firings.append((t, p0, n0, tuple(guard), tuple(deltas), tuple(raises)))
+    return tuple(firings)
+
+
 class PetriNet:
     """Immutable weighted Petri net.
 
@@ -147,35 +167,37 @@ class PetriNet:
             produce = _nat_vector(t.produce, f"produce of {t.name!r}")
             checked.append(Transition(t.name, guard, produce, _as_weight(t.weight)))
         self.name, self.places, self.transitions = str(name), places, tuple(checked)
-        self._build_tables()
+        self._set_tables(_firings(self.transitions, 0))
 
     @classmethod
     def _trusted(cls, places: tuple[str, ...], transitions: tuple[Transition, ...], name: str) -> "PetriNet":
         """A net whose parts are already known to be valid, built without
         the checks of ``__init__``: the parser's output after its own checks,
-        or a net derived from a valid one.  The caller passes tuples of
-        ``str`` ids, ``int`` vectors and ``Fraction`` weights."""
+        or a projection of a valid net.  The caller passes tuples of ``str``
+        ids, ``int`` vectors and ``Fraction`` weights."""
         net = cls.__new__(cls)
         net.name, net.places, net.transitions = name, places, transitions
-        net._build_tables()
+        net._set_tables(_firings(transitions, 0))
         return net
 
-    def _build_tables(self) -> None:
-        """The firing records and the scaled weights, built once per net."""
-        transitions = self.transitions
-        firings = []
-        for t, trans in enumerate(transitions):
-            guard = [(p, need) for p, need in enumerate(trans.guard) if need]
-            deltas = tuple([(p, d) for p, d in enumerate(map(operator.sub, trans.produce, trans.guard)) if d])
-            p0, n0 = guard[0] if guard else (0, 0)
-            firings.append((t, p0, n0, tuple(guard[1:]), deltas, tuple([p for p, d in deltas if d > 0])))
+    def _extended(self, extra: tuple[Transition, ...]) -> "PetriNet":
+        """This net with the valid transitions ``extra`` appended, keeping its
+        own firing records and reading only those of ``extra``."""
+        cls = type(self)
+        net = cls.__new__(cls)
+        net.name, net.places, net.transitions = self.name, self.places, self.transitions + extra
+        net._set_tables(self._firings + _firings(extra, len(self.transitions)))
+        return net
+
+    def _set_tables(self, firings: tuple) -> None:
+        """Store the firing records and the scaled weights of this net's transitions."""
         #: The firing record of each transition, in index order.
-        self._firings = tuple(firings)
-        ratios = [t.weight.as_integer_ratio() for t in transitions]
+        self._firings = firings
+        weights = [t.weight for t in self.transitions]
         #: ``L``, the lcm of the weight denominators (1 without transitions).
-        self.scale = scale = math.lcm(*[den for _, den in ratios])
+        self.scale = scale = math.lcm(*[w.denominator for w in weights])
         #: Each weight times ``L``, as an ``int``.
-        self.scaled_weights = tuple([num * (scale // den) for num, den in ratios])
+        self.scaled_weights = tuple([w.numerator * (scale // w.denominator) for w in weights])
 
     @property
     def num_places(self) -> int:

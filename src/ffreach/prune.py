@@ -81,7 +81,9 @@ def prune_instance(inst: Instance) -> PruneResult:
     way.  Target constraints on removed places are dropped when they are
     vacuously true (= 0 or >= 0) and settle the instance as immediately
     unreachable when they demand tokens.  When every place is markable,
-    nothing is removed and the input instance itself is returned.
+    nothing is removed and the input instance itself is returned.  Else the
+    net, marking and target are projected onto the kept places and not
+    checked again, a projection of a valid one being valid.
     """
     net = inst.net
     initially_marked = {p for p in range(net.num_places) if inst.init[p] > 0}
@@ -93,37 +95,19 @@ def prune_instance(inst: Instance) -> PruneResult:
     if len(markable) == net.num_places:
         return PruneResult(inst, PruneVerdict.PRUNED)
 
-    kept_place_list = [p for p in range(net.num_places) if p in markable]
-
-    verdict = PruneVerdict.PRUNED
-    for p in range(net.num_places):
-        if p not in markable:
-            _, bound = inst.target.constraints[p]
-            if bound > 0:
-                verdict = PruneVerdict.IMMEDIATELY_UNREACHABLE
-
-    kept_transition_list = [
-        t for t, trans in enumerate(net.transitions) if all(p in markable for p, need in enumerate(trans.guard) if need)
-    ]
-
-    def project(vec) -> tuple[int, ...]:
-        return tuple(vec[p] for p in kept_place_list)
-
-    transitions = tuple(
-        Transition(net.transitions[t].name, project(net.transitions[t].guard),
-                   project(net.transitions[t].produce), net.transitions[t].weight)
-        for t in kept_transition_list
-    )
-    # A projection of a valid net onto some of its places, with a subset of
-    # its transitions, is valid: the net is not checked again.
-    pruned_net = PetriNet._trusted(tuple(net.places[p] for p in kept_place_list), transitions, net.name)
-    # Likewise, a projection of a valid target is valid.
-    pruned_target = TargetSpec._trusted(tuple(inst.target.constraints[p] for p in kept_place_list))
+    kept_places = [p for p in range(net.num_places) if p in markable]
+    # No token can reach a removed place: a target that demands one there is unreachable.
+    unreachable = any(inst.target.constraints[p][1] > 0 for p in range(net.num_places) if p not in markable)
+    kept_transitions = [t for t, p0, n0, rest, _, _ in net._firings
+                        if (not n0 or p0 in markable) and all(p in markable for p, _ in rest)]
+    transitions = tuple([
+        Transition(name, tuple(map(guard.__getitem__, kept_places)), tuple(map(made.__getitem__, kept_places)), weight)
+        for name, guard, made, weight in map(net.transitions.__getitem__, kept_transitions)
+    ])
     pruned = Instance(
-        pruned_net,
-        project(inst.init),
-        frozenset(new for new, p in enumerate(kept_place_list) if p in inst.init_upward),
-        pruned_target,
+        PetriNet._trusted(tuple(map(net.places.__getitem__, kept_places)), transitions, net.name),
+        tuple(map(inst.init.__getitem__, kept_places)),
+        frozenset(new for new, p in enumerate(kept_places) if p in inst.init_upward),
+        TargetSpec._trusted(tuple(map(inst.target.constraints.__getitem__, kept_places))),
     )
-
-    return PruneResult(pruned, verdict)
+    return PruneResult(pruned, PruneVerdict.IMMEDIATELY_UNREACHABLE if unreachable else PruneVerdict.PRUNED)

@@ -4,18 +4,22 @@ Everything in here is deliberately brute force and shares no code with the
 library's solving path: plain BFS/Dijkstra over explicitly enumerated state
 graphs, LP values by basic-solution enumeration, ILP values by integer-box
 enumeration, and coverability by the classic backward fixpoint over
-upward-closed sets.  The three exceptions are replaced library code kept as
+upward-closed sets.  The four exceptions are replaced library code kept as
 step-for-step references: ``reference_simplex_min``, the ``Fraction``
 tableau simplex the library's integer tableau replaced,
 ``reference_ilp_min``, the ``Fraction`` branch-and-bound loop the
-library's integer loop replaced, and ``reference_parse_instance``, the
-token-by-token ``.fnet`` parser the one-pass parser replaced.
+library's integer loop replaced, ``reference_parse_instance``, the
+token-by-token ``.fnet`` parser the one-pass parser replaced, and
+``reference_firings``, the per-net tables as every net built them before
+the one-loop build, and before ``desugar_init`` kept its parent's records.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -717,6 +721,28 @@ def cover_distance_by_enumeration(net, init, init_upward, target, gen_weight, bu
             if total < best:
                 best = total
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference firing tables: ``PetriNet._build_tables`` as it read every net's
+# dense vectors, three comprehensions per transition, before ``_firings``
+# read them in one loop and the net desugar_init extends kept its parent's
+# records.  Every net's ``_firings``, ``scale`` and ``scaled_weights`` must
+# equal what this returns for its transitions.
+
+
+def reference_firings(transitions) -> tuple[tuple, int, tuple[int, ...]]:
+    """The firing records ``(t, p0, n0, rest, deltas, raises)``, ``L`` and
+    the ``L``-scaled weights of ``transitions``, read off the dense vectors."""
+    firings = []
+    for t, trans in enumerate(transitions):
+        guard = [(p, need) for p, need in enumerate(trans.guard) if need]
+        deltas = tuple([(p, d) for p, d in enumerate(map(operator.sub, trans.produce, trans.guard)) if d])
+        p0, n0 = guard[0] if guard else (0, 0)
+        firings.append((t, p0, n0, tuple(guard[1:]), deltas, tuple([p for p, d in deltas if d > 0])))
+    ratios = [t.weight.as_integer_ratio() for t in transitions]
+    scale = math.lcm(*[den for _, den in ratios])
+    return tuple(firings), scale, tuple([num * (scale // den) for num, den in ratios])
 
 
 # ---------------------------------------------------------------------------

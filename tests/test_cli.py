@@ -136,6 +136,22 @@ class TestSolveCommand:
         assert code == 65
         assert "line 3" in err
 
+    def test_byte_order_mark_is_not_part_of_the_text(self, fig_fnet_text, tmp_path, capsys, monkeypatch):
+        # Some editors start a UTF-8 file with U+FEFF, which is no whitespace:
+        # kept, it would make the first keyword read "\ufeffnet".  Each copy
+        # is read from its own directory under one name, as the report echoes
+        # the path; the JSON report is the one without a wall time.
+        outputs = []
+        for side, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            Path("fig1.fnet").write_bytes(mark + fig_fnet_text.encode())
+            outputs.append([run_main(["solve", "fig1.fnet", "--format", "json"], capsys)])
+            assert run_main(["gen-walk", "fig1.fnet", "--length", "4", "--seed", "5", "--out", "w.fnet"], capsys)[0] == 0
+            outputs[-1].append(Path("w.fnet").read_bytes())
+        assert outputs[0][0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def test_numeral_too_long_to_convert(self, tmp_path, capsys):
         path = tmp_path / "long.fnet"
         path.write_text("net x\nplaces: a\ninit: a=" + "9" * 5000 + "\n")

@@ -15,15 +15,18 @@ from ffreach import (
     TargetSpec,
     TokenOverflowError,
     Transition,
+    Verdict,
     desugar_init,
     directed_search,
     make_heuristic,
     parse_instance,
     prune_instance,
     serialize_instance,
+    solve_instance,
 )
+from ffreach import net as net_module
 from ffreach.net import MAX_TOKENS, Witness
-from oracles import enumerate_reachable, random_bounded_instance
+from oracles import enumerate_reachable, random_bounded_instance, reference_firings
 
 T1, T2, T3 = 0, 1, 2
 
@@ -280,31 +283,121 @@ class TestWeightNormalization:
         assert serialize_instance(reparsed) == text
 
 
-def assert_same_tables(net: PetriNet) -> None:
-    """``net`` has the tables of a checked rebuild of its parts."""
-    rebuilt = PetriNet(net.places, net.transitions, name=net.name)
-    assert net == rebuilt
-    assert net._firings == rebuilt._firings
-    assert net.scale == rebuilt.scale
-    assert net.scaled_weights == rebuilt.scaled_weights
+def assert_reference_tables(net: PetriNet) -> None:
+    """``net`` equals a checked rebuild of its parts, and its tables are the
+    reference tables of its transitions."""
+    assert net == PetriNet(net.places, net.transitions, name=net.name)
+    assert (net._firings, net.scale, net.scaled_weights) == reference_firings(net.transitions)
+
+
+def derived_nets(text: str) -> tuple[PetriNet, PetriNet, PetriNet]:
+    """The parsed, desugared and pruned nets of an instance text."""
+    parsed = parse_instance(text)
+    desugared = desugar_init(parsed)
+    return parsed.net, desugared.net, prune_instance(desugared).pruned_instance.net
 
 
 class TestTrustedConstruction:
-    """The parser, ``desugar_init`` and ``prune_instance`` build their nets
-    through ``PetriNet._trusted``; those nets must equal checked rebuilds."""
+    """The parser and ``prune_instance`` build their nets through
+    ``PetriNet._trusted``, and ``desugar_init`` extends the parsed net's
+    firing records.  All must equal checked rebuilds and hold the reference
+    tables."""
 
     def test_derived_nets_match_validated_rebuilds(self):
         rng = random.Random(880088)
         pruned_some = 0
         for k in range(200):
             inst = random_bounded_instance(rng, rational_weights=k % 2 == 0, upward=k % 3 == 0)
-            parsed = parse_instance(serialize_instance(inst))
-            desugared = desugar_init(parsed)
-            pruned = prune_instance(desugared).pruned_instance
-            for net in (parsed.net, desugared.net, pruned.net):
-                assert_same_tables(net)
-            pruned_some += pruned.net.num_places < desugared.net.num_places
+            nets = derived_nets(serialize_instance(inst))
+            for net in nets:
+                assert_reference_tables(net)
+            pruned_some += nets[2].num_places < nets[1].num_places
         assert pruned_some >= 20
+
+    @pytest.mark.parametrize(
+        "text, places, transitions",
+        [
+            # No place is markable; only the transition that reads and writes nothing is kept.
+            ("net z\nplaces: a b\ntransition t weight 1/2\n  consume a:1\n  produce b:1\n"
+             "transition idle weight 2/3\n", (), ("idle",)),
+            # One place, the last one, kept: its effects and raises move to place 0.
+            ("net one\nplaces: x y z\ninit: z=2\ntransition t0\n  consume x:1\n  produce y:1\n"
+             "transition t1 weight 3/2\n  consume z:1\ntransition t2\n  consume z:2\n  produce z:3 y:0\n",
+             ("z",), ("t1", "t2")),
+            # All places but one: the place after the removed one moves down, and t4,
+            # whose guard's first place is markable but whose second is not, goes.
+            ("net most\nplaces: a b c d\ninit: a=1\ntransition t0\n  consume a:1\n  produce b:1 d:2\n"
+             "transition t1\n  consume c:1\n  produce a:1\ntransition t2 weight 1/3\n  consume b:1 d:1\n"
+             "  produce a:1 d:2\ntransition t3\n  produce d:1\ntransition t4\n  consume a:1 c:1\n  produce b:1\n",
+             ("a", "b", "d"), ("t0", "t2", "t3")),
+            # Upward flags: the generators are kept, the unmarkable place is not.
+            ("net spawn\nplaces: idle ready done\ninit: ready>=1\ntransition work weight 5/3\n"
+             "  consume ready:2\n  produce done:1\ntransition stuck\n  consume idle:1\n  produce done:4\n",
+             ("ready", "done"), ("work", "gen_ready")),
+        ],
+        ids=["no-place", "one-place", "all-but-one", "upward"],
+    )
+    def test_prunes_keep_reference_tables(self, text, places, transitions):
+        nets = derived_nets(text)
+        for net in nets:
+            assert_reference_tables(net)
+        assert nets[2].places == places
+        assert tuple(t.name for t in nets[2].transitions) == transitions
+
+    @pytest.mark.parametrize(
+        "init, generators, kept",
+        [("a=1", (), ("a",)), ("a>=1", ("gen_a",), ("a",)), ("a>=1 b>=2", ("gen_a", "gen_b"), ("a", "b"))],
+        ids=["unflagged", "one-flag", "two-flags"],
+    )
+    def test_net_without_transitions(self, init, generators, kept):
+        nets = derived_nets(f"net bare\nplaces: a b c\ninit: {init}\ntarget: a>=1\n")
+        for net in nets:
+            assert_reference_tables(net)
+        assert nets[0].transitions == ()
+        assert tuple(t.name for t in nets[1].transitions) == generators
+        assert nets[2].places == kept
+        assert tuple(t.name for t in nets[2].transitions) == generators
+
+    def test_pruning_the_only_third_changes_the_scale(self):
+        parsed, _, pruned = derived_nets(
+            "net thirds\nplaces: a b\ninit: a=1\ntransition half weight 1/2\n  consume a:1\n  produce a:1\n"
+            "transition third weight 2/3\n  consume b:1\n  produce a:1\n"
+        )
+        assert (parsed.scale, parsed.scaled_weights) == (6, (3, 4))
+        assert (pruned.scale, pruned.scaled_weights) == (2, (1,))
+        assert_reference_tables(pruned)
+
+
+class TestDenseReads:
+    """A solve reads dense vectors into firing records once per net it
+    builds: the parsed net's, only the generators' of the net
+    ``desugar_init`` extends, and the projected ones of the net
+    ``prune_instance`` keeps."""
+
+    @pytest.mark.parametrize(
+        "text, reads",
+        [
+            ("net spawn\nplaces: idle ready done\ninit: ready>=1\ntransition work\n  consume ready:2\n"
+             "  produce done:1\ntransition stuck\n  consume idle:1\n  produce done:1\ntarget: done>=1\n",
+             [("work", "stuck"), ("gen_ready",), ("work", "gen_ready")]),
+            (None, None),
+        ],
+        ids=["upward-and-projected", "neither"],
+    )
+    def test_each_net_read_once(self, text, reads, fig_fnet_text, monkeypatch):
+        read = []
+        firings = net_module._firings
+
+        def counted(transitions, first):
+            read.append(tuple(t.name for t in transitions))
+            return firings(transitions, first)
+
+        monkeypatch.setattr(net_module, "_firings", counted)
+        inst = parse_instance(text or fig_fnet_text)
+        result, _, _ = solve_instance(inst)
+        assert result.verdict is Verdict.REACHABLE
+        # The fixture has no upward flag and every place markable: desugar and prune keep its net.
+        assert read == (reads or [tuple(t.name for t in inst.net.transitions)])
 
 
 # A tiny strategy for random sequences over the three-transition net.

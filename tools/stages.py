@@ -23,11 +23,13 @@ a clone of the parent commit), the ffreach under each checkout's ``src`` is
 imported side by side and the passes alternate between the two, swapping
 which goes first each round, as ``tools/startup.py`` does; one untimed pass
 of each comes first.  PASSES is even, so each checkout goes first in half
-of the rounds.  Both columns are printed, with this checkout's time over
-the other's, and then, since the host's speed drifts between rounds, the
-quartiles over the rounds of the two passes' ratio, per stage: a change
-reads as real only when its ratio's quartiles keep clear of 1.000, which
-those of a checkout against a copy of itself straddle.  Last comes the
+of the rounds.  Both columns are printed, and then, since the host's speed
+drifts between rounds, the quartiles over the rounds of the two passes'
+ratio, this checkout's time over the other's, per stage: a change reads as
+real only when its ratio's quartiles keep clear of 1.000, which those of a
+checkout against a copy of itself straddle.  The ratio of the two least
+passes is not printed: against a copy of itself it read about 0.8 on every
+stage, while the quartiles of ``total`` straddled 1.000.  Last comes the
 median ratio of totals.  Every report must match the untimed pass's, and
 with two checkouts the other checkout's too.
 
@@ -149,15 +151,13 @@ def main(argv: list[str]) -> int:
     best = [{stage: min(p[stage] for p in side) for stage in STAGES} for side in passes]
     print(f"{name} seed {seed}, {len(pairs)} solves per pass, least of {PASSES} passes, ms per pass")
     header = f"{'stage':<8}" + "".join(f"{str(r)[-28:]:>30}" for r in roots)
-    print(header + ("   ratio  round q1  median      q3" if len(roots) == 2 else ""))
+    print(header + ("  round q1  median      q3" if len(roots) == 2 else ""))
     for stage in STAGES:
         line = f"{stage:<8}" + "".join(f"{b[stage] * 1000:>30.1f}" for b in best)
-        if len(roots) == 2:
-            line += f"{best[0][stage] / best[1][stage]:>8.3f}" if best[1][stage] > 0 else f"{'-':>8}"
-            # The host's speed drifts between rounds; the passes of one round ran back to back.
-            if all(other[stage] > 0 for other in passes[1]):
-                quartiles = statistics.quantiles([m[stage] / o[stage] for m, o in zip(*passes)], n=4)
-                line += "".join(f"{q:>{w}.3f}" for q, w in zip(quartiles, (10, 8, 8)))
+        # The host's speed drifts between rounds; the passes of one round ran back to back.
+        if len(roots) == 2 and all(other[stage] > 0 for other in passes[1]):
+            quartiles = statistics.quantiles([m[stage] / o[stage] for m, o in zip(*passes)], n=4)
+            line += "".join(f"{q:>{w}.3f}" for q, w in zip(quartiles, (11, 8, 8)))
         print(line)
     if len(roots) == 2:
         ratios = [mine["total"] / other["total"] for mine, other in zip(*passes)]

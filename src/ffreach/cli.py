@@ -89,25 +89,31 @@ def _float_or_none(value: Fraction) -> float | None:
         return None
 
 
+def _json_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"a JSON report cannot hold {value!r}")
+
+
+#: The encoder of each exact type of a report's leaves.
+_JSON_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+                  bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+#: The ``"key": `` fragment of each config key ``cmd_solve`` writes.
+_CONFIG_KEYS = {key: f'"{key}": ' for key in
+                ("file", "strategy", "heuristic", "prune", "ilp_node_budget", "max_expansions", "max_time_ms")}
+
+
 def _json_scalar(value) -> str:
     """``json.dumps(value)`` for a report's leaves: strings, None, booleans,
-    ints and finite floats.  A non-finite float raises ValueError, as strict
-    JSON has no spelling for it; any other value raises TypeError."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"a JSON report cannot hold {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"a JSON report cannot hold {type(value).__name__}")
+    ints and finite floats, subclasses included.  A non-finite float raises
+    ValueError, as strict JSON has no spelling for it; any other value
+    raises TypeError."""
+    encode = _JSON_ENCODERS.get(type(value))
+    if encode is None:  # a subclass is encoded as its base
+        encode = next(filter(None, map(_JSON_ENCODERS.get, type(value).__mro__)), None)
+        if encode is None:
+            raise TypeError(f"a JSON report cannot hold {type(value).__name__}")
+    return encode(value)
 
 
 class SolveReport(NamedTuple):
@@ -158,7 +164,10 @@ class SolveReport(NamedTuple):
             ]
         if self.reason is not None:
             parts += [',\n  "reason": ', encode_basestring_ascii(self.reason)]
-        config = [encode_basestring_ascii(key) + ": " + _json_scalar(value) for key, value in self.config.items()]
+        config = [
+            (_CONFIG_KEYS.get(key) or encode_basestring_ascii(key) + ": ") + _json_scalar(value)
+            for key, value in self.config.items()
+        ]
         parts += [
             ',\n  "stats": {\n    "expanded": ', int.__repr__(self.expanded),
             ',\n    "discovered": ', int.__repr__(self.discovered),
@@ -208,23 +217,23 @@ def solve_instance(
     inside the heuristic, each ``z`` branch-and-bound.
     """
     desugared = desugar_init(inst)
-    gen_names = generator_names(inst, desugared)
+    gen_names = generator_names(inst, desugared) if desugared is not inst else ()
     search_inst = desugared
     if prune:
         pruned = prune_instance(desugared)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "prune: %d/%d places, %d/%d transitions kept, verdict %s",
-                pruned.pruned_instance.net.num_places,
-                desugared.net.num_places,
-                pruned.pruned_instance.net.num_transitions,
-                desugared.net.num_transitions,
-                pruned.verdict.value,
-            )
         if pruned.verdict is PruneVerdict.IMMEDIATELY_UNREACHABLE:
+            logger.debug("prune: verdict %s", pruned.verdict.value)
             reason = "target demands tokens in a place that can never be marked"
             return SearchResult(Verdict.UNREACHABLE, reason=reason), [], 0
         search_inst = pruned.pruned_instance
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "prune: %d/%d places, %d/%d transitions kept",
+                search_inst.net.num_places,
+                desugared.net.num_places,
+                search_inst.net.num_transitions,
+                desugared.net.num_transitions,
+            )
 
     deadline = None
     if limits is not None and limits.max_time_ms is not None:
@@ -241,10 +250,9 @@ def solve_instance(
     witness_ids: list[str] = []
     generator_firings = 0
     if result.witness is not None:
-        names = [search_inst.net.transitions[t].name for t in result.witness.sequence]
-        witness_ids = names
+        witness_ids = [search_inst.net.transitions[t].name for t in result.witness.sequence]
         if gen_names:
-            generator_firings = sum(1 for n in names if n in gen_names)
+            generator_firings = sum(1 for n in witness_ids if n in gen_names)
     return result, witness_ids, generator_firings
 
 

@@ -15,9 +15,9 @@ as "at least this many tokens"), and a target specification: one ``=`` or
 Tokens are whitespace separated, ``#`` starts a comment to end of line,
 and both LF and CRLF line endings are accepted.
 
-``parse_instance`` reads the text in one pass.  Each entry line is checked
-whole, by one ``findall`` that splits it into entries and marks every
-malformed token, and its entries are written straight into the vectors of
+``parse_instance`` reads the text in one pass.  Each entry line is split
+into tokens by ``str.split`` and each token into id and count by
+``str.partition``, and its entries are written straight into the vectors of
 the instance.  A line with a bad entry is read again, entry by entry, so
 that every error names the first bad token and carries its line number,
 as a token-by-token reading would.
@@ -161,14 +161,10 @@ class Instance(NamedTuple):
 
 
 _ID_RE = re.compile(r"^[^\s=:>#]+$")
-# One entry per whitespace-separated token of an entry line: a well-formed
-# token gives its parts and an empty last group, any other token gives
-# empty parts and the token itself.  ``findall`` thus checks a whole line.
-_MARKING_ENTRIES_RE = re.compile(r"([^\s=:>#]+)(>?=)(\d+)(?!\S)|(\S+)")
-_ARC_ENTRIES_RE = re.compile(r"([^\s=:>#]+):(\d+)(?!\S)|(\S+)")
 _WEIGHT_RE = re.compile(r"(\d+)(?:/(\d+))?")
 
-_RELATION_OF_OP = {"=": Relation.EQ, ">=": Relation.GEQ}
+#: The relation of a target entry, indexed by whether its op is ``>=``.
+_RELATIONS = (Relation.EQ, Relation.GEQ)
 #: The constraint of a place the target line omits.
 _UNCONSTRAINED = (Relation.GEQ, 0)
 
@@ -196,14 +192,17 @@ def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
     return weight
 
 
-def _entry_error(entries: list[tuple], lineno: int, places: dict[str, int], what: str) -> FnetParseError:
-    """The error of the first bad entry of a line, as ``findall`` split it:
-    a malformed token, an unknown place or a place listed twice."""
+def _entry_error(tokens: list[str], lineno: int, places: dict[str, int], what: str) -> FnetParseError:
+    """The error of the first bad entry of a line: a malformed token, an
+    unknown place or a place listed twice."""
+    arc = what in ("consume", "produce")
     seen = set()
-    for entry in entries:
-        pid, token = entry[0], entry[-1]
-        if token:
-            expected = "id:nat" if what in ("consume", "produce") else "id=nat or id>=nat"
+    for token in tokens:
+        pid, _, nat = token.partition(":" if arc else "=")
+        if not arc and pid[-1:] == ">":
+            pid = pid[:-1]
+        if not pid or not nat.isdecimal() or "=" in pid or ":" in pid or ">" in pid:
+            expected = "id:nat" if arc else "id=nat or id>=nat"
             return FnetParseError(f"bad {what} entry {token!r} (expected {expected})", lineno)
         if pid not in places:
             return UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
@@ -228,15 +227,14 @@ def parse_instance(text: str) -> Instance:
 
     This is where outside input is checked, in one pass over the lines.  An
     entry line (``init:``, ``target:``, ``consume``, ``produce``) is split
-    into its entries by one ``findall`` of a pattern that also marks every
-    malformed token, and the entries fill the marking, target and arc
-    vectors in place.  Only a line with a bad entry is read again, entry by
-    entry, to name the first bad one.  Every syntax error, unknown or
-    duplicate id, non-positive weight and numeral longer than ``int()``
-    converts raises an FnetParseError carrying its line number, with the
-    message a token-by-token reading gives; token
-    counts of the initial marking beyond the 64-bit range raise
-    NetDefinitionError."""
+    into tokens, each cut at its first ``:`` or ``=``; a token whose id is a
+    place not yet listed on the line and whose count is decimal fills the
+    marking, target or arc vector in place.  Only a line with a bad entry
+    is read again, entry by entry, to name the first bad one.  Every syntax
+    error, unknown or duplicate id, non-positive weight and numeral longer
+    than ``int()`` converts raises an FnetParseError carrying its line
+    number, with the message a token-by-token reading gives; token counts
+    of the initial marking beyond the 64-bit range raise NetDefinitionError."""
     name: str | None = None
     places: list[str] | None = None
     place_index: dict[str, int] = {}
@@ -257,37 +255,34 @@ def parse_instance(text: str) -> Instance:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             if "#" in raw:
                 raw = raw[: raw.index("#")]
-            parts = raw.split(None, 1)
-            if not parts:
+            tokens = raw.split()
+            if not tokens:
                 continue
-            keyword = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
+            keyword = tokens.pop(0)
+            if closed and keyword != "net" and keyword != "places:":
+                raise _misplaced(name, places, lineno)
 
             if keyword == "consume" or keyword == "produce":
-                if closed:
-                    raise _misplaced(name, places, lineno)
                 if not names:
                     raise FnetParseError(f"'{keyword}' outside a transition block", lineno)
                 vector = arcs.pop(keyword, None)
                 if vector is None:
                     raise DuplicateIdError(f"duplicate '{keyword}' line for transition {names[-1]!r}", lineno)
                 seen = set()
-                entries = _ARC_ENTRIES_RE.findall(rest)
-                for pid, nat, _ in entries:
+                for token in tokens:
+                    pid, _, nat = token.partition(":")
                     idx = place_index.get(pid)
-                    if idx is None or idx in seen:
-                        raise _entry_error(entries, lineno, place_index, keyword)
+                    if idx is None or idx in seen or not nat.isdecimal():
+                        raise _entry_error(tokens, lineno, place_index, keyword)
                     seen.add(idx)
                     vector[idx] = int(nat)
 
             elif keyword == "transition":
-                if closed:
-                    raise _misplaced(name, places, lineno)
-                tokens = rest.split()
                 if not tokens:
                     raise FnetParseError("'transition' requires an id", lineno)
                 tid = tokens[0]
-                if not _ID_RE.match(tid):
+                # A token holds no whitespace, nor '#' once the comment is cut.
+                if "=" in tid or ":" in tid or ">" in tid:
                     raise FnetParseError(f"invalid transition id {tid!r}", lineno)
                 if tid in place_index or tid in transition_ids:
                     raise DuplicateIdError(f"id {tid!r} declared twice", lineno)
@@ -304,22 +299,21 @@ def parse_instance(text: str) -> Instance:
                 produces.append(arcs["produce"])
 
             elif keyword == "init:":
-                if closed:
-                    raise _misplaced(name, places, lineno)
                 if init is not None:
                     raise FnetParseError("duplicate 'init:' line", lineno)
                 if names:
                     raise FnetParseError("'init:' must come before transitions", lineno)
                 init = [0] * num
                 seen = set()
-                entries = _MARKING_ENTRIES_RE.findall(rest)
-                for pid, op, nat, _ in entries:
-                    idx = place_index.get(pid)
-                    if idx is None or idx in seen:
-                        raise _entry_error(entries, lineno, place_index, "init")
+                for token in tokens:
+                    pid, _, nat = token.partition("=")
+                    geq = pid[-1:] == ">"
+                    idx = place_index.get(pid[:-1] if geq else pid)
+                    if idx is None or idx in seen or not nat.isdecimal():
+                        raise _entry_error(tokens, lineno, place_index, "init")
                     seen.add(idx)
                     init[idx] = int(nat)
-                    if op == ">=":
+                    if geq:
                         init_flagged.add(idx)
                 for idx in init_flagged:
                     if init[idx] < 1:
@@ -330,33 +324,32 @@ def parse_instance(text: str) -> Instance:
                         )
 
             elif keyword == "target:":
-                if closed:
-                    raise _misplaced(name, places, lineno)
                 seen = set()
-                entries = _MARKING_ENTRIES_RE.findall(rest)
-                for pid, op, nat, _ in entries:
-                    idx = place_index.get(pid)
-                    if idx is None or idx in seen:
-                        raise _entry_error(entries, lineno, place_index, "target")
+                for token in tokens:
+                    pid, _, nat = token.partition("=")
+                    geq = pid[-1:] == ">"
+                    idx = place_index.get(pid[:-1] if geq else pid)
+                    if idx is None or idx in seen or not nat.isdecimal():
+                        raise _entry_error(tokens, lineno, place_index, "target")
                     seen.add(idx)
-                    constraints[idx] = (_RELATION_OF_OP[op], int(nat))
+                    constraints[idx] = (_RELATIONS[geq], int(nat))
                 closed = True
 
             elif keyword == "net":
                 if name is not None:
                     raise FnetParseError("duplicate 'net' line", lineno)
-                if not rest:
+                if not tokens:
                     raise FnetParseError("'net' requires a name", lineno)
-                name = " ".join(rest.split())
+                name = " ".join(tokens)
 
             elif keyword == "places:":
                 if name is None:
                     raise _misplaced(name, places, lineno)
                 if places is not None:
                     raise FnetParseError("duplicate 'places:' line", lineno)
-                places = rest.split()
+                places = tokens
                 for pid in places:
-                    if not _ID_RE.match(pid):
+                    if "=" in pid or ":" in pid or ">" in pid:
                         raise FnetParseError(f"invalid place id {pid!r}", lineno)
                     if pid in place_index:
                         raise DuplicateIdError(f"place {pid!r} declared twice", lineno)
@@ -365,8 +358,6 @@ def parse_instance(text: str) -> Instance:
                 constraints = [_UNCONSTRAINED] * num
                 closed = False
 
-            elif closed:
-                raise _misplaced(name, places, lineno)
             else:
                 raise FnetParseError(f"unrecognized keyword {keyword!r}", lineno)
     except FnetParseError:

@@ -80,9 +80,9 @@ def prune_instance(inst: Instance) -> PruneResult:
     in the fixpoint; upward-flagged places count as initially marked either
     way.  Target constraints on removed places are dropped when they are
     vacuously true (= 0 or >= 0) and settle the instance as immediately
-    unreachable when they demand tokens.  When every place is markable,
-    nothing is removed and the input instance itself is returned.  Else the
-    net, marking and target are projected onto the kept places and not
+    unreachable when they demand tokens.  When every place is markable, or
+    the instance is settled, the input instance itself is returned.  Else
+    the net, marking and target are projected onto the kept places and not
     checked again, a projection of a valid one being valid.
     """
     net = inst.net
@@ -95,9 +95,10 @@ def prune_instance(inst: Instance) -> PruneResult:
     if len(markable) == net.num_places:
         return PruneResult(inst, PruneVerdict.PRUNED)
 
-    kept_places = [p for p in range(net.num_places) if p in markable]
     # No token can reach a removed place: a target that demands one there is unreachable.
-    unreachable = any(inst.target.constraints[p][1] > 0 for p in range(net.num_places) if p not in markable)
+    if any(inst.target.constraints[p][1] > 0 for p in range(net.num_places) if p not in markable):
+        return PruneResult(inst, PruneVerdict.IMMEDIATELY_UNREACHABLE)
+    kept_places = [p for p in range(net.num_places) if p in markable]
     kept_transitions = [t for t, p0, n0, rest, _, _ in net._firings
                         if (not n0 or p0 in markable) and all(p in markable for p, _ in rest)]
     transitions = tuple([
@@ -110,4 +111,4 @@ def prune_instance(inst: Instance) -> PruneResult:
         frozenset(new for new, p in enumerate(kept_places) if p in inst.init_upward),
         TargetSpec._trusted(tuple(map(inst.target.constraints.__getitem__, kept_places))),
     )
-    return PruneResult(pruned, PruneVerdict.IMMEDIATELY_UNREACHABLE if unreachable else PruneVerdict.PRUNED)
+    return PruneResult(pruned, PruneVerdict.PRUNED)

@@ -34,6 +34,7 @@ from ffreach import (
     make_heuristic,
     parse_instance,
     prune_instance,
+    sign_analysis,
     simplex_min,
 )
 from ffreach.ratlp import OutcomeKind, RationalLP, Relation, Row
@@ -236,8 +237,12 @@ def test_criterion_6_pruning_soundness(corpus, capsys):
         for inst, markings, remaining in corpus:
             truth = remaining[tuple(inst.init)]
             pruned = prune_instance(inst)
-            kept = set(pruned.pruned_instance.net.places)
-            removed = [p for p, name in enumerate(inst.net.places) if name not in kept]
+            # A settled instance comes back unprojected; its unmarkable places are checked too.
+            marked = {p for p in range(inst.net.num_places) if inst.init[p] > 0} | inst.init_upward
+            markable = sign_analysis(inst.net, marked)
+            removed = [p for p in range(inst.net.num_places) if p not in markable]
+            if pruned.verdict is PruneVerdict.PRUNED:
+                violations += pruned.pruned_instance.net.places != tuple(inst.net.places[p] for p in sorted(markable))
             for m in markings:
                 violations += any(m[p] != 0 for p in removed)
             if pruned.verdict is PruneVerdict.IMMEDIATELY_UNREACHABLE:

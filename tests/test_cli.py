@@ -1,3 +1,4 @@
+import enum
 import gc
 import json
 import logging
@@ -16,6 +17,7 @@ from ffreach import (
     PetriNet,
     Transition,
     desugar_init,
+    generator_names,
     parse_instance,
     random_walk,
 )
@@ -101,6 +103,27 @@ class TestSolveCommand:
         code, out, _ = run_main(["solve", str(path)], capsys)
         assert code == 1
         assert "verdict: unreachable" in out
+
+    @pytest.mark.parametrize(
+        "target, logged",
+        [("b>=1", "prune: verdict immediately-unreachable"), ("a=1", "prune: 1/2 places, 1/1 transitions kept")],
+        ids=["settled", "pruned"],
+    )
+    def test_prune_debug_line(self, tmp_path, capsys, caplog, target, logged):
+        path = tmp_path / "dead.fnet"
+        path.write_text("net dead\nplaces: a b\ninit: a=1\ntransition t\n  consume a:1\n  produce a:1\ntarget: " + target)
+        with caplog.at_level(logging.DEBUG, logger="ffreach"):
+            run_main(["solve", str(path)], capsys)
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("prune:")] == [logged]
+
+    @pytest.mark.parametrize("flagged", [True, False], ids=["upward", "exact"])
+    def test_generator_names_read_only_after_desugaring(self, monkeypatch, flagged):
+        calls = []
+        monkeypatch.setattr(cli, "generator_names", lambda *args: calls.append(args) or generator_names(*args))
+        inst = parse_instance(UPWARD_FNET if flagged else UPWARD_FNET.replace("ready>=1", "ready=2"))
+        result, witness, firings = cli.solve_instance(inst)
+        assert len(calls) == flagged
+        assert (witness, firings) == ((["gen_ready", "work"], 1) if flagged else (["work"], 0))
 
     def test_unreachable_without_prune(self, tmp_path, capsys):
         path = tmp_path / "dead.fnet"
@@ -271,6 +294,18 @@ def make_report(**fields) -> cli.SolveReport:
     return cli.SolveReport(**base)
 
 
+class _Heuristic(str, enum.Enum):
+    Q = "q"
+
+
+class _Budget(enum.IntEnum):
+    SMALL = 3
+
+
+class _Millis(float):
+    pass
+
+
 REPORTS = {
     "reachable": make_report(),
     "empty-witness": make_report(distance=Fraction(0), witness_ids=[]),
@@ -282,6 +317,11 @@ REPORTS = {
     "odd-file-names": make_report(
         verdict="unknown", distance=None, witness_ids=None,
         config={"file": 'd\\ir/"quoted" \u00e9t\u00e9 \u2603 \U0001f600\t.fnet', "prune": False, "max_time_ms": 0.1},
+    ),
+    # Leaves of a subclass of str, int or float are encoded as their base's.
+    "subclassed-leaves": make_report(
+        witness_ids=[_Heuristic.Q],
+        config={"heuristic": _Heuristic.Q, "ilp_node_budget": _Budget.SMALL, "max_time_ms": _Millis(0.5)},
     ),
 }
 

@@ -54,9 +54,21 @@ def entry_positions(lines):
     ]
 
 
+def entry_parts(entry: str) -> tuple[str, str, str]:
+    """The id, separator (``:``, ``=`` or ``>=``) and count of an entry."""
+    sep = ":" if ":" in entry else ">=" if ">=" in entry else "="
+    pid, _, count = entry.partition(sep)
+    return pid, sep, count
+
+
 def with_count(entry: str, count: str) -> str:
-    sep = ":" if ":" in entry else "="
-    return entry[: entry.rindex(sep) + 1] + count
+    pid, sep, _ = entry_parts(entry)
+    return pid + sep + count
+
+
+#: Counts that are not ASCII: Nd digits, which ``\d`` and ``isdecimal`` take
+#: and ``int`` reads, and digits of other categories, which must be rejected.
+UNICODE_COUNTS = ["\u0663", "\uff13", "\u0661\u0660", "\u00b2", "1\u00b2", "\u2463", "\u00bd"]
 
 
 def mutate(kind: str, lines: list[list[str]], rng) -> None:
@@ -85,6 +97,28 @@ def mutate(kind: str, lines: list[list[str]], rng) -> None:
     elif kind == "section-order":
         line = lines.pop(rng.randrange(len(lines)))
         lines.insert(rng.randrange(len(lines) + 1), line)
+    elif kind in ENTRY_MUTATIONS and entries:
+        i, j = rng.choice(entries)
+        pid, sep, count = entry_parts(lines[i][j])
+        if kind == "double-separator":  # p0>>=1, p0==1, p0::1
+            lines[i][j] = pid + sep[0] + sep + count
+        elif kind == "drop-id":  # =1, >=1, :1
+            lines[i][j] = sep + count
+        elif kind == "drop-count":  # p0:, p0=, p0>=
+            lines[i][j] = pid + sep
+        elif kind == "trailing-junk":  # p0:1:2, p0=1x
+            lines[i][j] += rng.choice([":2", "=2", ">=2", "x", ">"])
+        elif kind == "other-separator":  # p0=1 on an arc line, p0:1 on a marking line
+            lines[i][j] = pid + (rng.choice(["=", ">="]) if sep == ":" else ":") + count
+        elif kind == "unicode-count":
+            lines[i][j] = pid + sep + rng.choice(UNICODE_COUNTS)
+    elif kind == "bad-id":
+        ids = [(i, j) for i, tokens in enumerate(lines) if tokens[0] == "places:" for j in range(1, len(tokens))]
+        ids += [(i, 1) for i in transitions]
+        if ids:
+            i, j = rng.choice(ids)
+            k = rng.randint(0, len(lines[i][j]))
+            lines[i][j] = lines[i][j][:k] + rng.choice("=:>") + lines[i][j][k:]
 
 
 def render(draw, lines: list[list[str]]) -> str:
@@ -125,7 +159,17 @@ def test_layout_noise_changes_nothing(case):
     assert assert_same_outcome(text) == inst
 
 
+ENTRY_MUTATIONS = [
+    "double-separator",
+    "drop-id",
+    "drop-count",
+    "trailing-junk",
+    "other-separator",
+    "unicode-count",
+]
 MUTATIONS = [
+    *ENTRY_MUTATIONS,
+    "bad-id",
     "delete-char",
     "repeat-entry",
     "repeat-line",
@@ -184,7 +228,33 @@ def test_mutated_text_parses_or_fails_alike(mutation, data):
         "net n\nplaces: a\ntarget: a>=" + "1" * 5000 + " a=1\n",
         "net n\rplaces: a\x0binit: a=1\x1ctarget: a=1 ",
         "net n\nplaces: a b\ninit: a=١\n",
+        "net n\nplaces: p0\ninit: p0>>=1\n",
+        "net n\nplaces: p0\ntarget: p0==1\n",
+        "net n\nplaces: p0\ntransition t\n  consume p0::1\n",
+        "net n\nplaces: p0\ninit: =1\n",
+        "net n\nplaces: p0\ntarget: >=1\n",
+        "net n\nplaces: p0\ntransition t\n  produce :1\n",
+        "net n\nplaces: p0\ntransition t\n  consume p0:\n",
+        "net n\nplaces: p0\ntransition t\n  consume p0:1:2\n",
+        "net n\nplaces: p0\ninit: p0=1x\n",
+        "net n\nplaces: p0\ntransition t\n  consume p0=1\n",
+        "net n\nplaces: p0\ninit: p0:1\n",
+        "net n\nplaces: p0\ntransition t\n  consume p0:\u0663\n",
+        "net n\nplaces: p0\ntransition t\n  consume p0:\u00b2\n",
+        "net n\nplaces: p0\ntarget: p0>=\u00b2\n",
+        "net n\nplaces: p0 p=1\n",
+        "net n\nplaces: p:0\n",
+        "net n\nplaces: p0>\n",
+        "net n\nplaces: p0\ntransition t=1\n",
+        "net n\nplaces: p0\ntransition t:\n",
+        "net n\nplaces: p0\ntransition >t\n",
     ],
 )
 def test_edge_cases_parse_or_fail_alike(text):
     assert_same_outcome(text)
+
+
+def test_nd_digits_are_counts():
+    inst = assert_same_outcome("net n\nplaces: p0\ninit: p0>=\u0663\ntransition t\n  consume p0:\u0663\n")
+    assert inst.init == inst.net.transitions[0].guard == (3,)
+    assert inst.init_upward == frozenset({0})

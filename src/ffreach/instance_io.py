@@ -128,9 +128,6 @@ class TargetSpec(_TargetFields):
         """Whether ``m`` is in the target set, by :meth:`goal_test`."""
         return self.goal_test()(tuple(m))
 
-    def is_exact(self) -> bool:
-        return all(rel is Relation.EQ for rel, _ in self.constraints)
-
 
 class Instance(NamedTuple):
     """A solvable problem: net, initial marking, upward flags, target."""

@@ -228,6 +228,8 @@ class PetriNet:
 
     def is_firable(self, m: Marking, t: int) -> bool:
         """True iff the marking dominates the guard of transition ``t``."""
+        if t < 0:
+            raise IndexError(f"transition index {t} is negative")
         _, p0, n0, rest, _, _ = self._firings[t]
         # An empty guard reads no place: a net without places has none to read.
         return (not n0 or m[p0] >= n0) and all(m[p] >= need for p, need in rest)
@@ -275,6 +277,8 @@ class PetriNet:
         seq = tuple(int(t) for t in seq)
         parikh = [0] * self.num_transitions
         for t in seq:
+            if t < 0:
+                raise IndexError(f"transition index {t} is negative")
             parikh[t] += 1
         total = sum(map(operator.mul, parikh, self.scaled_weights))  # L times the weight
         return Witness(seq, Fraction(total, self.scale), tuple(parikh))

@@ -17,9 +17,10 @@ the problem's integer standard form (:class:`StandardForm`): each
 constraint row scaled to integers by the lcm of its denominators (rows that
 are all ints, such as the state equations, are taken as they are) and
 negated when its rhs is negative, and the objective scaled by the lcm of
-its own.  :func:`standard_form` makes it from a :class:`RationalLP`; a
-caller that solves one system at many right-hand sides, such as the
-state-equation heuristic, may build it itself.  A pivot is one fraction-free
+its own; the lattice test of :func:`ilp_min` reads its scaled ``=`` rows
+too.  :func:`standard_form` makes it from a :class:`RationalLP`; a caller
+that solves one system at many right-hand sides, such as the state-equation
+heuristic, may build it itself.  A pivot is one fraction-free
 (Bareiss) step: row ``a`` with pivot-column entry ``f`` becomes
 ``(a*p - f*b) / den`` for pivot row ``b`` and pivot ``p``, and ``p`` becomes
 the denominator.  ``den`` is the absolute value of the basis
@@ -130,6 +131,8 @@ class RationalLP(_LPFields):
         for row in rows:
             if len(row.coeffs) != num_vars:
                 raise ValueError("row length differs from num_vars")
+            if row.relation is not Relation.EQ and row.relation is not Relation.GEQ:
+                raise ValueError(f"bad row relation {row.relation!r}")
         return super().__new__(cls, num_vars, objective, rows)
 
     #: ``_replace`` builds through ``_make``, so both keep the checks of ``__new__``.
@@ -425,36 +428,36 @@ class StandardForm(NamedTuple):
     ``lines`` are the constraint rows ``[variables | surplus | rhs]``, each
     rhs >= 0, and ``objective`` is the objective times ``obj_scale``.  The
     lattice test reads ``eq_coeffs`` and ``eq_rhs``, the ``=`` rows'
-    coefficients and right-hand sides as given: its cached reduction is
+    coefficients and right-hand sides scaled to integers as in ``lines``,
+    but without surplus columns and not negated: its cached reduction is
     keyed by the coefficients alone."""
 
     lines: list[list[int]]
     num_vars: int
     objective: tuple[int, ...]
     obj_scale: int
-    eq_coeffs: tuple[tuple[int | Fraction, ...], ...]
-    eq_rhs: tuple[int | Fraction, ...]
+    eq_coeffs: tuple[tuple[int, ...], ...]
+    eq_rhs: tuple[int, ...]
 
 
 def standard_form(lp: RationalLP) -> StandardForm:
     """``lp`` in the integer standard form :func:`simplex_min` solves."""
     n = lp.num_vars
-    geq_rows = [i for i, row in enumerate(lp.rows) if row.relation is Relation.GEQ]
-    surplus_of = {i: n + k for k, i in enumerate(geq_rows)}
-    lines = []
-    for i, row in enumerate(lp.rows):
+    zeros = [0] * sum(row.relation is Relation.GEQ for row in lp.rows)
+    lines, eq_coeffs, eq_rhs = [], [], []
+    for row in lp.rows:
         line, _ = _scaled((*row.coeffs, row.rhs))
-        line[n:n] = [0] * len(geq_rows)
-        if i in surplus_of:
-            line[surplus_of[i]] = -1
+        line[n:n] = zeros
+        if row.relation is Relation.EQ:
+            eq_coeffs.append(tuple(line[:n]))
+            eq_rhs.append(line[-1])
+        else:  # its surplus column follows those of the >= rows before it
+            line[n + len(lines) - len(eq_rhs)] = -1
         if line[-1] < 0:
             line = [-v for v in line]
         lines.append(line)
     objective, obj_scale = _scaled(lp.objective)
-    eq_rows = [row for row in lp.rows if row.relation is Relation.EQ]
-    return StandardForm(
-        lines, n, tuple(objective), obj_scale, tuple(row.coeffs for row in eq_rows), tuple(row.rhs for row in eq_rows)
-    )
+    return StandardForm(lines, n, tuple(objective), obj_scale, tuple(eq_coeffs), tuple(eq_rhs))
 
 
 def simplex_min(lp: RationalLP | StandardForm | None, start: Tableau | None = None) -> Outcome:
@@ -511,25 +514,20 @@ def simplex_min(lp: RationalLP | StandardForm | None, start: Tableau | None = No
 
 @lru_cache(maxsize=256)
 def _column_reduction(
-    coeff_rows: tuple[tuple, ...],
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
-    """The equality rows ``coeff_rows`` scaled to integers and reduced by
-    integer column elimination, for :func:`_lattice_infeasible`.
+    coeff_rows: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
+    """The integer equality rows ``coeff_rows`` (a :class:`StandardForm`'s
+    ``eq_coeffs``) reduced by integer column elimination, for
+    :func:`_lattice_infeasible`.
 
-    Returns each row's scale, the reduced rows, and each row's pivot column
-    (None for a row that reduced to zero).  Row ``i`` is zero outside the
-    pivot columns of rows ``0..i``, so a right-hand side is solved by
-    forward substitution.  The reduction depends on the coefficients only, so
-    one reduction serves every right-hand side: a net's state equation is
-    reduced once, not once per marking.
+    Returns the reduced rows and each row's pivot column (None for a row
+    that reduced to zero).  Row ``i`` is zero outside the pivot columns of
+    rows ``0..i``, so a right-hand side is solved by forward substitution.
+    The reduction depends on the coefficients only, so one reduction serves
+    every right-hand side: a net's state equation is reduced once, not once
+    per marking.
     """
-    scales = []
-    matrix: list[list[int]] = []
-    for coeffs in coeff_rows:
-        line, scale = _scaled(coeffs)
-        matrix.append(line)
-        scales.append(scale)
-
+    matrix = [list(coeffs) for coeffs in coeff_rows]
     n = len(coeff_rows[0])
     pivot_col_of_row: list[int | None] = []
     next_col = 0
@@ -552,31 +550,29 @@ def _column_reduction(
                 matrix[k][col], matrix[k][next_col] = matrix[k][next_col], matrix[k][col]
         pivot_col_of_row.append(next_col)
         next_col += 1
-    return tuple(scales), tuple(map(tuple, matrix)), tuple(pivot_col_of_row)
+    return tuple(map(tuple, matrix)), tuple(pivot_col_of_row)
 
 
-def _lattice_infeasible(lp: RationalLP | StandardForm) -> bool:
-    """True when the equality rows already have no solution over Z^n
-    (ignoring nonnegativity), decided by integer column elimination.
+def _lattice_infeasible(form: StandardForm) -> bool:
+    """True when the equality rows of ``form`` already have no solution
+    over Z^n (ignoring nonnegativity), decided by integer column elimination.
 
     This matters beyond speed: when the rational region is unbounded,
     branch-and-bound cannot prove parity-style infeasibility with finitely
     many nodes, so without this test such inputs would always burn the whole
-    node budget.  Sound by construction: column operations are unimodular,
-    so they preserve integer solvability exactly.
+    node budget.  Sound by construction: each of the form's ``=`` rows is
+    the problem's times a positive integer, which keeps its integer
+    solutions (``x/2 = 1/3`` is read as ``3x = 2``), and column operations
+    are unimodular, so they preserve integer solvability exactly.
     """
-    form = lp if lp.__class__ is StandardForm else standard_form(lp)
     if not form.eq_coeffs:
         return False
-    scales, matrix, pivot_col_of_row = _column_reduction(form.eq_coeffs)
+    matrix, pivot_col_of_row = _column_reduction(form.eq_coeffs)
 
     # Forward substitution: each pivot must divide its residual exactly.
     y: dict[int, int] = {}
-    for b, scale, reduced, col in zip(form.eq_rhs, scales, matrix, pivot_col_of_row):
-        rhs = b * scale
-        if rhs.denominator != 1:
-            return True  # integer left-hand side can never equal a fraction
-        residual = rhs.numerator - sum(reduced[j] * y[j] for j in y)
+    for rhs, reduced, col in zip(form.eq_rhs, matrix, pivot_col_of_row):
+        residual = rhs - sum(reduced[j] * y[j] for j in y)
         if col is None:
             if residual != 0:
                 return True
@@ -597,7 +593,9 @@ def ilp_min(
 
     Depth-first, branching on the first fractional variable in index order
     (floor branch explored first), pruning against the incumbent, one LP
-    per node.  The root relaxation is solved from scratch, or re-solved from
+    per node.  A :class:`RationalLP` is put in standard form once, and
+    that form is both checked by the lattice test and solved at the root.
+    The root relaxation is solved from scratch, or re-solved from
     ``start`` as :func:`simplex_min` does; every other node is its parent's
     final tableau plus one bound row, re-solved by the dual simplex.  With
     ``start``, ``lp`` may be None, which skips the lattice test: that is
@@ -616,10 +614,11 @@ def ilp_min(
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    if lp is not None and _lattice_infeasible(lp):
+    form = lp if lp is None or lp.__class__ is StandardForm else standard_form(lp)
+    if form is not None and _lattice_infeasible(form):
         return INFEASIBLE
 
-    n = len(start.objective) if lp is None else lp.num_vars
+    n = len(start.objective) if form is None else form.num_vars
     # The final tableau of the best integral node so far, and its value.
     incumbent: Tableau | None = None
     best_num = best_unit = 0
@@ -647,7 +646,7 @@ def ilp_min(
                     continue
             parent = parent.bounded(*bound)
 
-        outcome = simplex_min(lp, parent)
+        outcome = simplex_min(form, parent)
         solves += 1
 
         if outcome.kind is OutcomeKind.INFEASIBLE:

@@ -44,6 +44,7 @@ from ffreach.ratlp import (
     UnboundedRelaxation,
     _lattice_infeasible,
     simplex_min,
+    standard_form,
 )
 
 INF = float("inf")
@@ -376,7 +377,7 @@ def reference_ilp_min(
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    if _lattice_infeasible(lp):
+    if _lattice_infeasible(standard_form(lp)):
         return INFEASIBLE
 
     incumbent: tuple[Fraction, tuple[Fraction, ...]] | None = None

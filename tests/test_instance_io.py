@@ -161,7 +161,7 @@ class TestTargetSpec:
         assert not spec.satisfied((1, 1))
 
     def test_exact_and_cover_builders(self):
-        assert TargetSpec.exact((1, 0)).is_exact()
+        assert TargetSpec.exact((1, 0)).constraints == ((Relation.EQ, 1), (Relation.EQ, 0))
         assert TargetSpec.cover((1, 0)).constraints == ((Relation.GEQ, 1), (Relation.GEQ, 0))
 
     @pytest.mark.parametrize("kind", ["exact", "cover", "mixed"])
@@ -182,7 +182,6 @@ class TestTargetSpec:
                 "mixed": [rng.choice((Relation.EQ, Relation.GEQ)) for _ in range(n)],
             }[kind]
             spec = TargetSpec(tuple((rel, rng.randint(0, 3)) for rel in relations))
-            assert spec.is_exact() == all(rel is Relation.EQ for rel in relations)
             for _ in range(10):
                 # Values around each bound, so that every comparison can go either way.
                 m = tuple(max(0, bound + rng.randint(-1, 1)) for _, bound in spec.constraints)

@@ -45,6 +45,11 @@ class TestFirability:
         with pytest.raises(IndexError):
             n1.is_firable((0, 0), 3)
 
+    def test_negative_index_raises(self, n1):
+        # -1 would otherwise name t3, which is enabled at (1, 1).
+        with pytest.raises(IndexError):
+            n1.fire((1, 1), -1)
+
 
 class TestFire:
     @pytest.mark.parametrize(
@@ -96,6 +101,14 @@ class TestReplay:
         with pytest.raises(NotFirableError) as exc:
             n1.replay((0, 0), [T1, T3, T3])
         assert exc.value.step == 2
+
+    def test_negative_index_raises(self, n1):
+        with pytest.raises(IndexError):
+            n1.replay((0, 0), [T1, T2, -1])
+
+    def test_witness_rejects_a_negative_index(self, n1):
+        with pytest.raises(IndexError):
+            n1.witness([-1])
 
     def test_concatenation_law(self, n1):
         mid, w1 = n1.replay((0, 0), [T1, T1])

@@ -1,3 +1,4 @@
+import operator
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -12,7 +13,7 @@ from ffreach import (
     simplex_min,
 )
 from ffreach import ratlp
-from ffreach.ratlp import Outcome, Row, UnboundedRelaxation, _column_reduction, _lattice_infeasible
+from ffreach.ratlp import Outcome, Row, UnboundedRelaxation, _column_reduction, _lattice_infeasible, standard_form
 import oracles
 from oracles import integer_box_min, reference_simplex_min, vertex_enumeration_min
 
@@ -69,6 +70,15 @@ class TestSimplex:
     def test_unbounded(self):
         problem = lp([-1], [([1], Relation.GEQ, 1)])
         assert simplex_min(problem).kind is OutcomeKind.UNBOUNDED
+
+    def test_relation_must_be_the_enum(self):
+        # ">=" equals Relation.GEQ as a str, but the core tests relations by identity.
+        with pytest.raises(ValueError, match="relation"):
+            lp([1, 1], [([1, 0], ">=", 1), ([0, 1], ">=", 1), ([1, 1], ">=", 3)])
+        with pytest.raises(ValueError, match="relation"):
+            RationalLP(1, (1,), (Row((1,), "=", 1),))
+        with pytest.raises(ValueError, match="relation"):
+            lp([1], [([1], Relation.GEQ, 1)])._replace(rows=(Row((1,), None, 1),))
 
     def test_no_constraints(self):
         assert simplex_min(lp([2, 3], [])).value == 0
@@ -380,18 +390,23 @@ class TestOutcomeContract:
 
 
 class TestLatticeReduction:
-    """``_lattice_infeasible`` reduces each coefficient matrix once and
-    substitutes every right-hand side into the cached reduction."""
+    """``_lattice_infeasible`` reads a standard form's scaled ``=`` rows,
+    reduces each coefficient matrix once and substitutes every right-hand
+    side into the cached reduction."""
 
     @staticmethod
     def eq_lp(matrix, rhs):
         return RationalLP.build([1] * len(matrix[0]), [(row, Relation.EQ, b) for row, b in zip(matrix, rhs)])
 
+    @classmethod
+    def infeasible(cls, matrix, rhs) -> bool:
+        return _lattice_infeasible(standard_form(cls.eq_lp(matrix, rhs)))
+
     def test_parity_case_from_the_cache(self):
         _column_reduction.cache_clear()
         for b in range(-5, 6):
             problem = self.eq_lp([[2]], [b])
-            assert _lattice_infeasible(problem) == (b % 2 == 1)
+            assert _lattice_infeasible(standard_form(problem)) == (b % 2 == 1)
             assert (ilp_min(problem, node_budget=1).kind is OutcomeKind.INFEASIBLE) == (b % 2 == 1 or b < 0)
         assert _column_reduction.cache_info().misses == 1
 
@@ -403,10 +418,10 @@ class TestLatticeReduction:
         outcomes = set()
         for b0 in range(-4, 5):
             for b1 in range(-4, 5):
-                infeasible = _lattice_infeasible(self.eq_lp([[1, 1, 1], [1, -1, 3]], [b0, b1]))
+                infeasible = self.infeasible([[1, 1, 1], [1, -1, 3]], [b0, b1])
                 assert infeasible == ((b0 - b1) % 2 == 1)
                 outcomes.add(infeasible)
-                infeasible = _lattice_infeasible(self.eq_lp([[2, 4], [0, 3]], [b0, b1]))
+                infeasible = self.infeasible([[2, 4], [0, 3]], [b0, b1])
                 assert infeasible == (b0 % 2 == 1 or b1 % 3 != 0)
                 outcomes.add(infeasible)
         assert outcomes == {True, False}
@@ -419,6 +434,43 @@ class TestLatticeReduction:
         sixths = [F(k, 6) for k in range(-6, 7)]
         for r in sixths:
             for s in sixths:
-                infeasible = _lattice_infeasible(self.eq_lp([[F(1, 2), 0], [0, F(1, 3)]], [r, s]))
+                infeasible = self.infeasible([[F(1, 2), 0], [0, F(1, 3)]], [r, s])
                 assert infeasible == ((2 * r).denominator != 1 or (3 * s).denominator != 1)
-        assert _lattice_infeasible(self.eq_lp([[F(1, 2)], [1]], [1, 3]))
+        assert self.infeasible([[F(1, 2)], [1]], [1, 3])
+
+    def test_known_answers(self):
+        # Systems built through a known integer point are feasible, and stay
+        # so when each row and its right-hand side are scaled by a positive
+        # rational; a row whose coefficients share a factor g > 1 that its
+        # right-hand side lacks makes a system infeasible, scaled or not.
+        rng = random.Random(2525)
+        for _ in range(300):
+            n, m = rng.randint(1, 4), rng.randint(1, 3)
+            point = [rng.randint(-3, 3) for _ in range(n)]
+            matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            rhs = [sum(map(operator.mul, row, point)) for row in matrix]
+            g = rng.randint(2, 5)
+            bad = [g * rng.randint(-3, 3) for _ in range(n)]
+            bad[rng.randrange(n)] = g * rng.choice([-2, -1, 1, 2])
+            at = rng.randrange(m + 1)
+            off = g * rng.randint(-3, 3) + rng.randint(1, g - 1)
+            cases = [(matrix, rhs, False), ([*matrix[:at], bad, *matrix[at:]], [*rhs[:at], off, *rhs[at:]], True)]
+            for rows, values, expected in cases:
+                assert self.infeasible(rows, values) is expected, (rows, values)
+                scales = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+                scaled = [[a * s for a in row] for row, s in zip(rows, scales)]
+                assert self.infeasible(scaled, [b * s for b, s in zip(values, scales)]) is expected, (scaled, scales)
+
+    def test_ilp_min_builds_one_standard_form(self, monkeypatch):
+        forms = []
+        build = ratlp.standard_form
+
+        def counted(problem):
+            forms.append(problem)
+            return build(problem)
+
+        monkeypatch.setattr(ratlp, "standard_form", counted)
+        problem = lp([1, 1, 1], [([2, 2, 1], Relation.EQ, 5), ([1, 0, 0], Relation.GEQ, F(1, 2))])
+        out = ilp_min(problem)
+        assert (out.kind, out.value) == (OutcomeKind.OPTIMAL, 3)
+        assert forms == [problem]

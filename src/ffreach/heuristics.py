@@ -158,6 +158,8 @@ class StateEquationHeuristic:
             else:
                 rows.append((coeffs + zeros, rel, bound))
         self._rows = tuple(rows)
+        # The ``=`` rows' coefficients, one object shared by every form.
+        self._eq_coeffs = tuple([row[: len(effects)] for row, rel, _ in rows if rel is Relation.EQ])
         #: marking -> (value; for an optimum, its value times ``den * L``,
         #: firing counts times ``den``, and ``den``, else 0, None and 1;
         #: tableau or None; pending shift of that tableau)
@@ -174,14 +176,13 @@ class StateEquationHeuristic:
         """``standard_form(self.lp(m))``, written from the rows built once:
         each row gets the gap ``bound - m[p]`` as its right-hand side, and
         is negated when the gap is negative."""
-        n, lines, eq_coeffs, eq_rhs = len(self._effects), [], [], []
+        n, lines, eq_rhs = len(self._effects), [], []
         for (row, rel, bound), tokens in zip(self._rows, m):
             rhs = bound - tokens
             lines.append([*row, rhs] if rhs >= 0 else [*map(operator.neg, row), -rhs])
             if rel is Relation.EQ:
-                eq_coeffs.append(row[:n])
                 eq_rhs.append(rhs)
-        return StandardForm(lines, n, self._scaled_weights, self._scale, tuple(eq_coeffs), tuple(eq_rhs))
+        return StandardForm(lines, n, self._scaled_weights, self._scale, self._eq_coeffs, tuple(eq_rhs))
 
     def __call__(self, m: Marking):
         """The remembered value of ``m``, else one derived from a remembered

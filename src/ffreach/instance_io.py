@@ -18,9 +18,10 @@ and both LF and CRLF line endings are accepted.
 ``parse_instance`` reads the text in one pass.  Each entry line is split
 into tokens by ``str.split`` and each token into id and count by
 ``str.partition``, and its entries are written straight into the vectors of
-the instance.  A line with a bad entry is read again, entry by entry, so
-that every error names the first bad token and carries its line number,
-as a token-by-token reading would.
+the instance.  The first bad token stops the line, and its error is named
+from the id and count already cut from it, so that every error names that
+token and carries its line number, as a token-by-token reading would.  A
+weight is cut at its ``/`` the same way.
 """
 
 from __future__ import annotations
@@ -158,7 +159,6 @@ class Instance(NamedTuple):
 
 
 _ID_RE = re.compile(r"^[^\s=:>#]+$")
-_WEIGHT_RE = re.compile(r"(\d+)(?:/(\d+))?")
 
 #: The relation of a target entry, indexed by whether its op is ``>=``.
 _RELATIONS = (Relation.EQ, Relation.GEQ)
@@ -173,40 +173,30 @@ def _parse_weight(tokens: list[str], lineno: int) -> Fraction:
     if len(tokens) != 1:
         raise FnetParseError("expected a single rational after 'weight'", lineno)
     text = tokens[0]
-    m = _WEIGHT_RE.fullmatch(text)
-    if not m:
+    num, slash, den = text.partition("/")
+    if not num.isdecimal() or (slash and not den.isdecimal()):
         raise FnetParseError(f"invalid rational {text!r}", lineno)
-    num, den = m.groups()
-    if den is None:
-        weight = Fraction(int(num))
-    else:
-        den = int(den)
-        if den == 0:
-            raise FnetParseError(f"invalid rational {text!r} (zero denominator)", lineno)
-        weight = Fraction(int(num), den)
-    if not weight:  # both parts are naturals, so only zero is not positive
+    numerator, denominator = int(num), int(den) if slash else 1
+    if not denominator:
+        raise FnetParseError(f"invalid rational {text!r} (zero denominator)", lineno)
+    if not numerator:  # both parts are naturals, so only zero is not positive
         raise NonPositiveWeightError(f"transition weight must be > 0, got {text}", lineno)
-    return weight
+    return Fraction(numerator, denominator)
 
 
-def _entry_error(tokens: list[str], lineno: int, places: dict[str, int], what: str) -> FnetParseError:
-    """The error of the first bad entry of a line: a malformed token, an
-    unknown place or a place listed twice."""
+def _entry_error(token: str, pid: str, known: bool, nat: str, lineno: int, what: str) -> FnetParseError:
+    """The error of the first bad entry of a line, from the parts the line
+    loop cut it into: ``pid`` (without a marking's ``>``), whether it is a
+    place id, and the count ``nat``.  A place id is never empty and holds no
+    ``=``, ``:`` or ``>``, so a token with a known id and a decimal count
+    stopped the loop only because its place was listed before."""
     arc = what in ("consume", "produce")
-    seen = set()
-    for token in tokens:
-        pid, _, nat = token.partition(":" if arc else "=")
-        if not arc and pid[-1:] == ">":
-            pid = pid[:-1]
-        if not pid or not nat.isdecimal() or "=" in pid or ":" in pid or ">" in pid:
-            expected = "id:nat" if arc else "id=nat or id>=nat"
-            return FnetParseError(f"bad {what} entry {token!r} (expected {expected})", lineno)
-        if pid not in places:
-            return UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
-        if pid in seen:
-            return DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
-        seen.add(pid)
-    raise AssertionError(f"line {lineno} has no bad {what} entry")
+    if not nat.isdecimal() or (not known and (not pid or "=" in pid or ":" in pid or ">" in pid)):
+        expected = "id:nat" if arc else "id=nat or id>=nat"
+        return FnetParseError(f"bad {what} entry {token!r} (expected {expected})", lineno)
+    if not known:
+        return UnknownPlaceError(f"unknown place {pid!r} in {what}", lineno)
+    return DuplicateIdError(f"place {pid!r} listed twice in {what}", lineno)
 
 
 def _misplaced(name: str | None, places: list[str] | None, lineno: int) -> FnetParseError:
@@ -226,8 +216,9 @@ def parse_instance(text: str) -> Instance:
     entry line (``init:``, ``target:``, ``consume``, ``produce``) is split
     into tokens, each cut at its first ``:`` or ``=``; a token whose id is a
     place not yet listed on the line and whose count is decimal fills the
-    marking, target or arc vector in place.  Only a line with a bad entry
-    is read again, entry by entry, to name the first bad one.  Every syntax
+    marking, target or arc vector in place; the first token that fails is
+    named malformed, unknown or repeated from the parts already cut.  A
+    weight is cut at its ``/``, numerator converted first.  Every syntax
     error, unknown or duplicate id, non-positive weight and numeral longer
     than ``int()`` converts raises an FnetParseError carrying its line
     number, with the message a token-by-token reading gives; token counts
@@ -270,7 +261,7 @@ def parse_instance(text: str) -> Instance:
                     pid, _, nat = token.partition(":")
                     idx = place_index.get(pid)
                     if idx is None or idx in seen or not nat.isdecimal():
-                        raise _entry_error(tokens, lineno, place_index, keyword)
+                        raise _entry_error(token, pid, idx is not None, nat, lineno, keyword)
                     seen.add(idx)
                     vector[idx] = int(nat)
 
@@ -307,7 +298,7 @@ def parse_instance(text: str) -> Instance:
                     geq = pid[-1:] == ">"
                     idx = place_index.get(pid[:-1] if geq else pid)
                     if idx is None or idx in seen or not nat.isdecimal():
-                        raise _entry_error(tokens, lineno, place_index, "init")
+                        raise _entry_error(token, pid[:-1] if geq else pid, idx is not None, nat, lineno, "init")
                     seen.add(idx)
                     init[idx] = int(nat)
                     if geq:
@@ -327,7 +318,7 @@ def parse_instance(text: str) -> Instance:
                     geq = pid[-1:] == ">"
                     idx = place_index.get(pid[:-1] if geq else pid)
                     if idx is None or idx in seen or not nat.isdecimal():
-                        raise _entry_error(tokens, lineno, place_index, "target")
+                        raise _entry_error(token, pid[:-1] if geq else pid, idx is not None, nat, lineno, "target")
                     seen.add(idx)
                     constraints[idx] = (_RELATIONS[geq], int(nat))
                 closed = True

@@ -133,6 +133,9 @@ class RationalLP(_LPFields):
                 raise ValueError("row length differs from num_vars")
             if row.relation is not Relation.EQ and row.relation is not Relation.GEQ:
                 raise ValueError(f"bad row relation {row.relation!r}")
+        for value in (*objective, *(v for row in rows for v in (*row.coeffs, row.rhs))):
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"LP entries must be int or Fraction, got {value!r}")
         return super().__new__(cls, num_vars, objective, rows)
 
     #: ``_replace`` builds through ``_make``, so both keep the checks of ``__new__``.
@@ -480,6 +483,8 @@ def simplex_min(lp: RationalLP | StandardForm | None, start: Tableau | None = No
             return INFEASIBLE
         return _optimum(tableau, basis, den, start.objective, start.obj_scale)
 
+    if lp is None:
+        raise ValueError("simplex_min needs a problem or a start")
     form = lp if lp.__class__ is StandardForm else standard_form(lp)
     # The constraint rows are the form's lines; artificials are virtual.
     tableau = list(form.lines)
@@ -614,6 +619,8 @@ def ilp_min(
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
+    if lp is None and start is None:
+        raise ValueError("ilp_min needs a problem or a start")
     form = lp if lp is None or lp.__class__ is StandardForm else standard_form(lp)
     if form is not None and _lattice_infeasible(form):
         return INFEASIBLE

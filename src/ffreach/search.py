@@ -129,7 +129,9 @@ def directed_search(
     heuristic: Heuristic | None = None,
     limits: SearchLimits | None = None,
 ) -> SearchResult:
-    """Run the selected strategy from the instance's initial marking.
+    """Run the selected strategy from the instance's initial marking, which
+    must be exact: an instance with upward flags raises ValueError, and is
+    searched after :func:`desugar_init`.
 
     Returns REACHABLE with an optimal distance and replayable witness
     (optimality for Dijkstra/A* with an admissible heuristic), UNREACHABLE
@@ -137,6 +139,8 @@ def directed_search(
     whose heuristic value is infinite are never inserted: admissibility
     guarantees the target is unreachable from them.
     """
+    if inst.init_upward:
+        raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
     if heuristic is None:
         heuristic = zero_heuristic
     limits = limits or SearchLimits()

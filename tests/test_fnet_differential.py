@@ -69,6 +69,9 @@ def with_count(entry: str, count: str) -> str:
 #: Counts that are not ASCII: Nd digits, which ``\d`` and ``isdecimal`` take
 #: and ``int`` reads, and digits of other categories, which must be rejected.
 UNICODE_COUNTS = ["\u0663", "\uff13", "\u0661\u0660", "\u00b2", "1\u00b2", "\u2463", "\u00bd"]
+#: Weights that are not ``p`` or ``p/q`` with decimal ``p`` and ``q``, or
+#: whose numeral ``int`` reads but the format does not.
+BAD_WEIGHTS = ["1/", "/2", "/", "1//2", "1/2/3", "1.5", "+1", "-1", "1_000", "\u00b2", "1/\u00b2", "0x10", "1e3"]
 
 
 def mutate(kind: str, lines: list[list[str]], rng) -> None:
@@ -94,6 +97,9 @@ def mutate(kind: str, lines: list[list[str]], rng) -> None:
     elif kind in ("zero-weight", "zero-denominator") and transitions:
         i = rng.choice(transitions)
         lines[i][2:] = ["weight", "0" if kind == "zero-weight" else "1/0"]
+    elif kind == "bad-weight" and transitions:
+        i = rng.choice(transitions)
+        lines[i][2:] = ["weight", rng.choice(BAD_WEIGHTS)]
     elif kind == "section-order":
         line = lines.pop(rng.randrange(len(lines)))
         lines.insert(rng.randrange(len(lines) + 1), line)
@@ -178,6 +184,7 @@ MUTATIONS = [
     "huge-count",
     "zero-weight",
     "zero-denominator",
+    "bad-weight",
     "section-order",
 ]
 
@@ -248,6 +255,24 @@ def test_mutated_text_parses_or_fails_alike(mutation, data):
         "net n\nplaces: p0\ntransition t=1\n",
         "net n\nplaces: p0\ntransition t:\n",
         "net n\nplaces: p0\ntransition >t\n",
+        *(
+            f"net n\nplaces: p0\ntransition t weight {weight}\n"
+            for weight in [
+                "1/",
+                "/2",
+                "1.5",
+                "+1",
+                "-1",
+                "1_000",
+                "\u00b2",
+                "0/0",
+                "00/1",
+                "2/4",
+                "\u0663/\u0664",
+                "1/\u0660",
+                "1" * 5000 + "/0",
+            ]
+        ),
     ],
 )
 def test_edge_cases_parse_or_fail_alike(text):

@@ -328,6 +328,13 @@ class TestColdStandardForm:
                 assert memo.form(m) == standard_form(memo.lp(m)), m
                 assert memo.form(m) == standard_form(memo.lp(m)), m  # writing a form leaves the rows as built
 
+    def test_forms_share_their_equality_rows(self):
+        # The = rows depend on the net only, so every form reads one object.
+        for net, target, m in self.cases(nets=20):
+            memo = StateEquationHeuristic(net, target)
+            zeros = (0,) * net.num_places
+            assert memo.form(m).eq_coeffs is memo.form(zeros).eq_coeffs
+
     def test_first_answer_is_the_reference_solve(self, solves):
         """A marking in the target set is answered 0 with ``x* = 0`` and no
         tableau, and one with a gap that no effect's sign can close is INF,

@@ -139,8 +139,30 @@ class TestSimplex:
         row = Row((F(1), F(2)), Relation.GEQ, F(3))
         assert problem._replace(num_vars=2, objective=(1, 0), rows=(row,)) == RationalLP(2, (1, 0), (row,))
 
+    def test_entries_must_be_int_or_fraction(self):
+        for objective, row in [
+            ((1,), Row((0.5,), Relation.GEQ, 1)),
+            ((1,), Row((1,), Relation.GEQ, 1.0)),
+            ((0.5,), Row((1,), Relation.GEQ, 1)),
+        ]:
+            with pytest.raises(ValueError, match="int or Fraction"):
+                RationalLP(1, objective, (row,))
+            with pytest.raises(ValueError, match="int or Fraction"):
+                RationalLP(1, (1,), ())._replace(objective=objective, rows=(row,))
+        # Subclasses of int and Fraction are entries; build converts floats.
+        assert simplex_min(RationalLP(1, (True,), (Row((F(2),), Relation.GEQ, True),))).value == F(1, 2)
+        assert lp([0.5], [([0.25], Relation.GEQ, 1.0)]) == lp([F(1, 2)], [([F(1, 4)], Relation.GEQ, 1)])
+
+    def test_no_problem_and_no_start(self):
+        with pytest.raises(ValueError, match="problem or a start"):
+            simplex_min(None)
+
 
 class TestIlp:
+    def test_no_problem_and_no_start(self):
+        with pytest.raises(ValueError, match="problem or a start"):
+            ilp_min(None)
+
     def test_parity_gap(self):
         problem = lp([1], [([2], Relation.EQ, 3)])
         assert simplex_min(problem).value == F(3, 2)

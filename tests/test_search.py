@@ -12,6 +12,7 @@ from ffreach import (
     TargetSpec,
     Transition,
     Verdict,
+    desugar_init,
     directed_search,
     make_heuristic,
 )
@@ -97,6 +98,16 @@ class TestUnreachable:
         result = directed_search(inst, Strategy.ASTAR, make_heuristic("q", inst))
         assert result.distance == 0
         assert result.witness.sequence == ()
+
+
+def test_upward_initial_marking_is_refused():
+    # Searching from the exact (1, 0) would answer UNREACHABLE; the upward
+    # reading (a >= 1) reaches (0, 1) by firing t from (2, 0).
+    net = PetriNet(("a", "b"), (Transition("t", (2, 0), (0, 1)),))
+    inst = Instance(net, (1, 0), frozenset({0}), TargetSpec.exact((0, 1))).validate()
+    with pytest.raises(ValueError, match="desugar_init"):
+        directed_search(inst)
+    assert directed_search(desugar_init(inst)).verdict is Verdict.REACHABLE
 
 
 class TestLimits:

@@ -145,9 +145,8 @@ class Instance(NamedTuple):
         net = self.net
         init = net.check_marking(self.init)
         upward = frozenset(_nat_vector(self.init_upward, "init_upward"))
+        self._check_target()
         num_places = len(net.places)
-        if len(self.target.constraints) != num_places:
-            raise NetDefinitionError("target spec length differs from place count")
         for p in upward:
             if p >= num_places:
                 raise NetDefinitionError(f"init_upward references place index {p}")
@@ -157,8 +156,13 @@ class Instance(NamedTuple):
                 )
         return self._replace(init=init, init_upward=upward)
 
+    def _check_target(self) -> None:
+        """Raise NetDefinitionError unless the target has one constraint per place."""
+        if len(self.target.constraints) != len(self.net.places):
+            raise NetDefinitionError("target spec length differs from place count")
 
-_ID_RE = re.compile(r"^[^\s=:>#]+$")
+
+_ID_RE = re.compile(r"[^\s=:>#]+")
 
 #: The relation of a target entry, indexed by whether its op is ``>=``.
 _RELATIONS = (Relation.EQ, Relation.GEQ)
@@ -422,10 +426,12 @@ def serialize_instance(inst: Instance) -> str:
     if not net.name or "#" in net.name or net.name != " ".join(net.name.split()):
         raise NetDefinitionError(f"net name {net.name!r} is not serializable")
     for pid in net.places:
-        if not _ID_RE.match(pid):
+        if not _ID_RE.fullmatch(pid):
             raise NetDefinitionError(f"place id {pid!r} is not serializable")
+    place_ids = set(net.places)
     for t in net.transitions:
-        if not _ID_RE.match(t.name):
+        # The text gives places and transitions one id space.
+        if not _ID_RE.fullmatch(t.name) or t.name in place_ids:
             raise NetDefinitionError(f"transition id {t.name!r} is not serializable")
 
     lines = [f"net {net.name}"]

@@ -274,7 +274,7 @@ class PetriNet:
 
     def witness(self, seq: Sequence[int]) -> Witness:
         """Package a transition sequence as a Witness (weight and Parikh counts)."""
-        seq = tuple(int(t) for t in seq)
+        seq = tuple(map(operator.index, seq))
         parikh = [0] * self.num_transitions
         for t in seq:
             if t < 0:

@@ -11,7 +11,6 @@ removed place, the instance is settled on the spot.
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 from typing import NamedTuple
 
@@ -37,39 +36,28 @@ class PruneResult(NamedTuple):
 def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
     """Least fixpoint of "markable" places, independent of iteration order.
 
-    Worklist over newly marked places; each transition is counted down once
-    per distinct unmarked guard place, so the total work is linear in the
-    size of the guards.  Only the net's firing records are read.
+    Each transition reads its guard entries through one iterator and waits
+    at the first unmarked place it reads; marking that place wakes it, and
+    it reads on from where it stopped.  No guard entry is read twice, so the
+    work is linear in the size of the guards.  Only the net's firing records
+    are read.
     """
     marked = set(initially_marked)
-    needs: list[list[int]] = [[] for _ in range(net.num_places)]
-    remaining = []
-    queue: deque[int] = deque()
-    firings = net._firings
-
-    def fire(t: int) -> None:
-        # A place the transition feeds but does not raise is one of its guard
-        # places, which are all marked by now; so the places it raises are
-        # the ones it can newly mark.
-        for q in firings[t][5]:
-            if q not in marked:
-                marked.add(q)
-                queue.append(q)
-
-    for t, p0, n0, rest, _, _ in firings:
-        missing = [p for p, need in ((p0, n0), *rest) if need and p not in marked]
-        remaining.append(len(missing))
-        for p in missing:
-            needs[p].append(t)
-        if not missing:
-            fire(t)
-
-    while queue:
-        p = queue.popleft()
-        for t in needs[p]:
-            remaining[t] -= 1
-            if remaining[t] == 0:
-                fire(t)
+    waiting: dict[int, list] = {}  # place -> (guard iterator, raised places) waiting on it
+    todo = [(iter(((p0, n0), *rest)), raises) for _, p0, n0, rest, _, raises in net._firings]
+    while todo:
+        guard, raises = todo.pop()
+        for p, need in guard:
+            if need and p not in marked:  # need is 0 only in an empty guard's (0, 0)
+                waiting.setdefault(p, []).append((guard, raises))
+                break
+        else:
+            # A place the transition feeds but does not raise is one of its
+            # guard places, all marked by now; so only raised places are new.
+            for q in raises:
+                if q not in marked:
+                    marked.add(q)
+                    todo += waiting.pop(q, ())
     return marked
 
 
@@ -83,9 +71,11 @@ def prune_instance(inst: Instance) -> PruneResult:
     unreachable when they demand tokens.  When every place is markable, or
     the instance is settled, the input instance itself is returned.  Else
     the net, marking and target are projected onto the kept places and not
-    checked again, a projection of a valid one being valid.
+    checked again, a projection of a valid one being valid.  A target
+    without one constraint per place raises NetDefinitionError.
     """
     net = inst.net
+    inst._check_target()
     initially_marked = {p for p in range(net.num_places) if inst.init[p] > 0}
     initially_marked |= inst.init_upward
     if len(initially_marked) == net.num_places:

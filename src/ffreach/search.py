@@ -131,7 +131,8 @@ def directed_search(
 ) -> SearchResult:
     """Run the selected strategy from the instance's initial marking, which
     must be exact: an instance with upward flags raises ValueError, and is
-    searched after :func:`desugar_init`.
+    searched after :func:`desugar_init`.  A target without one constraint
+    per place raises NetDefinitionError.
 
     Returns REACHABLE with an optimal distance and replayable witness
     (optimality for Dijkstra/A* with an admissible heuristic), UNREACHABLE
@@ -141,6 +142,7 @@ def directed_search(
     """
     if inst.init_upward:
         raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
+    inst._check_target()
     if heuristic is None:
         heuristic = zero_heuristic
     limits = limits or SearchLimits()

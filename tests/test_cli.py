@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffreach import (
+    Instance,
+    NetDefinitionError,
     PetriNet,
+    TargetSpec,
     Transition,
     desugar_init,
     generator_names,
@@ -124,6 +127,15 @@ class TestSolveCommand:
         result, witness, firings = cli.solve_instance(inst)
         assert len(calls) == flagged
         assert (witness, firings) == ((["gen_ready", "work"], 1) if flagged else (["work"], 0))
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("target", [TargetSpec.exact((0, 1, 0, 5)), TargetSpec.exact((0, 1))])
+    def test_target_of_the_wrong_length_is_refused(self, prune, target):
+        net = PetriNet(["a", "b", "c"], [Transition("t", (1, 0, 0), (0, 1, 0))])
+        # Not validated: Instance.validate would refuse it first.
+        inst = Instance(net, (1, 0, 0), frozenset(), target)
+        with pytest.raises(NetDefinitionError, match="target spec length differs from place count"):
+            cli.solve_instance(inst, prune=prune)
 
     def test_unreachable_without_prune(self, tmp_path, capsys):
         path = tmp_path / "dead.fnet"

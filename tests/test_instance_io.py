@@ -395,6 +395,24 @@ class TestSerialize:
             with pytest.raises(NetDefinitionError, match="net name"):
                 serialize_instance(inst)
 
+    @pytest.mark.parametrize(
+        "places, transition, what",
+        [
+            # "transition t\n" would parse back as a transition named t.
+            (("a",), "t\n", "transition id"),
+            # "places: a\n b" would make a line of its own of " b".
+            (("a\n", "b"), "t", "place id"),
+            # A net may name a transition after a place; the text may not.
+            (("a", "b"), "a", "transition id"),
+        ],
+    )
+    def test_ids_that_would_not_parse_back_are_refused(self, places, transition, what):
+        zeros = (0,) * len(places)
+        net = PetriNet(places, [Transition(transition, zeros, zeros)])
+        inst = Instance(net, zeros, frozenset(), TargetSpec.cover(zeros)).validate()
+        with pytest.raises(NetDefinitionError, match=what):
+            serialize_instance(inst)
+
 
 # Random instance generation for the round-trip law.
 _IDCHARS = st.text(alphabet="abcdefgxyz_0123456789", min_size=1, max_size=6)
@@ -431,6 +449,33 @@ def random_instances(draw):
 @settings(max_examples=150, deadline=None)
 def test_round_trip_is_identity(inst):
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+# Letters, then half the time one character the .fnet text gives a meaning
+# to; transition ids may repeat place ids.
+_ANY_IDS = st.tuples(
+    st.text(alphabet="ab", min_size=1, max_size=2), st.just("") | st.sampled_from(" \t\n=:>#")
+).map("".join)
+
+
+@st.composite
+def instances_with_any_ids(draw):
+    places = draw(st.lists(_ANY_IDS, min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(_ANY_IDS | st.sampled_from(places), max_size=3, unique=True))
+    counts = st.tuples(*[st.integers(0, 2)] * len(places))
+    transitions = [Transition(name, draw(counts), draw(counts)) for name in names]
+    target = TargetSpec.exact(draw(counts))
+    return Instance(PetriNet(places, transitions), draw(counts), frozenset(), target).validate()
+
+
+@given(instances_with_any_ids())
+@settings(max_examples=300, deadline=None)
+def test_serialized_text_parses_back_or_is_refused(inst):
+    try:
+        text = serialize_instance(inst)
+    except NetDefinitionError:
+        return
+    assert parse_instance(text) == inst
 
 
 @given(random_instances())

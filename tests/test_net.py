@@ -110,6 +110,11 @@ class TestReplay:
         with pytest.raises(IndexError):
             n1.witness([-1])
 
+    @pytest.mark.parametrize("index", [1.9, "1", Fraction(3, 2)])
+    def test_witness_rejects_an_index_that_is_not_an_int(self, n1, index):
+        with pytest.raises(TypeError):
+            n1.witness([index])
+
     def test_concatenation_law(self, n1):
         mid, w1 = n1.replay((0, 0), [T1, T1])
         final, w2 = n1.replay(mid, [T2, T3])

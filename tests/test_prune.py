@@ -5,6 +5,7 @@ import pytest
 
 from ffreach import (
     Instance,
+    NetDefinitionError,
     PetriNet,
     PruneVerdict,
     Relation,
@@ -53,6 +54,30 @@ def self_raising_net():
         Transition.from_maps("feed", places, consume={"b": 2}, produce={"b": 3, "c": 1}),
         Transition.from_maps("keep", places, consume={"c": 1, "d": 2}, produce={"c": 1, "d": 2}),
     ])
+
+
+def chain(length: int, reverse: bool) -> PetriNet:
+    """``c_i`` moves a token from ``s_i`` to ``s_(i+1)``, listed in order or in reverse."""
+    places = [f"s{i}" for i in range(length + 1)]
+    transitions = [
+        Transition.from_maps(f"c{i}", places, consume={f"s{i}": 1}, produce={f"s{i + 1}": 1})
+        for i in range(length)
+    ]
+    return PetriNet(places, transitions[::-1] if reverse else transitions)
+
+
+def wide_guard(k: int) -> PetriNet:
+    """``big`` needs all of ``q0 .. q(k-1)`` to mark ``qk``, and ``c_i``
+    keeps ``q_i`` while it marks ``q_(i+1)``.  Listed as ``c_(k-2) .. c_0``
+    and then ``big``, so that from ``{q0}`` the fixpoint wakes ``big`` once
+    per place of its guard."""
+    places = [f"q{i}" for i in range(k + 1)]
+    steps = [
+        Transition.from_maps(f"c{i}", places, consume={f"q{i}": 1}, produce={f"q{i}": 1, f"q{i + 1}": 1})
+        for i in reversed(range(k - 1))
+    ]
+    big = Transition.from_maps("big", places, consume={f"q{i}": 1 for i in range(k)}, produce={f"q{k}": 1})
+    return PetriNet(places, steps + [big])
 
 
 class TestSignAnalysis:
@@ -107,6 +132,14 @@ class TestSignAnalysis:
                 grew += expected != initially_marked
                 stopped_short += len(expected) < net.num_places
         assert grew >= 100 and stopped_short >= 100  # neither side of the fixpoint is vacuous
+
+        # Transitions woken many times, which the random nets rarely have.
+        shaped = [(chain(200, False), {0}), (chain(200, True), {0}), (wide_guard(200), {0})]
+        shaped.append((PetriNet([], [Transition("t", (), ())]), set()))
+        for net, start in shaped:
+            assert reference_markable(net, start) == set(range(net.num_places))
+            for initially_marked in (start, {p for p in range(net.num_places) if rng.random() < 0.3}):
+                assert sign_analysis(net, initially_marked) == reference_markable(net, initially_marked)
 
 
 class TestPruneInstance:
@@ -195,6 +228,16 @@ class TestPruneInstance:
         inst = Instance(net, (1, 1), frozenset({1}), TargetSpec.cover((0, 2))).validate()
         calls.clear()
         assert prune_instance(inst).pruned_instance is inst and not calls
+
+    @pytest.mark.parametrize("target", [TargetSpec.exact((0, 1, 0, 5)), TargetSpec.exact((0, 1))])
+    @pytest.mark.parametrize("init", [(1, 0, 0), (1, 1, 1)])
+    def test_target_of_the_wrong_length_is_refused(self, target, init):
+        places = ["a", "b", "c"]
+        net = PetriNet(places, [Transition.from_maps("t", places, consume={"a": 1}, produce={"b": 1})])
+        # Not validated: Instance.validate would refuse it first.
+        inst = Instance(net, init, frozenset(), target)
+        with pytest.raises(NetDefinitionError, match="target spec length differs from place count"):
+            prune_instance(inst)
 
     def test_result_record(self, n1_instance):
         result = prune_instance(n1_instance)

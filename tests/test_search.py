@@ -5,6 +5,7 @@ import pytest
 
 from ffreach import (
     Instance,
+    NetDefinitionError,
     PetriNet,
     Relation,
     SearchLimits,
@@ -108,6 +109,15 @@ def test_upward_initial_marking_is_refused():
     with pytest.raises(ValueError, match="desugar_init"):
         directed_search(inst)
     assert directed_search(desugar_init(inst)).verdict is Verdict.REACHABLE
+
+
+@pytest.mark.parametrize("target", [TargetSpec.exact((0, 1, 5)), TargetSpec.cover((0, 1, 0)), TargetSpec.exact((0,))])
+def test_target_of_the_wrong_length_is_refused(target):
+    net = PetriNet(("a", "b"), (Transition("t", (1, 0), (0, 1)),))
+    # Not validated: Instance.validate would refuse it first.
+    inst = Instance(net, (1, 0), frozenset(), target)
+    with pytest.raises(NetDefinitionError, match="target spec length differs from place count"):
+        directed_search(inst)
 
 
 class TestLimits:

@@ -14,6 +14,20 @@ marking reached to its node ``(g, parent, t)``: its best known path weight,
 the marking it was reached from and the transition fired there (``None``
 and ``None`` at the root).
 
+Most strategies evaluate a successor when they push it and never store one
+whose value is infinite.  A* with a heuristic marked ``deferred`` (the
+state-equation bounds, whose solves are the costly part of a search)
+evaluates a marking when it pops it instead (deferred evaluation, Richter
+and Helmert 2009; Lazy A*, Tolpin et al. 2013).  A successor ``m'`` of
+``m`` by ``t`` is pushed at ``g' + max(0, h(m) - w(t))``, a lower bound on
+every path through ``m'`` since ``h(m) <= w(t) + d(m')`` for any admissible
+``h``.  A popped marking that is no goal is then evaluated; it is dropped
+if its value is infinite, pushed back at ``g + h`` if that exceeds the
+priority it was popped at, and expanded otherwise.  A marking pushed back
+is evaluated again when it is popped again, which the heuristic's memo
+answers without a solve.  About half of the successors A* pushes are never
+expanded, so they are never evaluated.
+
 The loop runs on integers.  It reads ``L``, the lcm of the transitions'
 weight denominators, and the ``L``-scaled weights from the net, which builds
 them once; a path weight ``g`` is kept as the ``int`` ``L * g``, and each
@@ -75,6 +89,10 @@ class SearchLimits(NamedTuple):
 
 
 class SearchStats:
+    """``expanded``: markings expanded, a goal included.  ``discovered``:
+    markings stored in the node table.  ``heuristic_calls``: evaluations of
+    the heuristic, the initial marking's and repeated ones included."""
+
     __slots__ = ("expanded", "discovered", "heuristic_calls", "wall_time_ms")
 
     def __init__(self, expanded: int = 0, discovered: int = 0, heuristic_calls: int = 0, wall_time_ms: float = 0.0):
@@ -136,9 +154,11 @@ def directed_search(
 
     Returns REACHABLE with an optimal distance and replayable witness
     (optimality for Dijkstra/A* with an admissible heuristic), UNREACHABLE
-    when the frontier empties, or EXHAUSTED when a limit is hit.  Successors
-    whose heuristic value is infinite are never inserted: admissibility
-    guarantees the target is unreachable from them.
+    when the frontier empties, or EXHAUSTED when a limit is hit.  A marking
+    whose heuristic value is infinite is never expanded: admissibility
+    guarantees the target is unreachable from it.  It is dropped when it is
+    evaluated, at push time or, for A* with a ``deferred`` heuristic, at pop
+    time (see the module docstring).
     """
     if inst.init_upward:
         raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
@@ -164,6 +184,7 @@ def directed_search(
 
     # The priority is g for Dijkstra, h for GBFS and g + h for A*.
     dijkstra, greedy = strategy is Strategy.DIJKSTRA, strategy is Strategy.GBFS
+    lazy = strategy is Strategy.ASTAR and getattr(heuristic, "deferred", False)
     nodes: dict[Marking, tuple[int, Marking | None, int | None]] = {init: (0, None, None)}
     expanded, discovered, heuristic_calls = 0, 1, 1
     counter = 0
@@ -181,15 +202,26 @@ def directed_search(
             result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason="time limit reached")
             return finish(result, expanded, discovered, heuristic_calls)
 
-        _, _, _, g_m, m = heappop(frontier)
+        f_m, _, _, g_m, m = heappop(frontier)
         node = nodes[m]
         if g_m != node[0]:
             continue  # stale entry: this marking was re-pushed with a better path
+        goal = satisfied(m)
+        if lazy and not goal:
+            heuristic_calls += 1
+            h_m = heuristic(m)
+            h_m = h_m * scale if h_m.__class__ is int else _scaled(h_m, scale)
+            if h_m is INF:
+                continue
+            if g_m + h_m > f_m:
+                counter += 1
+                heappush(frontier, (g_m + h_m, h_m, counter, g_m, m))
+                continue
         expanded += 1
         if __debug__ and node[1] is not None:  # node = (g, parent, t)
             assert nodes[node[1]][0] + weights[node[2]] <= g_m, "parent link heavier than the best known path"
 
-        if satisfied(m):
+        if goal:
             witness = net.witness(reconstruct_witness(nodes, m))
             if __debug__:
                 # The recorded parent chain is a real path, never worse than
@@ -213,11 +245,14 @@ def directed_search(
             old = node_of(succ)
             if old is not None and g_new >= old[0]:
                 continue
-            heuristic_calls += 1
-            h = heuristic(succ)
-            h = h * scale if h.__class__ is int else _scaled(h, scale)
-            if h is INF:
-                continue  # the target is unreachable from succ; skip it entirely
+            if lazy:
+                h = h_m - weights[t] if h_m > weights[t] else 0
+            else:
+                heuristic_calls += 1
+                h = heuristic(succ)
+                h = h * scale if h.__class__ is int else _scaled(h, scale)
+                if h is INF:
+                    continue  # the target is unreachable from succ; skip it entirely
             if old is None:
                 discovered += 1
             nodes[succ] = (g_new, m, t)

@@ -3,17 +3,21 @@ import pytest
 from ffreach import Instance, PetriNet, TargetSpec, Transition, directed_search
 
 
-def search_expanding(inst: Instance, *args):
+def search_expanding(inst: Instance, *args, reached: set | None = None):
     """``directed_search(inst, *args)`` and the markings it expanded, in
     order.  The search calls the net's ``successors`` once for each marking
     it expands except the goal, so a wrapper of that method records them; a
-    reachable result then adds the goal, its witness's final marking."""
+    reachable result then adds the goal, its witness's final marking.  Every
+    successor those calls return is added to ``reached`` when it is given."""
     net, order = inst.net, []
     successors = net.successors
 
     def recording(m):
         order.append(m)
-        return successors(m)
+        found = successors(m)
+        if reached is not None:
+            reached.update(succ for _, succ in found)
+        return found
 
     net.successors = recording
     try:

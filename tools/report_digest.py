@@ -1,4 +1,4 @@
-"""One SHA-256 over every JSON report of a benchmark workload, per seed.
+"""Two SHA-256 digests over the JSON reports of a benchmark workload, per seed.
 
     python3 tools/report_digest.py WORKLOAD SEED
     python3 tools/report_digest.py WORKLOAD [WORKLOAD ...] SEED [SEED ...]
@@ -11,21 +11,24 @@ is built from its seed by that checkout's ``perfbench/corpus.py`` and
 ``perfbench/workloads.py``, as ``perfbench/run.py`` builds it, and every
 (instance, config) pair is solved once, in pair order, through
 ``perfbench/worker.make_solver`` with the ffreach under the checkout's
-``src``.  The digest covers each report followed by a newline, so two
-checkouts print the same line exactly when all its reports are
-byte-identical:
+``src``.  The first digest covers each report followed by a newline, so
+two checkouts print the same first digest exactly when all its reports are
+byte-identical.  The second covers the same reports with their ``stats``
+block removed, so it stays put when a change moves only the search's
+counters and keeps every verdict, distance, witness and reason:
 
     (cd old && python3 /path/to/report_digest.py lp-astar small-batch 1 2)
     (cd new && python3 /path/to/report_digest.py lp-astar small-batch 1 2)
 
 A solve that raises is digested as the error report the benchmark records
-for it.  Like the benchmark's worker, the solves run with
+for it, in both digests.  Like the benchmark's worker, the solves run with
 ``PYTHONHASHSEED=0``.  Nothing is written, bytecode caches included.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -64,11 +67,15 @@ def main(argv: list[str]) -> int:
                 "configs": [config.as_list() for config in workload.configs],
                 "instances": [[inst.id, to_fnet(inst)] for inst, _ in workload.build(seed)],
             }
-            digest = hashlib.sha256()
+            digest, answers = hashlib.sha256(), hashlib.sha256()
             pairs = worker.Run(corpus).pairs
             for pair in pairs:
-                digest.update(worker.attempt(solve, pair).encode() + b"\n")
-            print(f"{digest.hexdigest()}  {name} seed {seed}, {len(pairs)} reports", flush=True)
+                report = worker.attempt(solve, pair)
+                digest.update(report.encode() + b"\n")
+                fields = json.loads(report)
+                fields.pop("stats", None)
+                answers.update(json.dumps(fields).encode() + b"\n")
+            print(f"{digest.hexdigest()}  {answers.hexdigest()}  {name} seed {seed}, {len(pairs)} reports", flush=True)
     return 0
 
 

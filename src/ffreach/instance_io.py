@@ -126,8 +126,12 @@ class TargetSpec(_TargetFields):
         return test
 
     def satisfied(self, m: Sequence[int]) -> bool:
-        """Whether ``m`` is in the target set, by :meth:`goal_test`."""
-        return self.goal_test()(tuple(m))
+        """Whether ``m`` is in the target set, by :meth:`goal_test`.  A marking
+        without one entry per constraint raises NetDefinitionError."""
+        m = tuple(m)
+        if len(m) != len(self.constraints):
+            raise NetDefinitionError(f"marking {m} has {len(m)} places, the target {len(self.constraints)}")
+        return self.goal_test()(m)
 
 
 class Instance(NamedTuple):

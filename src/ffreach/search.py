@@ -21,12 +21,15 @@ evaluates a marking when it pops it instead (deferred evaluation, Richter
 and Helmert 2009; Lazy A*, Tolpin et al. 2013).  A successor ``m'`` of
 ``m`` by ``t`` is pushed at ``g' + max(0, h(m) - w(t))``, a lower bound on
 every path through ``m'`` since ``h(m) <= w(t) + d(m')`` for any admissible
-``h``.  A popped marking that is no goal is then evaluated; it is dropped
-if its value is infinite, pushed back at ``g + h`` if that exceeds the
-priority it was popped at, and expanded otherwise.  A marking pushed back
-is evaluated again when it is popped again, which the heuristic's memo
-answers without a solve.  About half of the successors A* pushes are never
-expanded, so they are never evaluated.
+``h``.  A popped marking that is no goal is then evaluated, the root
+included, since lazy A* pushes it unevaluated like any other marking.  It
+is dropped if its value is infinite, pushed back at ``g + h`` if that
+exceeds the priority it was popped at and another entry is waiting, and
+expanded otherwise.  A marking pushed back is evaluated again when it is
+popped again, which the heuristic's memo answers without a solve.  About
+half of the successors A* pushes are never expanded, so they are never
+evaluated.  The other strategies evaluate the root before the loop, and
+end at once when its value is infinite.
 
 The loop runs on integers.  It reads ``L``, the lcm of the transitions'
 weight denominators, and the ``L``-scaled weights from the net, which builds
@@ -42,8 +45,9 @@ by one inline multiplication, which is why ``zero`` and ``struct`` return
 One expansion costs as little as the loop allows: its lookups are bound to
 locals once per search, the priority is picked by two booleans fixed per
 strategy, the counters live in locals and are written to ``SearchStats``
-once, on exit, and the goal test is compiled by ``TargetSpec.goal_test``
-once per search (a single tuple comparison for an exact target).
+once, after the loop's one exit (``discovered`` is the node table's size),
+and the goal test is compiled by ``TargetSpec.goal_test`` once per search
+(a single tuple comparison for an exact target).
 
 With assertions on, each expanded marking's parent link is checked in O(1)
 on the node table: ``g(parent) + L * w(t) <= g(m)``.  Every link is made
@@ -90,8 +94,10 @@ class SearchLimits(NamedTuple):
 
 class SearchStats:
     """``expanded``: markings expanded, a goal included.  ``discovered``:
-    markings stored in the node table.  ``heuristic_calls``: evaluations of
-    the heuristic, the initial marking's and repeated ones included."""
+    the node table's size, the root included.  ``heuristic_calls``:
+    evaluations of the heuristic, repeated ones included; the root is
+    evaluated before the loop, or, under lazy A*, when it is popped and is
+    no goal."""
 
     __slots__ = ("expanded", "discovered", "heuristic_calls", "wall_time_ms")
 
@@ -147,7 +153,8 @@ def directed_search(
     heuristic: Heuristic | None = None,
     limits: SearchLimits | None = None,
 ) -> SearchResult:
-    """Run the selected strategy from the instance's initial marking, which
+    """Run the selected strategy (a ``Strategy`` or its value; anything
+    else raises ValueError) from the instance's initial marking, which
     must be exact: an instance with upward flags raises ValueError, and is
     searched after :func:`desugar_init`.  A target without one constraint
     per place raises NetDefinitionError.
@@ -158,49 +165,40 @@ def directed_search(
     whose heuristic value is infinite is never expanded: admissibility
     guarantees the target is unreachable from it.  It is dropped when it is
     evaluated, at push time or, for A* with a ``deferred`` heuristic, at pop
-    time (see the module docstring).
+    time, the root included (see the module docstring).
     """
     if inst.init_upward:
         raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
     inst._check_target()
+    strategy = Strategy(strategy)
     if heuristic is None:
         heuristic = zero_heuristic
-    limits = limits or SearchLimits()
     net, satisfied = inst.net, inst.target.goal_test()
     init = net.check_marking(inst.init)
-    stats = SearchStats()
     start = time.monotonic()
-
-    def finish(result: SearchResult, expanded: int, discovered: int, heuristic_calls: int) -> SearchResult:
-        stats.expanded, stats.discovered, stats.heuristic_calls = expanded, discovered, heuristic_calls
-        stats.wall_time_ms = (time.monotonic() - start) * 1000.0
-        return result
-
     scale, weights = net.scale, net.scaled_weights
 
-    h_init = _scaled(heuristic(init), scale)
-    if h_init is INF and not satisfied(init):
-        return finish(SearchResult(Verdict.UNREACHABLE, stats=stats), 0, 0, 1)
-
-    # The priority is g for Dijkstra, h for GBFS and g + h for A*.
+    # The priority is g for Dijkstra, h for GBFS and g + h for A*.  The root
+    # is the frontier's only entry, so its priority and tie-break are moot.
     dijkstra, greedy = strategy is Strategy.DIJKSTRA, strategy is Strategy.GBFS
     lazy = strategy is Strategy.ASTAR and getattr(heuristic, "deferred", False)
     nodes: dict[Marking, tuple[int, Marking | None, int | None]] = {init: (0, None, None)}
-    expanded, discovered, heuristic_calls = 0, 1, 1
-    counter = 0
-    frontier: list[tuple[object, object, int, int, Marking]] = [
-        (0 if dijkstra else h_init, h_init, counter, 0, init)
-    ]
+    frontier: list[tuple[object, object, int, int, Marking]] = [(0, 0, 0, 0, init)]
+    expanded = counter = 0
+    heuristic_calls = 0 if lazy else 1  # lazy A* evaluates the root when it pops it
+    if not lazy and _scaled(heuristic(init), scale) is INF and not satisfied(init):
+        nodes, frontier = {}, []
+    verdict, witness, reason = Verdict.UNREACHABLE, None, None
 
     heappop, heappush, node_of, successors_of = heapq.heappop, heapq.heappush, nodes.get, net.successors
-    max_expansions, max_time_ms, monotonic = limits.max_expansions, limits.max_time_ms, time.monotonic
+    (max_expansions, max_time_ms), monotonic = limits or SearchLimits(), time.monotonic
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
-            result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason="expansion limit reached")
-            return finish(result, expanded, discovered, heuristic_calls)
+            verdict, reason = Verdict.EXHAUSTED, "expansion limit reached"
+            break
         if max_time_ms is not None and (monotonic() - start) * 1000.0 > max_time_ms:
-            result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason="time limit reached")
-            return finish(result, expanded, discovered, heuristic_calls)
+            verdict, reason = Verdict.EXHAUSTED, "time limit reached"
+            break
 
         f_m, _, _, g_m, m = heappop(frontier)
         node = nodes[m]
@@ -213,7 +211,7 @@ def directed_search(
             h_m = h_m * scale if h_m.__class__ is int else _scaled(h_m, scale)
             if h_m is INF:
                 continue
-            if g_m + h_m > f_m:
+            if g_m + h_m > f_m and frontier:  # alone, it would be popped straight back
                 counter += 1
                 heappush(frontier, (g_m + h_m, h_m, counter, g_m, m))
                 continue
@@ -222,7 +220,7 @@ def directed_search(
             assert nodes[node[1]][0] + weights[node[2]] <= g_m, "parent link heavier than the best known path"
 
         if goal:
-            witness = net.witness(reconstruct_witness(nodes, m))
+            verdict, witness = Verdict.REACHABLE, net.witness(reconstruct_witness(nodes, m))
             if __debug__:
                 # The recorded parent chain is a real path, never worse than
                 # g; both are compared times L, as integers.
@@ -230,15 +228,14 @@ def directed_search(
                 assert total <= g_m
                 if not greedy:
                     assert total == g_m
-            result = SearchResult(Verdict.REACHABLE, witness.total_weight, witness, stats)
-            return finish(result, expanded, discovered, heuristic_calls)
+            break
 
         try:
             successors = successors_of(m)
         except TokenOverflowError as exc:
+            verdict = Verdict.EXHAUSTED
             reason = f"token overflow firing {net.transitions[exc.transition].name!r} from {m}"
-            result = SearchResult(Verdict.EXHAUSTED, stats=stats, reason=reason)
-            return finish(result, expanded, discovered, heuristic_calls)
+            break
 
         for t, succ in successors:
             g_new = g_m + weights[t]
@@ -253,10 +250,9 @@ def directed_search(
                 h = h * scale if h.__class__ is int else _scaled(h, scale)
                 if h is INF:
                     continue  # the target is unreachable from succ; skip it entirely
-            if old is None:
-                discovered += 1
             nodes[succ] = (g_new, m, t)
             counter += 1
             heappush(frontier, (g_new if dijkstra else h if greedy else g_new + h, h, counter, g_new, succ))
 
-    return finish(SearchResult(Verdict.UNREACHABLE, stats=stats), expanded, discovered, heuristic_calls)
+    stats = SearchStats(expanded, len(nodes), heuristic_calls, (monotonic() - start) * 1000.0)
+    return SearchResult(verdict, witness and witness.total_weight, witness, stats, reason)

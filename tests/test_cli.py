@@ -261,7 +261,7 @@ GOLDEN_JSON = """\
   "stats": {
     "expanded": 4,
     "discovered": 7,
-    "heuristic_calls": 8
+    "heuristic_calls": 6
   },
   "config": {
     "file": "FILE",

@@ -206,6 +206,14 @@ class TestTargetSpec:
         with pytest.raises(NetDefinitionError):
             build()
 
+    @pytest.mark.parametrize("build", [TargetSpec.exact, TargetSpec.cover])
+    @pytest.mark.parametrize("m", [(), (0,), (0, 1, 5), [0, 1, 0]])
+    def test_marking_of_the_wrong_length(self, build, m):
+        # A marking that is longer or shorter than the target is no answer,
+        # whether its first places match or not.
+        with pytest.raises(NetDefinitionError, match="places"):
+            build((0, 1)).satisfied(m)
+
     def test_zero_places(self):
         for spec in (TargetSpec(()), TargetSpec.exact(()), TargetSpec.cover(())):
             assert spec.satisfied(())

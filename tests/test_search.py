@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,20 @@ def test_target_of_the_wrong_length_is_refused(target):
         directed_search(inst)
 
 
+def test_strategy_by_its_value():
+    # "dijkstra", "astar" and "gbfs" run the searches their members run.
+    rng = random.Random(5)
+    for _ in range(40):
+        inst = random_bounded_instance(rng)
+        for strategy in Strategy:
+            runs = [directed_search(inst, s, make_heuristic("q", inst)) for s in (strategy, strategy.value)]
+            by_member, by_value = [(r.verdict, r.witness, r.stats.expanded, r.stats.heuristic_calls) for r in runs]
+            assert by_value == by_member
+    for other in ("bfs", "ASTAR", None):
+        with pytest.raises(ValueError):
+            directed_search(inst, other)
+
+
 class TestLimits:
     def test_expansion_limit(self, n1_instance):
         result = directed_search(
@@ -157,21 +172,21 @@ class TestLimits:
 
 
 class CountingHeuristic:
-    """Wraps a heuristic and counts its calls, the distinct markings it was
-    called on and those it called finite: a search that evaluates at push
-    time discovers exactly the finite ones (when the initial marking's value
-    is finite).  It is ``deferred`` when the heuristic it wraps is."""
+    """Wraps a heuristic and counts its calls, the calls on each marking and
+    the markings it called finite: a search that evaluates at push time
+    discovers exactly the finite ones (when the initial marking's value is
+    finite).  It is ``deferred`` when the heuristic it wraps is."""
 
     def __init__(self, inner):
         self.inner = inner
         self.deferred = getattr(inner, "deferred", False)
         self.calls = 0
-        self.called: set = set()
+        self.called: Counter = Counter()
         self.finite: set = set()
 
     def __call__(self, m):
         self.calls += 1
-        self.called.add(m)
+        self.called[m] += 1
         value = self.inner(m)
         if value != INF:
             self.finite.add(m)
@@ -204,11 +219,11 @@ class TestEveryExit:
         assert stats.expanded == len(expanded)
         assert stats.heuristic_calls == counter.calls
         if counter.deferred and strategy is Strategy.ASTAR:
-            # Nothing is dropped at push time, so every successor of an
-            # expanded marking is stored, and only stored markings are
-            # evaluated.
-            assert stats.discovered == (len(reached) if inst.init in counter.finite else 0)
-            assert counter.called <= reached
+            # Nothing is dropped at push time, so the root and every
+            # successor of an expanded marking are stored, and only stored
+            # markings are evaluated.
+            assert stats.discovered == len(reached)
+            assert counter.called.keys() <= reached
         else:
             assert stats.discovered == len(counter.finite)
         return result, expanded
@@ -253,7 +268,19 @@ class TestEveryExit:
         # The state equation cannot make four c tokens out of three.
         result, _ = self.run(draining_instance(), strategy, "q")
         assert result.verdict is Verdict.UNREACHABLE
-        assert result.stats.heuristic_calls == 1 and result.stats.expanded == result.stats.discovered == 0
+        assert result.stats.heuristic_calls == 1 and result.stats.expanded == 0
+        # Lazy A* stores the root, then drops it when it pops and evaluates it.
+        assert result.stats.discovered == (1 if strategy is Strategy.ASTAR else 0)
+
+    def test_deferred_root_is_evaluated_once(self, n1_instance):
+        # Lazy A* pushes the root unevaluated and evaluates it when it pops
+        # it.  Alone in the frontier, it is expanded, not pushed back.
+        counter = CountingHeuristic(make_heuristic("q", n1_instance))
+        assert counter.deferred and counter.inner(n1_instance.init) > 0
+        result = directed_search(n1_instance, Strategy.ASTAR, counter)
+        assert result.reachable and result.distance > 0
+        assert counter.called[n1_instance.init] == 1
+        assert result.stats.heuristic_calls == counter.calls == sum(counter.called.values())
 
 
 class TestWitnessReconstruction:

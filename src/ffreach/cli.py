@@ -9,15 +9,13 @@ for diagnostics on stderr, including the traceback of an internal error.
 
 from __future__ import annotations
 
-import argparse
-import logging
 import math
 import os
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .heuristics import HEURISTIC_NAMES, make_heuristic
 from .instance_io import (
@@ -34,6 +32,10 @@ from .prune import PruneVerdict, prune_instance
 from .ratlp import DEFAULT_ILP_NODE_BUDGET
 from .search import SearchLimits, SearchResult, Strategy, Verdict, directed_search
 
+if TYPE_CHECKING:
+    import argparse
+    import logging
+
 EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
 EXIT_UNKNOWN = 2
@@ -41,7 +43,22 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
-logger = logging.getLogger("ffreach")
+_logger: logging.Logger | None = None  # the ``ffreach`` logger, once ``logging`` is imported
+
+
+def _debug_logger() -> logging.Logger | None:
+    """The ``ffreach`` logger when it passes DEBUG records on, else None.
+    Nothing can give it a level or a handler before ``logging`` is imported,
+    so ffreach imports ``logging`` only to set it up from ``FFREACH_LOG``:
+    the module and those it loads hold about 0.4 MiB."""
+    global _logger
+    if _logger is None:
+        logging = sys.modules.get("logging")
+        if logging is None:
+            return None
+        _logger = logging.getLogger("ffreach")
+    return _logger if _logger.isEnabledFor(10) else None  # 10 is logging.DEBUG
+
 
 _MASK64 = (1 << 64) - 1
 
@@ -222,11 +239,12 @@ def solve_instance(
     if prune:
         pruned = prune_instance(desugared)
         if pruned.verdict is PruneVerdict.IMMEDIATELY_UNREACHABLE:
-            logger.debug("prune: verdict %s", pruned.verdict.value)
+            if (logger := _debug_logger()) is not None:
+                logger.debug("prune: verdict %s", pruned.verdict.value)
             reason = "target demands tokens in a place that can never be marked"
             return SearchResult(Verdict.UNREACHABLE, reason=reason), [], 0
         search_inst = pruned.pruned_instance
-        if logger.isEnabledFor(logging.DEBUG):
+        if (logger := _debug_logger()) is not None:
             logger.debug(
                 "prune: %d/%d places, %d/%d transitions kept",
                 search_inst.net.num_places,
@@ -240,7 +258,7 @@ def solve_instance(
         deadline = time.monotonic() + limits.max_time_ms / 1000.0
     heuristic = make_heuristic(heuristic_name, search_inst, ilp_node_budget, deadline)
     result = directed_search(search_inst, strategy, heuristic, limits)
-    if logger.isEnabledFor(logging.DEBUG):
+    if (logger := _debug_logger()) is not None:
         logger.debug(
             "search: verdict=%s expanded=%d discovered=%d",
             result.verdict.value,
@@ -338,32 +356,35 @@ def cmd_genwalk(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"ffreach: {args.out}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    logger.debug("gen-walk: wrote %s (walk of %d steps)", args.out, len(walk))
+    if (logger := _debug_logger()) is not None:
+        logger.debug("gen-walk: wrote %s (walk of %d steps)", args.out, len(walk))
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 64, not argparse's default 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _in_range(low, high=None, convert=int):
-    """argparse ``type=`` for a number no smaller than ``low`` and, when
-    ``high`` is given, no larger than ``high``."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not (low <= value < math.inf and (high is None or value <= high)):  # also rejects NaN
-            wanted = f"finite and >= {low}" if high is None else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ffreach`` argument parser.  ``argparse`` is imported here, so
+    that ``import ffreach`` does not load it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage errors exit 64, not argparse's default 2
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def in_range(low, high=None, convert=int):
+        """argparse ``type=`` for a number no smaller than ``low`` and, when
+        ``high`` is given, no larger than ``high``."""
+
+        def parse(text: str):
+            value = convert(text)
+            if not (low <= value < math.inf and (high is None or value <= high)):  # also rejects NaN
+                wanted = f"finite and >= {low}" if high is None else f"in [{low}, {high}]"
+                raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+            return value
+
+        parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+        return parse
+
     parser = _Parser(prog="ffreach", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -372,20 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--strategy", choices=[s.value for s in Strategy], default="astar")
     solve.add_argument("--heuristic", choices=list(HEURISTIC_NAMES), default="q")
     solve.add_argument("--no-prune", action="store_true", help="skip sign-analysis pruning")
-    solve.add_argument("--ilp-node-budget", type=_in_range(1), default=DEFAULT_ILP_NODE_BUDGET, metavar="N")
-    solve.add_argument("--max-expansions", type=_in_range(0), default=None, metavar="N")
-    solve.add_argument("--max-time-ms", type=_in_range(0, convert=float), default=None, metavar="N")
+    solve.add_argument("--ilp-node-budget", type=in_range(1), default=DEFAULT_ILP_NODE_BUDGET, metavar="N")
+    solve.add_argument("--max-expansions", type=in_range(0), default=None, metavar="N")
+    solve.add_argument("--max-time-ms", type=in_range(0, convert=float), default=None, metavar="N")
     solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.set_defaults(func=cmd_solve)
 
     genwalk = sub.add_parser("gen-walk", help="derive a reachable instance from a random walk")
     genwalk.add_argument("file", help=".fnet instance file to walk on")
-    genwalk.add_argument("--length", type=_in_range(0), required=True, metavar="N")
+    genwalk.add_argument("--length", type=in_range(0), required=True, metavar="N")
     genwalk.add_argument("--seed", type=int, required=True, metavar="S")
     genwalk.add_argument("--out", required=True, metavar="FILE")
     genwalk.add_argument(
         "--init-tokens",
-        type=_in_range(0, MAX_TOKENS),
+        type=in_range(0, MAX_TOKENS),
         default=None,
         metavar="N",
         help="raise upward-flagged places to N tokens before walking",
@@ -397,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging() -> None:
     level_name = os.environ.get("FFREACH_LOG", "").upper()
     if level_name:
+        import logging
+
         # Only ``logging``'s int attributes are levels; anything else is INFO.
         level = getattr(logging, level_name, None)
         level = level if type(level) is int else logging.INFO
@@ -409,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         _configure_logging()
         return args.func(args)
     except Exception as exc:  # a crash must never look like a verdict
-        logger.debug("internal error", exc_info=True)
+        if (logger := _debug_logger()) is not None:
+            logger.debug("internal error", exc_info=True)
         print(f"ffreach: internal error: {exc!r}", file=sys.stderr)
         return EXIT_SOFTWARE
 

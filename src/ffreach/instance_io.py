@@ -125,6 +125,18 @@ class TargetSpec(_TargetFields):
 
         return test
 
+    def bounds(self) -> list[tuple[int, int, int]]:
+        """``(place, least, most)`` for each place the spec constrains: the
+        token counts it allows there, ``most`` being ``MAX_TOKENS`` under ``>=``."""
+        out, p, eq = [], 0, Relation.EQ
+        for rel, bound in self.constraints:
+            if rel is eq:
+                out.append((p, bound, bound))
+            elif bound:
+                out.append((p, bound, MAX_TOKENS))
+            p += 1
+        return out
+
     def satisfied(self, m: Sequence[int]) -> bool:
         """Whether ``m`` is in the target set, by :meth:`goal_test`.  A marking
         without one entry per constraint raises NetDefinitionError."""

@@ -10,7 +10,8 @@ The token game reads one firing record per transition,
 ``(t, p0, n0, rest, deltas, raises)``: the guard's first ``(place, need)``
 entry, tested inline (``(0, 0)`` when empty), its other entries, the
 ``(place, delta)`` effect entries, and the places with a positive delta, the
-only ones that can pass ``MAX_TOKENS``.  Sign analysis reads the records too.
+only ones that can pass ``MAX_TOKENS``.  Sign analysis and the strong
+stubborn sets of :class:`StubbornSets` read the records too.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
@@ -250,8 +251,12 @@ class PetriNet:
             raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
         return tuple(result)
 
-    def successors(self, m: Marking) -> list[tuple[int, Marking]]:
-        """All enabled transitions with their successor markings, in index order."""
+    def successors(self, m: Marking, stubborn: StubbornSets | None = None) -> list[tuple[int, Marking]]:
+        """All enabled transitions with their successor markings, in index
+        order; with ``stubborn``, only those of the strong stubborn set it
+        gives ``m``."""
+        if stubborn is not None:
+            return stubborn.successors(m)
         if not m:  # a net without places: every guard is empty
             return [(t, m) for t in range(len(self.transitions))]
         out = []
@@ -312,3 +317,106 @@ class PetriNet:
             f"PetriNet({self.name!r}, {self.num_places} places, "
             f"{self.num_transitions} transitions)"
         )
+
+
+class StubbornSets:
+    """Strong stubborn sets of one net for one target: at a marking outside
+    the target, a set of transitions such that some shortest path to the
+    target starts with one of its enabled members (Valmari 1990;
+    Alkhazraji, Wehrle, Mattmüller and Helmert 2012).
+
+    ``bounds`` holds ``(place, least, most)`` for each place the target
+    constrains: the token counts it allows there.  At a marking ``m`` outside
+    the target the set is seeded with every transition that raises the first
+    place below its least count, or that lowers the first place above its
+    most count: every path to the target fires one of them, and an empty seed
+    leaves ``m`` without successors.  It is closed under two rules.  An
+    enabled member brings in every transition that needs a place it lowers
+    or lowers a place it needs.  A disabled member brings in every
+    transition that raises the first place of its guard that ``m`` leaves
+    short: no path fires the member before one of those.  Why a search that
+    fires only the enabled members stays optimal is told in ``search``.
+
+    The transitions that raise, lower and need each place are read off the
+    net's firing records once, as bitmasks over transition indices; the
+    interference mask of a transition is made the first time a closure meets
+    it enabled.
+    """
+
+    __slots__ = ("_net", "_bounds", "_raisers", "_lowerers", "_needers", "_interference")
+
+    def __init__(self, net: PetriNet, bounds: Sequence[tuple[int, int, int]]):
+        n = len(net.places)
+        raisers, lowerers, needers = [0] * n, [0] * n, [0] * n
+        for t, p0, n0, rest, deltas, _ in net._firings:
+            bit = 1 << t
+            if n0:
+                needers[p0] |= bit
+            for p, _ in rest:
+                needers[p] |= bit
+            for p, delta in deltas:
+                if delta > 0:
+                    raisers[p] |= bit
+                else:
+                    lowerers[p] |= bit
+        self._net, self._bounds = net, bounds
+        self._raisers, self._lowerers, self._needers = raisers, lowerers, needers
+        self._interference: list[int | None] = [None] * len(net.transitions)
+
+    def _interferers(self, t: int) -> int:
+        """The transitions that lower a place ``t`` needs or need a place ``t`` lowers."""
+        _, p0, n0, rest, deltas, _ = self._net._firings[t]
+        lowerers, needers = self._lowerers, self._needers
+        mask = lowerers[p0] if n0 else 0
+        for p, _ in rest:
+            mask |= lowerers[p]
+        for p, delta in deltas:
+            if delta < 0:
+                mask |= needers[p]
+        self._interference[t] = mask
+        return mask
+
+    def successors(self, m: Marking) -> list[tuple[int, Marking]]:
+        """The enabled members of the strong stubborn set of ``m`` with their
+        successor markings, in index order; in the target, every enabled
+        transition.  Each member is tested, and fired, as the closure meets it."""
+        raisers = self._raisers
+        for p, least, most in self._bounds:
+            if m[p] < least:
+                todo = raisers[p]
+                break
+            if m[p] > most:
+                todo = self._lowerers[p]
+                break
+        else:
+            return self._net.successors(m)
+        firings, interference = self._net._firings, self._interference
+        kept, out = todo, []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            t, p0, n0, rest, deltas, raises = firings[low.bit_length() - 1]
+            if m[p0] < n0:
+                more = raisers[p0]
+            else:
+                for p, need in rest:
+                    if m[p] < need:
+                        more = raisers[p]
+                        break
+                else:  # enabled: fire it, by the rule PetriNet.successors inlines
+                    result = list(m)
+                    for p, delta in deltas:
+                        result[p] += delta
+                    for p in raises:
+                        if result[p] > MAX_TOKENS:
+                            name = self._net.transitions[t].name
+                            raise TokenOverflowError(f"firing {name!r} overflows a token count", t)
+                    out.append((t, tuple(result)))
+                    more = interference[t]
+                    if more is None:
+                        more = self._interferers(t)
+            more &= ~kept
+            kept |= more
+            todo |= more
+        out.sort()
+        return out

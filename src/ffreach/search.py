@@ -31,6 +31,24 @@ half of the successors A* pushes are never expanded, so they are never
 evaluated.  The other strategies evaluate the root before the loop, and
 end at once when its value is infinite.
 
+Every strategy fires, at a marking that is no goal, only the enabled
+transitions of a strong stubborn set (``net.StubbornSets``, built once per
+search at its first expansion of a marking that is no goal; Valmari 1990;
+Alkhazraji, Wehrle, Mattmüller and Helmert 2012; Wehrle and Helmert 2014).
+Dijkstra and A* stay optimal.  Take any shortest path from ``m`` to the
+target, and its first transition ``t`` in the stubborn set ``S``: one
+exists, since the path must change the place that seeds ``S``.  ``t`` is
+enabled at ``m``, for else the path raises the place ``t`` waits for
+before ``t``, with a transition of ``S``.  No transition before ``t``
+needs a place ``t`` lowers, since every such transition is in ``S``.
+Firing effects add up, so ``t`` fired first leaves each of them enabled
+and the path moved this way ends where it did, at the same weight.  So
+some successor kept by the reduction lies on a shortest path, and by
+induction every marking keeps its distance to the target.  An admissible
+heuristic stays admissible, and GBFS still reaches every reachable
+target.  Witnesses may be other shortest paths than those of a search
+that fires everything.
+
 The loop runs on integers.  It reads ``L``, the lcm of the transitions'
 weight denominators, and the ``L``-scaled weights from the net, which builds
 them once; a path weight ``g`` is kept as the ``int`` ``L * g``, and each
@@ -68,7 +86,7 @@ from typing import NamedTuple
 
 from .heuristics import INF, Heuristic, zero_heuristic
 from .instance_io import Instance
-from .net import Marking, TokenOverflowError, Witness
+from .net import Marking, StubbornSets, TokenOverflowError, Witness
 
 
 class Strategy(Enum):
@@ -170,7 +188,8 @@ def directed_search(
     if inst.init_upward:
         raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
     inst._check_target()
-    strategy = Strategy(strategy)
+    if strategy.__class__ is not Strategy:
+        strategy = Strategy(strategy)
     if heuristic is None:
         heuristic = zero_heuristic
     net, satisfied = inst.net, inst.target.goal_test()
@@ -191,6 +210,7 @@ def directed_search(
     verdict, witness, reason = Verdict.UNREACHABLE, None, None
 
     heappop, heappush, node_of, successors_of = heapq.heappop, heapq.heappush, nodes.get, net.successors
+    stubborn = None  # made at the first expansion of a marking that is no goal
     (max_expansions, max_time_ms), monotonic = limits or SearchLimits(), time.monotonic
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
@@ -230,8 +250,10 @@ def directed_search(
                     assert total == g_m
             break
 
+        if stubborn is None:
+            stubborn = StubbornSets(net, inst.target.bounds())
         try:
-            successors = successors_of(m)
+            successors = successors_of(m, stubborn)
         except TokenOverflowError as exc:
             verdict = Verdict.EXHAUSTED
             reason = f"token overflow firing {net.transitions[exc.transition].name!r} from {m}"

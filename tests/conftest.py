@@ -12,9 +12,9 @@ def search_expanding(inst: Instance, *args, reached: set | None = None):
     net, order = inst.net, []
     successors = net.successors
 
-    def recording(m):
+    def recording(m, *stubborn):
         order.append(m)
-        found = successors(m)
+        found = successors(m, *stubborn)
         if reached is not None:
             reached.update(succ for _, succ in found)
         return found

@@ -27,6 +27,7 @@ from ffreach import (
 from ffreach.cli import SplitMix64
 from ffreach import cli
 from ffreach.cli import main
+from conftest import FIG_FNET
 
 UPWARD_FNET = """\
 net spawn
@@ -260,8 +261,8 @@ GOLDEN_JSON = """\
   "generator_firings": 0,
   "stats": {
     "expanded": 4,
-    "discovered": 7,
-    "heuristic_calls": 6
+    "discovered": 5,
+    "heuristic_calls": 4
   },
   "config": {
     "file": "FILE",
@@ -578,6 +579,22 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_loads_neither_argparse_nor_logging(self):
+        # Only build_parser imports argparse, and only FFREACH_LOG makes the
+        # command line import logging; a solve through the library imports neither.
+        code = (
+            "import sys, ffreach\n"
+            "ffreach.solve_instance(ffreach.parse_instance(sys.stdin.read()))\n"
+            "print(sorted({'argparse', 'logging'} & set(sys.modules)))\n"
+            "ffreach.cli.build_parser()\n"
+            "print(sorted({'argparse', 'logging'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("FFREACH_LOG", None)
+        proc = subprocess.run([sys.executable, "-c", code], input=FIG_FNET, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n['argparse']\n"
 
 
 class TestSubprocessReproducibility:

@@ -18,12 +18,14 @@ from ffreach import (
     directed_search,
     make_heuristic,
 )
-from ffreach.net import MAX_TOKENS
+from ffreach.net import MAX_TOKENS, StubbornSets
 from ffreach.ratlp import DEFAULT_ILP_NODE_BUDGET
 from ffreach.search import BrokenParentChainError, SearchResult, reconstruct_witness
 from conftest import search_expanding
 from oracles import (
+    backward_coverable,
     bounded_distance,
+    cover_distance_by_enumeration,
     enumerate_reachable,
     oracle_solve,
     random_bounded_instance,
@@ -164,8 +166,9 @@ class TestLimits:
         assert (first.stats.expanded, second.stats.expanded) == (1, 0)
 
     def test_token_overflow_reported(self):
-        net = PetriNet(["a"], [Transition("grow", (0,), (1,))])
-        inst = instance(net, (MAX_TOKENS,), TargetSpec.exact((0,)))
+        # Only grow raises b, so it is in every stubborn set and is fired.
+        net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 1))])
+        inst = instance(net, (MAX_TOKENS, 0), TargetSpec(((Relation.GEQ, 0), (Relation.EQ, 1))))
         result = directed_search(inst, Strategy.DIJKSTRA)
         assert result.verdict is Verdict.EXHAUSTED
         assert "grow" in result.reason
@@ -250,8 +253,10 @@ class TestEveryExit:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_token_overflow(self, strategy):
-        net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 0)), Transition("swap", (1, 0), (0, 1))])
-        inst = instance(net, (MAX_TOKENS - 1, 0), TargetSpec.exact((0, 2)))
+        # Below the target, b is raised by grow and swap alike, so every
+        # stubborn set holds grow; its second firing overflows a.
+        net = PetriNet(["a", "b"], [Transition("grow", (0, 0), (1, 1)), Transition("swap", (1, 0), (0, 1))])
+        inst = instance(net, (MAX_TOKENS - 1, 0), TargetSpec(((Relation.GEQ, 0), (Relation.EQ, 2))))
         result, _ = self.run(inst, strategy, "zero")
         assert result.verdict is Verdict.EXHAUSTED and "overflow" in result.reason
         assert result.stats.expanded >= 2
@@ -317,6 +322,67 @@ def gbfs_trap_instance() -> Instance:
     return instance(net, (0, 0), TargetSpec.exact((0, 1)))
 
 
+def ring(places: list[str], cycle: list[str]) -> list[Transition]:
+    """One transition per place of ``cycle``, moving a token to the next place round it."""
+    return [Transition.from_maps(f"{a}{b}", places, consume={a: 1}, produce={b: 1})
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+class TestStubbornSets:
+    """At a marking that is no goal, the search fires only the enabled
+    transitions of a strong stubborn set."""
+
+    def test_sets_of_the_running_example(self, n1):
+        # Target p1 = 0, p2 = 1.
+        stubborn = StubbornSets(n1, TargetSpec.exact((0, 1)).bounds())
+
+        def fired(m):
+            return [t for t, _ in n1.successors(m, stubborn)]
+
+        # At (0, 0) p2 is low: t2 raises it, but t2 waits for p1, which
+        # only t1 raises; t1 lowers nothing.
+        assert fired((0, 0)) == [0]
+        # At (1, 0) t2 is enabled; t3 lowers p1, which t2 needs.
+        assert fired((1, 0)) == [1, 2]
+        # p1 is high at (1, 1): t3 lowers it, and t2 needs what t3 lowers.
+        assert fired((1, 1)) == [1, 2]
+        # Nothing lowers p2, so no path from (0, 2) leads to the target.
+        assert fired((0, 2)) == []
+        assert n1.successors((0, 1), stubborn) == n1.successors((0, 1))  # the target: no reduction
+        assert n1.successors((1, 1), stubborn) == [(1, (1, 2)), (2, (0, 1))]
+
+    def test_independent_loops_are_walked_one_at_a_time(self):
+        # Two token rings of five places; the target moves each token three
+        # places on.  Firing every enabled transition, Dijkstra expands 21
+        # markings, interleavings of the two walks; with the reduction ring
+        # a walks first, then ring b.
+        a, b = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+        net = PetriNet(a + b, ring(a + b, a) + ring(a + b, b))
+        inst = instance(net, (1, 0, 0, 0, 0) * 2, TargetSpec.exact((0, 0, 0, 1, 0) * 2))
+        result, expanded = search_expanding(inst, Strategy.DIJKSTRA, make_heuristic("zero", inst))
+        assert result.distance == 6
+        assert result.stats.expanded == len(expanded) == 7
+        assert result.stats.discovered == 7
+
+    def test_both_interference_rules_are_needed(self):
+        # "move" turns the a token into the g token; "copy" reads a and adds
+        # a c token.  Both are wanted, so copy must come first.  At the
+        # start only move raises g, and it is enabled; copy enters the
+        # stubborn set only because move lowers a, which copy needs.
+        places = ["g", "a", "c"]
+        net = PetriNet(places, [
+            Transition.from_maps("move", places, consume={"a": 1}, produce={"g": 1}),
+            Transition.from_maps("copy", places, consume={"a": 1}, produce={"a": 1, "c": 1}),
+        ])
+        target = TargetSpec(((Relation.EQ, 1), (Relation.GEQ, 0), (Relation.EQ, 1)))
+        inst = instance(net, (0, 1, 0), target)
+        assert [t for t, _ in net.successors((0, 1, 0), StubbornSets(net, target.bounds()))] == [0, 1]
+        for strategy in Strategy:
+            for name in HEURISTIC_NAMES:
+                result = directed_search(inst, strategy, make_heuristic(name, inst))
+                assert result.reachable and result.witness.sequence == (1, 0)
+
+
 class TestGbfsContract:
     def test_witness_valid_but_suboptimal(self):
         inst = gbfs_trap_instance()
@@ -329,32 +395,71 @@ class TestGbfsContract:
         assert witness.total_weight == gbfs.distance
 
 
+HEURISTIC_NAMES = ("zero", "struct", "q", "z")
+
+
+def assert_answer(inst: Instance, result: SearchResult, strategy: Strategy, distance) -> None:
+    """``result`` reaches the target at the optimal ``distance`` (GBFS: at
+    no less), with a witness that replays to a target marking at that weight."""
+    assert result.reachable
+    if strategy is Strategy.GBFS:
+        assert result.distance >= distance
+    else:
+        assert result.distance == distance
+    final, witness = inst.net.replay(inst.init, result.witness.sequence)
+    assert inst.target.satisfied(final)
+    assert witness.total_weight == result.distance
+
+
 class TestRandomCorpus:
     def test_all_strategies_match_the_oracle(self):
+        # Every search fires only the transitions of a stubborn set; the
+        # oracle enumerates every successor.
         rng = random.Random(90210)
         reachable_seen = unreachable_seen = 0
         for i in range(40):
             inst = random_bounded_instance(rng, rational_weights=i % 2 == 1)
             reachable, distance = oracle_solve(inst)
-            configs = [
-                (Strategy.DIJKSTRA, None),
-                (Strategy.ASTAR, "q"),
-                (Strategy.ASTAR, "z"),
-                (Strategy.ASTAR, "struct"),
-            ]
-            for strategy, name in configs:
-                h = make_heuristic(name, inst) if name else None
-                result = directed_search(inst, strategy, h)
-                assert result.verdict is not Verdict.EXHAUSTED
-                assert result.reachable == reachable
-                if reachable:
-                    assert result.distance == distance
-                    final, witness = inst.net.replay(inst.init, result.witness.sequence)
-                    assert inst.target.satisfied(final)
-                    assert witness.total_weight == result.distance
+            for strategy in Strategy:
+                for name in HEURISTIC_NAMES:
+                    result = directed_search(inst, strategy, make_heuristic(name, inst))
+                    if reachable:
+                        assert_answer(inst, result, strategy, distance)
+                    else:
+                        assert result.verdict is Verdict.UNREACHABLE
             reachable_seen += reachable
             unreachable_seen += not reachable
         assert reachable_seen >= 5 and unreachable_seen >= 5
+
+    def test_cover_targets_from_upward_markings_match_the_oracle(self):
+        # All-``>=`` targets from upward initial markings, searched after
+        # desugar_init: the generators make the state space infinite, so an
+        # unreachable target may exhaust the limit instead.  The optimal
+        # distance is found by enumerating every extra-token vector an
+        # optimal run could afford.
+        rng = random.Random(6161)
+        reachable_seen = unreachable_seen = 0
+        for i in range(80):
+            base = random_bounded_instance(rng, rational_weights=i % 3 == 1, upward=True)
+            bounds = tuple(bound for _, bound in base.target.constraints)
+            reachable = backward_coverable(base.net, base.init, base.init_upward, bounds)
+            inst, gen_weight, distance = desugar_init(base), base.net.min_weight(), None
+            for strategy in Strategy:
+                for name in HEURISTIC_NAMES:
+                    result = directed_search(inst, strategy, make_heuristic(name, inst), SearchLimits(5_000))
+                    if not reachable:
+                        assert result.verdict in (Verdict.UNREACHABLE, Verdict.EXHAUSTED)
+                        continue
+                    if distance is None:
+                        assert result.reachable
+                        distance = cover_distance_by_enumeration(
+                            base.net, base.init, base.init_upward, base.target,
+                            gen_weight=gen_weight, budget=int(result.distance / gen_weight),
+                        )
+                    assert_answer(inst, result, strategy, distance)
+            reachable_seen += reachable
+            unreachable_seen += not reachable
+        assert reachable_seen >= 50 and unreachable_seen >= 5
 
     def test_deferred_astar_matches_the_oracle(self):
         # A* evaluates q and z when it pops a marking, and pushes a successor

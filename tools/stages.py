@@ -30,12 +30,12 @@ real only when its ratio's quartiles keep clear of 1.000, which those of a
 checkout against a copy of itself straddle.  The ratio of the two least
 passes is not printed: against a copy of itself it read about 0.8 on every
 stage, while the quartiles of ``total`` straddled 1.000.  Last comes the
-median ratio of totals.  Every report must match the untimed pass's
-exactly.  With two checkouts, the reports of the two untimed passes must
-also match with their ``stats`` blocks removed, as the second digest of
-``tools/report_digest.py`` compares them, so a change that moves only the
-search's counters can still be timed; one line says when the ``stats``
-differ.
+median ratio of totals.  Every report of the untimed pass must pass the
+benchmark's own check against its reference answer (``perfbench/run.py``'s
+``check``, which calls ``perfbench/oracle.check_report``), and every later
+report must match the untimed pass's exactly.  The two checkouts' reports
+need not match each other, so a change that moves counters or picks other
+optimal witnesses can still be timed; one line says when they differ.
 
 Like the benchmark's worker, the solves run with ``PYTHONHASHSEED=0``.
 Nothing is written, bytecode caches included.
@@ -43,7 +43,6 @@ Nothing is written, bytecode caches included.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import sys
@@ -104,14 +103,6 @@ def run_pass(solve, pairs, totals: dict[str, float]) -> tuple[dict[str, float], 
     return stages, reports
 
 
-def answers(reports: list[str]) -> list[dict]:
-    """The reports without their ``stats`` blocks."""
-    fields = [json.loads(report) for report in reports]
-    for report in fields:
-        report.pop("stats", None)
-    return fields
-
-
 def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3) or not argv[1].isdigit():
         print("usage: python3 tools/stages.py WORKLOAD SEED [OTHER_CHECKOUT]", file=sys.stderr)
@@ -125,6 +116,7 @@ def main(argv: list[str]) -> int:
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "perfbench"))
+    import run
     import worker
     from corpus import to_fnet
     from workloads import WORKLOADS
@@ -134,9 +126,10 @@ def main(argv: list[str]) -> int:
         print(f"stages.py: unknown workload {name!r}, one of {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
         return 64
     workload = WORKLOADS[name]
+    items = workload.build(seed)
     corpus = {
         "configs": [config.as_list() for config in workload.configs],
-        "instances": [[inst.id, to_fnet(inst)] for inst, _ in workload.build(seed)],
+        "instances": [[inst.id, to_fnet(inst)] for inst, _ in items],
     }
     pairs = worker.Run(corpus).pairs
 
@@ -145,12 +138,14 @@ def main(argv: list[str]) -> int:
     for root_ in roots:
         totals = dict.fromkeys(("parse", "solve", "total", *INNER.values()), 0.0)
         solve = staged_solver(load_ffreach(root_), worker, totals)
-        sides.append((solve, totals, run_pass(solve, pairs, totals)[1]))
-    if any(answers(reports) != answers(sides[0][2]) for _, _, reports in sides[1:]):
-        print("stages.py: the two checkouts' reports differ beyond their stats", file=sys.stderr)
-        return 1
+        reports = run_pass(solve, pairs, totals)[1]
+        problems = run.check(items, workload.configs, reports, [0] * len(reports), 1)[1]
+        if problems:
+            print(f"stages.py: {root_}: {problems[0]}", file=sys.stderr)
+            return 1
+        sides.append((solve, totals, reports))
     if any(reports != sides[0][2] for _, _, reports in sides[1:]):
-        print("stages.py: the two checkouts' stats differ; their reports agree without them")
+        print("stages.py: the two checkouts' reports differ; each side's agree with the reference")
 
     passes: list[list[dict[str, float]]] = [[] for _ in roots]
     for k in range(PASSES):

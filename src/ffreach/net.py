@@ -327,15 +327,24 @@ class StubbornSets:
 
     ``bounds`` holds ``(place, least, most)`` for each place the target
     constrains: the token counts it allows there.  At a marking ``m`` outside
-    the target the set is seeded with every transition that raises the first
-    place below its least count, or that lowers the first place above its
-    most count: every path to the target fires one of them, and an empty seed
-    leaves ``m`` without successors.  It is closed under two rules.  An
-    enabled member brings in every transition that needs a place it lowers
-    or lowers a place it needs.  A disabled member brings in every
-    transition that raises the first place of its guard that ``m`` leaves
-    short: no path fires the member before one of those.  Why a search that
-    fires only the enabled members stays optimal is told in ``search``.
+    the target, each violated place gives a seed: every transition that
+    raises it, if it is below its least count, or that lowers it, if it is
+    above its most count.  Every path to the target fires one of them.  A
+    seed is closed under two rules.  An enabled member brings in every
+    transition that needs a place it lowers or lowers a place it needs.  A
+    disabled member brings in every transition that raises the first place
+    of its guard that ``m`` leaves short: no path fires the member before
+    one of those.  Why a search that fires only the enabled members stays
+    optimal is told in ``search``.
+
+    The set is the closure with the fewest enabled members, taken over the
+    violated places in order (Wehrle and Helmert 2014 choose among seeds by
+    the set they yield).  A tie keeps the earlier place, and the choice
+    stops at a closure with at most one enabled member: an empty seed, or a
+    closure without an enabled member, leaves ``m`` without successors.  A
+    later closure is dropped as soon as it has as many enabled members as
+    the best so far, so each one costs no more than the best; only the
+    chosen set is fired, in index order.
 
     The transitions that raise, lower and need each place are read off the
     net's firing records once, as bitmasks over transition indices; the
@@ -376,26 +385,16 @@ class StubbornSets:
         self._interference[t] = mask
         return mask
 
-    def successors(self, m: Marking) -> list[tuple[int, Marking]]:
-        """The enabled members of the strong stubborn set of ``m`` with their
-        successor markings, in index order; in the target, every enabled
-        transition.  Each member is tested, and fired, as the closure meets it."""
-        raisers = self._raisers
-        for p, least, most in self._bounds:
-            if m[p] < least:
-                todo = raisers[p]
-                break
-            if m[p] > most:
-                todo = self._lowerers[p]
-                break
-        else:
-            return self._net.successors(m)
-        firings, interference = self._net._firings, self._interference
-        kept, out = todo, []
+    def _enabled(self, m: Marking, todo: int, limit: int) -> int | None:
+        """The mask of the enabled members of the closure of the seed
+        ``todo`` at ``m``, or None as soon as ``limit`` of them are found
+        (0: no limit)."""
+        raisers, firings, interference = self._raisers, self._net._firings, self._interference
+        kept, enabled, count = todo, 0, 0
         while todo:
             low = todo & -todo
             todo ^= low
-            t, p0, n0, rest, deltas, raises = firings[low.bit_length() - 1]
+            t, p0, n0, rest, _, _ = firings[low.bit_length() - 1]
             if m[p0] < n0:
                 more = raisers[p0]
             else:
@@ -403,20 +402,48 @@ class StubbornSets:
                     if m[p] < need:
                         more = raisers[p]
                         break
-                else:  # enabled: fire it, by the rule PetriNet.successors inlines
-                    result = list(m)
-                    for p, delta in deltas:
-                        result[p] += delta
-                    for p in raises:
-                        if result[p] > MAX_TOKENS:
-                            name = self._net.transitions[t].name
-                            raise TokenOverflowError(f"firing {name!r} overflows a token count", t)
-                    out.append((t, tuple(result)))
+                else:
+                    count += 1
+                    if count == limit:
+                        return None
+                    enabled |= low
                     more = interference[t]
                     if more is None:
                         more = self._interferers(t)
             more &= ~kept
             kept |= more
             todo |= more
-        out.sort()
+        return enabled
+
+    def successors(self, m: Marking) -> list[tuple[int, Marking]]:
+        """The enabled members of the strong stubborn set of ``m`` with their
+        successor markings, in index order; in the target, every enabled
+        transition."""
+        best, limit = None, 0
+        for p, least, most in self._bounds:
+            if m[p] < least:
+                seed = self._raisers[p]
+            elif m[p] > most:
+                seed = self._lowerers[p]
+            else:
+                continue
+            enabled = self._enabled(m, seed, limit)
+            if enabled is not None:
+                best, limit = enabled, enabled.bit_count()
+                if limit <= 1:
+                    break
+        if best is None:
+            return self._net.successors(m)
+        firings, out = self._net._firings, []
+        while best:  # fire each member by the rule PetriNet.successors inlines
+            low = best & -best
+            best ^= low
+            t, _, _, _, deltas, raises = firings[low.bit_length() - 1]
+            result = list(m)
+            for p, delta in deltas:
+                result[p] += delta
+            for p in raises:
+                if result[p] > MAX_TOKENS:
+                    raise TokenOverflowError(f"firing {self._net.transitions[t].name!r} overflows a token count", t)
+            out.append((t, tuple(result)))
         return out

@@ -35,9 +35,11 @@ Every strategy fires, at a marking that is no goal, only the enabled
 transitions of a strong stubborn set (``net.StubbornSets``, built once per
 search at its first expansion of a marking that is no goal; Valmari 1990;
 Alkhazraji, Wehrle, Mattmüller and Helmert 2012; Wehrle and Helmert 2014).
-Dijkstra and A* stay optimal.  Take any shortest path from ``m`` to the
-target, and its first transition ``t`` in the stubborn set ``S``: one
-exists, since the path must change the place that seeds ``S``.  ``t`` is
+Dijkstra and A* stay optimal.  ``S`` is seeded at a place that ``m``
+violates: the one whose closure has the fewest enabled members, though
+the argument needs only that it is violated.  Take any shortest path from
+``m`` to the target, and its first transition ``t`` in ``S``: one exists,
+since the path must change the place that seeds ``S``.  ``t`` is
 enabled at ``m``, for else the path raises the place ``t`` waits for
 before ``t``, with a transition of ``S``.  No transition before ``t``
 needs a place ``t`` lowers, since every such transition is in ``S``.
@@ -175,7 +177,9 @@ def directed_search(
     else raises ValueError) from the instance's initial marking, which
     must be exact: an instance with upward flags raises ValueError, and is
     searched after :func:`desugar_init`.  A target without one constraint
-    per place raises NetDefinitionError.
+    per place raises NetDefinitionError.  The initial marking is taken as
+    checked, as ``parse_instance`` and ``Instance.validate`` leave it (and
+    ``prune_instance`` and ``desugar_init`` keep it), and is not checked again.
 
     Returns REACHABLE with an optimal distance and replayable witness
     (optimality for Dijkstra/A* with an admissible heuristic), UNREACHABLE
@@ -192,8 +196,7 @@ def directed_search(
         strategy = Strategy(strategy)
     if heuristic is None:
         heuristic = zero_heuristic
-    net, satisfied = inst.net, inst.target.goal_test()
-    init = net.check_marking(inst.init)
+    net, satisfied, init = inst.net, inst.target.goal_test(), inst.init
     start = time.monotonic()
     scale, weights = net.scale, net.scaled_weights
 

@@ -17,6 +17,7 @@ from ffreach import (
     desugar_init,
     directed_search,
     make_heuristic,
+    random_walk,
 )
 from ffreach.net import MAX_TOKENS, StubbornSets
 from ffreach.ratlp import DEFAULT_ILP_NODE_BUDGET
@@ -381,6 +382,56 @@ class TestStubbornSets:
             for name in HEURISTIC_NAMES:
                 result = directed_search(inst, strategy, make_heuristic(name, inst))
                 assert result.reachable and result.witness.sequence == (1, 0)
+
+    @staticmethod
+    def fired(places, raisers, target, m):
+        """The transitions fired at ``m`` in a net where transition ``i``
+        makes a token on ``raisers[i]`` from nothing."""
+        net = PetriNet(places, [Transition.from_maps(f"t{i}", places, produce={p: 1}) for i, p in enumerate(raisers)])
+        return [t for t, _ in net.successors(m, StubbornSets(net, target.bounds()))]
+
+    def test_the_seed_with_the_fewest_enabled_members_is_fired(self):
+        # a and b are both short; two transitions raise a, one raises b.
+        assert self.fired("ab", "aab", TargetSpec.exact((1, 1)), (0, 0)) == [2]
+        # Above an = bound the seed is the place's lowerers: none here.
+        assert self.fired("ab", "aab", TargetSpec.exact((1, 1)), (0, 2)) == []
+
+    def test_a_tie_keeps_the_earlier_place(self):
+        # Two transitions raise each of a and b: a's are fired, whatever their indices.
+        assert self.fired("ab", "aabb", TargetSpec.exact((1, 1)), (0, 0)) == [0, 1]
+        assert self.fired("ab", "bbaa", TargetSpec.exact((1, 1)), (0, 0)) == [2, 3]
+        # A first closure with one enabled member ends the choice.
+        assert self.fired("ab", "ab", TargetSpec.exact((1, 1)), (0, 0)) == [0]
+
+    def test_an_empty_seed_leaves_no_successors_unless_the_choice_has_stopped(self):
+        # Nothing raises c, so no path reaches the target from (0, 0, 0).
+        assert self.fired("abc", "aa", TargetSpec.exact((1, 0, 1)), (0, 0, 0)) == []
+        assert self.fired("cab", "aa", TargetSpec.exact((1, 1, 0)), (0, 0, 0)) == []
+        # But the choice has stopped at a closure with one enabled member.
+        assert self.fired("abc", "a", TargetSpec.exact((1, 0, 1)), (0, 0, 0)) == [0]
+
+    def test_blind_searches_solve_a_mutex_net_of_forty_processes(self):
+        # lock, the first violated place, closes to every enabled enter_i:
+        # seeded there, Dijkstra+zero stores about a million markings
+        # without reaching the target.
+        places = ["lock"]
+        for i in range(40):
+            places += [f"idle{i}", f"wait{i}", f"crit{i}"]
+        transitions = []
+        for i in range(40):
+            transitions += [
+                Transition.from_maps(f"req{i}", places, {f"idle{i}": 1}, {f"wait{i}": 1}),
+                Transition.from_maps(f"enter{i}", places, {f"wait{i}": 1, "lock": 1}, {f"crit{i}": 1}, 2),
+                Transition.from_maps(f"exit{i}", places, {f"crit{i}": 1}, {f"idle{i}": 1, "lock": 1}),
+            ]
+        net = PetriNet(places, transitions, "mutex40")
+        init = (1,) + (2, 0, 0) * 40
+        inst = instance(net, init, TargetSpec.exact(random_walk(net, init, 40, 1)[0]))
+        distance = directed_search(inst, Strategy.ASTAR, make_heuristic("q", inst)).distance
+        assert distance == 38
+        for strategy, name in [(Strategy.DIJKSTRA, "zero"), (Strategy.ASTAR, "struct")]:
+            result = directed_search(inst, strategy, make_heuristic(name, inst), SearchLimits(max_expansions=500))
+            assert result.reachable and result.distance == distance
 
 
 class TestGbfsContract:

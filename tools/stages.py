@@ -1,4 +1,4 @@
-"""Untraced stage times of the benchmark's solve, in process.
+"""Untraced stage times of the benchmark's solve, one process per checkout.
 
     python3 tools/stages.py WORKLOAD SEED
     python3 tools/stages.py WORKLOAD SEED OTHER_CHECKOUT
@@ -17,58 +17,46 @@ search, the heuristic's calls included).  ``other`` is the rest of
 stage is traced, so small stages are not inflated by span overhead, as the
 benchmark's traced layers are.
 
-Each pass solves every pair once, and the least pass total of each stage
-over PASSES passes is printed, in milliseconds.  With OTHER_CHECKOUT (say,
-a clone of the parent commit), the ffreach under each checkout's ``src`` is
-imported side by side and the passes alternate between the two, swapping
-which goes first each round, as ``tools/startup.py`` does; one untimed pass
-of each comes first.  PASSES is even, so each checkout goes first in half
-of the rounds.  Both columns are printed, and then, since the host's speed
-drifts between rounds, the quartiles over the rounds of the two passes'
-ratio, this checkout's time over the other's, per stage: a change reads as
-real only when its ratio's quartiles keep clear of 1.000, which those of a
-checkout against a copy of itself straddle.  The ratio of the two least
-passes is not printed: against a copy of itself it read about 0.8 on every
-stage, while the quartiles of ``total`` straddled 1.000.  Last comes the
-median ratio of totals.  Every report of the untimed pass must pass the
-benchmark's own check against its reference answer (``perfbench/run.py``'s
-``check``, which calls ``perfbench/oracle.check_report``), and every later
-report must match the untimed pass's exactly.  The two checkouts' reports
-need not match each other, so a change that moves counters or picks other
-optimal witnesses can still be timed; one line says when they differ.
+Each checkout's passes run in a process of its own, which imports only
+that checkout's ``ffreach`` (under its ``src``), with ``PYTHONHASHSEED=0``
+as in the benchmark's worker, so one checkout's imports cannot change how
+the other runs.  A pass solves every pair once, and the least pass total
+of each stage over PASSES rounds is printed, in milliseconds.  With
+OTHER_CHECKOUT (say, a clone of the parent commit), a second process of
+this checkout runs beside it, and each round runs one pass of each of the
+three processes, in each of their six orders twice over PASSES rounds.
+Since the host's speed drifts between rounds, the quartiles over the rounds
+of two ratios follow each stage: this checkout's time over the other's
+(A/B), and over its own second process's (A/A).  A change reads as real
+only when the A/B quartiles keep clear of 1.000 and of the A/A ones, which
+show how far the host moves two copies of the same code.  Last come the
+median ratios of totals.
 
-Like the benchmark's worker, the solves run with ``PYTHONHASHSEED=0``.
-Nothing is written, bytecode caches included.
+Each process first makes one untimed pass, whose every report must pass the
+benchmark's own check against its reference answer (``perfbench/run.py``'s
+``check``, which calls ``perfbench/oracle.check_report``); every later
+report must match that pass's exactly.  The two checkouts' reports need not
+match each other, so a change that moves counters or picks other optimal
+witnesses can still be timed; one line says when they differ.  Nothing is
+written, bytecode caches included.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
-PASSES = 8
+PASSES = 12
 #: The ``cli`` globals that ``solve_instance`` calls, and the stage of each.
 INNER = {"desugar_init": "desugar", "prune_instance": "prune", "make_heuristic": "build", "directed_search": "search"}
 STAGES = ("parse", "desugar", "prune", "build", "search", "other", "report", "total")
-
-
-def load_ffreach(root: Path):
-    """The ``ffreach`` package under ``root / "src"``, imported apart from
-    any other: its modules leave ``sys.modules`` again and keep working,
-    since each one reads the others through its own globals."""
-    if not (root / "src" / "ffreach").is_dir():
-        raise SystemExit(f"stages.py: {root} is not the root of a checkout")
-    sys.path.insert(0, str(root / "src"))
-    try:
-        import ffreach
-    finally:
-        sys.path.pop(0)
-    for name in [name for name in sys.modules if name == "ffreach" or name.startswith("ffreach.")]:
-        del sys.modules[name]
-    return ffreach
 
 
 def timed(function, stage: str, totals: dict[str, float]):
@@ -83,8 +71,7 @@ def timed(function, stage: str, totals: dict[str, float]):
 
 
 def staged_solver(ff, worker, totals: dict[str, float]):
-    """``worker.make_solver(ff)`` with its stages timed into ``totals``;
-    ``ff`` is a package of its own, so its functions are wrapped in place."""
+    """``worker.make_solver(ff)`` with its stages timed into ``totals``."""
     for name, stage in INNER.items():
         setattr(ff.cli, name, timed(getattr(ff.cli, name), stage, totals))
     ff.parse_instance = timed(ff.parse_instance, "parse", totals)
@@ -103,28 +90,17 @@ def run_pass(solve, pairs, totals: dict[str, float]) -> tuple[dict[str, float], 
     return stages, reports
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3) or not argv[1].isdigit():
-        print("usage: python3 tools/stages.py WORKLOAD SEED [OTHER_CHECKOUT]", file=sys.stderr)
-        return 64
-    root = Path.cwd()
-    if not (root / "perfbench" / "worker.py").is_file():
-        print(f"stages.py: {root} is not the root of a checkout", file=sys.stderr)
-        return 2
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
-
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(root / "perfbench"))
+def side(root: Path, name: str, seed: int) -> int:
+    """One checkout's process: solve the corpus once untimed and check the
+    reports, print the pair count and the reports' digest as a JSON line,
+    then print one pass's stage totals as a JSON line for each line read."""
+    sys.path[:0] = [str(root / "src"), str(Path.cwd() / "perfbench")]
+    import ffreach
     import run
     import worker
     from corpus import to_fnet
     from workloads import WORKLOADS
 
-    name, seed = argv[0], int(argv[1])
-    if name not in WORKLOADS:
-        print(f"stages.py: unknown workload {name!r}, one of {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
-        return 64
     workload = WORKLOADS[name]
     items = workload.build(seed)
     corpus = {
@@ -132,48 +108,97 @@ def main(argv: list[str]) -> int:
         "instances": [[inst.id, to_fnet(inst)] for inst, _ in items],
     }
     pairs = worker.Run(corpus).pairs
-
-    roots = [root, *(Path(arg).resolve() for arg in argv[2:])]
-    sides = []
-    for root_ in roots:
-        totals = dict.fromkeys(("parse", "solve", "total", *INNER.values()), 0.0)
-        solve = staged_solver(load_ffreach(root_), worker, totals)
-        reports = run_pass(solve, pairs, totals)[1]
-        problems = run.check(items, workload.configs, reports, [0] * len(reports), 1)[1]
-        if problems:
-            print(f"stages.py: {root_}: {problems[0]}", file=sys.stderr)
+    totals = dict.fromkeys(("parse", "solve", "total", *INNER.values()), 0.0)
+    solve = staged_solver(ffreach, worker, totals)
+    first = run_pass(solve, pairs, totals)[1]
+    problems = run.check(items, workload.configs, first, [0] * len(first), 1)[1]
+    if problems:
+        print(f"stages.py: {root}: {problems[0]}", file=sys.stderr)
+        return 1
+    digest = hashlib.sha256("\n".join(first).encode()).hexdigest()
+    print(json.dumps({"solves": len(pairs), "digest": digest}), flush=True)
+    for _ in sys.stdin:
+        stages, reports = run_pass(solve, pairs, totals)
+        if reports != first:
+            print(f"stages.py: {root}: a report differs from the first pass's", file=sys.stderr)
             return 1
-        sides.append((solve, totals, reports))
-    if any(reports != sides[0][2] for _, _, reports in sides[1:]):
-        print("stages.py: the two checkouts' reports differ; each side's agree with the reference")
+        print(json.dumps(stages), flush=True)
+    return 0
 
-    passes: list[list[dict[str, float]]] = [[] for _ in roots]
-    for k in range(PASSES):
-        order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
-        for side in order:
-            solve, totals, first = sides[side]
-            stages, reports = run_pass(solve, pairs, totals)
-            if reports != first:
-                print(f"stages.py: {roots[side]}: a report differs from the first pass's", file=sys.stderr)
-                return 1
-            passes[side].append(stages)
 
-    best = [{stage: min(p[stage] for p in side) for stage in STAGES} for side in passes]
-    print(f"{name} seed {seed}, {len(pairs)} solves per pass, least of {PASSES} passes, ms per pass")
-    header = f"{'stage':<8}" + "".join(f"{str(r)[-28:]:>30}" for r in roots)
-    print(header + ("  round q1  median      q3" if len(roots) == 2 else ""))
+def quartiles(mine: list[dict[str, float]], other: list[dict[str, float]], stage: str) -> str:
+    """The quartiles of ``stage``'s per-round ratio, mine over other's."""
+    if not all(o[stage] > 0 for o in other):
+        return " " * 24
+    return "".join(f"{q:>8.3f}" for q in statistics.quantiles([m[stage] / o[stage] for m, o in zip(mine, other)], n=4))
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--side"]:
+        return side(Path(argv[1]), argv[2], int(argv[3]))
+    if len(argv) not in (2, 3) or not argv[1].isdigit():
+        print("usage: python3 tools/stages.py WORKLOAD SEED [OTHER_CHECKOUT]", file=sys.stderr)
+        return 64
+    root = Path.cwd()
+    if not (root / "perfbench" / "worker.py").is_file():
+        print(f"stages.py: {root} is not the root of a checkout", file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "perfbench"))
+    from workloads import WORKLOADS
+
+    name, seed = argv[0], argv[1]
+    if name not in WORKLOADS:
+        print(f"stages.py: unknown workload {name!r}, one of {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
+        return 64
+    other = [Path(arg).resolve() for arg in argv[2:]]
+    for checkout in other:
+        if not (checkout / "src" / "ffreach").is_dir():
+            print(f"stages.py: {checkout} is not the root of a checkout", file=sys.stderr)
+            return 2
+    # This checkout, then the other and this checkout's second process.
+    roots = [root, *other, *[root for _ in other]]
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+    procs = [
+        subprocess.Popen([sys.executable, __file__, "--side", str(r), name, seed],
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        for r in roots
+    ]
+    try:
+        ready = [json.loads(proc.stdout.readline() or "null") for proc in procs]
+        if None in ready:
+            return 1
+        if other and ready[0]["digest"] != ready[1]["digest"]:
+            print("stages.py: the two checkouts' reports differ; each side's agree with the reference")
+        passes: list[list[dict[str, float]]] = [[] for _ in procs]
+        orders = list(itertools.permutations(range(len(procs))))
+        for k in range(PASSES):
+            for i in orders[k % len(orders)]:
+                procs[i].stdin.write("pass\n")
+                procs[i].stdin.flush()
+                line = procs[i].stdout.readline()
+                if not line:
+                    return 1
+                passes[i].append(json.loads(line))
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
+
+    best = [{stage: min(p[stage] for p in passes[i]) for stage in STAGES} for i in range(1 + len(other))]
+    print(f"{name} seed {seed}, {ready[0]['solves']} solves per pass, least of {PASSES} passes, ms per pass")
+    header = f"{'stage':<8}" + "".join(f"{str(r)[-28:]:>30}" for r in roots[:len(best)])
+    print(header + ("  A/B q1  median      q3  A/A q1  median      q3" if other else ""))
     for stage in STAGES:
         line = f"{stage:<8}" + "".join(f"{b[stage] * 1000:>30.1f}" for b in best)
-        # The host's speed drifts between rounds; the passes of one round ran back to back.
-        if len(roots) == 2 and all(other[stage] > 0 for other in passes[1]):
-            quartiles = statistics.quantiles([m[stage] / o[stage] for m, o in zip(*passes)], n=4)
-            line += "".join(f"{q:>{w}.3f}" for q, w in zip(quartiles, (11, 8, 8)))
+        if other:
+            line += quartiles(passes[0], passes[1], stage) + quartiles(passes[0], passes[2], stage)
         print(line)
-    if len(roots) == 2:
-        ratios = [mine["total"] / other["total"] for mine, other in zip(*passes)]
-        wins = sum(ratio < 1 for ratio in ratios)
-        print(f"total, this checkout over the other per round: median {statistics.median(ratios):.3f}, "
-              f"faster in {wins} of {PASSES} rounds")
+    if other:
+        for label, theirs in [("the other", passes[1]), ("its second process", passes[2])]:
+            ratios = [m["total"] / o["total"] for m, o in zip(passes[0], theirs)]
+            print(f"total, this checkout over {label} per round: median {statistics.median(ratios):.3f}, "
+                  f"faster in {sum(ratio < 1 for ratio in ratios)} of {PASSES} rounds")
     return 0
 
 

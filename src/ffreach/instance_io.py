@@ -64,7 +64,8 @@ class TargetSpec(_TargetFields):
 
     Made from pairs of a relation and a natural bound, and keeps them as a
     tuple of tuples, so that a spec given lists is hashable.  The membership
-    test is compiled by :meth:`goal_test`, once per search."""
+    test is compiled by :meth:`goal_test` from :meth:`bounds`, once per
+    search."""
 
     __slots__ = ()
 
@@ -101,30 +102,6 @@ class TargetSpec(_TargetFields):
         """The upward closure of ``marking`` (all constraints >=)."""
         return cls(tuple((Relation.GEQ, v) for v in marking))
 
-    def goal_test(self) -> Callable[[Marking], bool]:
-        """The membership test of a marking tuple: for an exact target one
-        tuple comparison, else a check of only the ``=`` places and the
-        ``>=`` places with a positive bound."""
-        equal, at_least = [], []
-        for p, (rel, bound) in enumerate(self.constraints):
-            if rel is Relation.EQ:
-                equal.append((p, bound))
-            elif bound:
-                at_least.append((p, bound))
-        if len(equal) == len(self.constraints):
-            return tuple([bound for _, bound in equal]).__eq__
-
-        def test(m: Marking) -> bool:
-            for p, bound in equal:
-                if m[p] != bound:
-                    return False
-            for p, bound in at_least:
-                if m[p] < bound:
-                    return False
-            return True
-
-        return test
-
     def bounds(self) -> list[tuple[int, int, int]]:
         """``(place, least, most)`` for each place the spec constrains: the
         token counts it allows there, ``most`` being ``MAX_TOKENS`` under ``>=``."""
@@ -136,6 +113,25 @@ class TargetSpec(_TargetFields):
                 out.append((p, bound, MAX_TOKENS))
             p += 1
         return out
+
+    def goal_test(self, bounds: list[tuple[int, int, int]] | None = None) -> Callable[[Marking], bool]:
+        """The membership test of a marking tuple, compiled from ``bounds``,
+        this spec's :meth:`bounds` (computed when not given): for an exact
+        target one tuple comparison, else a check of the constrained places
+        only."""
+        if bounds is None:
+            bounds = self.bounds()
+        exact = tuple([least for _, least, most in bounds if least == most])
+        if len(exact) == len(self.constraints):
+            return exact.__eq__
+
+        def test(m: Marking) -> bool:
+            for p, least, most in bounds:
+                if not least <= m[p] <= most:
+                    return False
+            return True
+
+        return test
 
     def satisfied(self, m: Sequence[int]) -> bool:
         """Whether ``m`` is in the target set, by :meth:`goal_test`.  A marking

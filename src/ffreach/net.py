@@ -10,8 +10,10 @@ The token game reads one firing record per transition,
 ``(t, p0, n0, rest, deltas, raises)``: the guard's first ``(place, need)``
 entry, tested inline (``(0, 0)`` when empty), its other entries, the
 ``(place, delta)`` effect entries, and the places with a positive delta, the
-only ones that can pass ``MAX_TOKENS``.  Sign analysis and the strong
-stubborn sets of :class:`StubbornSets` read the records too.
+only ones that can pass ``MAX_TOKENS``.  Sign analysis reads the records
+too, and so does ``PetriNet.successors``, which given a target's bounds
+fires only the enabled members of a weak stubborn set.  The bitmasks those
+sets are built from are read off the records once per net, on first use.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 #: Markings are dense tuples of token counts, one entry per place.
@@ -141,7 +144,8 @@ class PetriNet:
     """Immutable weighted Petri net.
 
     All operations are pure: firing returns fresh markings and never mutates
-    the net, so one net can back any number of concurrent searches.
+    the net, and the stubborn-set masks are never changed once built, so one
+    net can back any number of concurrent searches.
     """
 
     def __init__(self, places: Sequence[str], transitions: Sequence[Transition] = (), name: str = "net"):
@@ -251,30 +255,115 @@ class PetriNet:
             raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
         return tuple(result)
 
-    def successors(self, m: Marking, stubborn: StubbornSets | None = None) -> list[tuple[int, Marking]]:
-        """All enabled transitions with their successor markings, in index
-        order; with ``stubborn``, only those of the strong stubborn set it
-        gives ``m``."""
-        if stubborn is not None:
-            return stubborn.successors(m)
-        if not m:  # a net without places: every guard is empty
-            return [(t, m) for t in range(len(self.transitions))]
-        out = []
-        # fire's rule, inlined: a call per enabled transition costs more than the rule.
-        for t, p0, n0, rest, deltas, raises in self._firings:
-            if m[p0] < n0:
-                continue
-            for p, need in rest:
-                if m[p] < need:
-                    break
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(raisers, lowerers, interference)``, bitmasks over transition
+        indices read off the firing records on first use: the transitions
+        that raise and that lower each place, and for each transition the
+        transitions that need a place it lowers.  Nothing changes them once
+        they are built."""
+        n = len(self.places)
+        raisers, lowerers, needers = [0] * n, [0] * n, [0] * n
+        for t, p0, n0, rest, deltas, _ in self._firings:
+            bit = 1 << t
+            if n0:
+                needers[p0] |= bit
+            for p, _ in rest:
+                needers[p] |= bit
+            for p, delta in deltas:
+                if delta > 0:
+                    raisers[p] |= bit
+                else:
+                    lowerers[p] |= bit
+        interference = []
+        for _, _, _, _, deltas, _ in self._firings:
+            mask = 0
+            for p, delta in deltas:
+                if delta < 0:
+                    mask |= needers[p]
+            interference.append(mask)
+        return tuple(raisers), tuple(lowerers), tuple(interference)
+
+    def _enabled(self, m: Marking, todo: int, limit: int) -> int | None:
+        """The mask of the enabled members of the closure of the seed
+        ``todo`` at ``m``, or None as soon as ``limit`` of them are found
+        (0: no limit).  An enabled member brings in the transitions that
+        need a place it lowers; a disabled one, the transitions that raise
+        the first place of its guard that ``m`` leaves short."""
+        raisers, _, interference = self._masks
+        firings = self._firings
+        kept, enabled, count = todo, 0, 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            t, p0, n0, rest, _, _ = firings[low.bit_length() - 1]
+            if n0 and m[p0] < n0:
+                more = raisers[p0]
             else:
-                result = list(m)
-                for p, delta in deltas:
-                    result[p] += delta
-                for p in raises:
-                    if result[p] > MAX_TOKENS:
-                        raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
-                out.append((t, tuple(result)))
+                for p, need in rest:
+                    if m[p] < need:
+                        more = raisers[p]
+                        break
+                else:
+                    count += 1
+                    if count == limit:
+                        return None
+                    enabled |= low
+                    more = interference[t]
+            more &= ~kept
+            kept |= more
+            todo |= more
+        return enabled
+
+    def successors(self, m: Marking, bounds: Sequence[tuple[int, int, int]] | None = None) -> list[tuple[int, Marking]]:
+        """All enabled transitions with their successor markings, in index
+        order.  With ``bounds`` (``TargetSpec.bounds()``: ``(place, least,
+        most)`` for each place the target constrains) and ``m`` outside
+        them, only the enabled members of a weak stubborn set of ``m``
+        (Valmari 1990; Wehrle and Helmert 2012).
+
+        Each place that ``m`` violates gives a seed: every transition that
+        raises it, if it is below its least count, or that lowers it, if it
+        is above its most count; every path to the target fires one of
+        them.  The set is the seed's closure (:meth:`_enabled`) with the
+        fewest enabled members, taken over the violated places in order
+        (Wehrle and Helmert 2014 choose among seeds by the set they yield).
+        A tie keeps the earlier place, and the choice stops at a closure
+        with at most one enabled member: an empty seed, or a closure
+        without an enabled member, leaves ``m`` without successors.  A
+        later closure is dropped as soon as it has as many enabled members
+        as the best so far, so each one costs no more than the best.  Why a
+        search that fires only the set stays optimal is told in ``search``.
+        """
+        raisers, lowerers, _ = self._masks
+        chosen, limit = None, 0
+        for p, least, most in bounds or ():
+            if m[p] < least:
+                seed = raisers[p]
+            elif m[p] > most:
+                seed = lowerers[p]
+            else:
+                continue
+            enabled = self._enabled(m, seed, limit)
+            if enabled is not None:
+                chosen, limit = enabled, enabled.bit_count()
+                if limit <= 1:
+                    break
+        if chosen is None:  # no bounds, or m within them: the closure of every transition
+            chosen = self._enabled(m, (1 << len(self._firings)) - 1, 0)
+        firings, out = self._firings, []
+        # fire's rule, inlined: a call per fired transition costs more than the rule.
+        while chosen:
+            low = chosen & -chosen
+            chosen ^= low
+            t, _, _, _, deltas, raises = firings[low.bit_length() - 1]
+            result = list(m)
+            for p, delta in deltas:
+                result[p] += delta
+            for p in raises:
+                if result[p] > MAX_TOKENS:
+                    raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
+            out.append((t, tuple(result)))
         return out
 
     def witness(self, seq: Sequence[int]) -> Witness:
@@ -317,133 +406,3 @@ class PetriNet:
             f"PetriNet({self.name!r}, {self.num_places} places, "
             f"{self.num_transitions} transitions)"
         )
-
-
-class StubbornSets:
-    """Strong stubborn sets of one net for one target: at a marking outside
-    the target, a set of transitions such that some shortest path to the
-    target starts with one of its enabled members (Valmari 1990;
-    Alkhazraji, Wehrle, Mattmüller and Helmert 2012).
-
-    ``bounds`` holds ``(place, least, most)`` for each place the target
-    constrains: the token counts it allows there.  At a marking ``m`` outside
-    the target, each violated place gives a seed: every transition that
-    raises it, if it is below its least count, or that lowers it, if it is
-    above its most count.  Every path to the target fires one of them.  A
-    seed is closed under two rules.  An enabled member brings in every
-    transition that needs a place it lowers or lowers a place it needs.  A
-    disabled member brings in every transition that raises the first place
-    of its guard that ``m`` leaves short: no path fires the member before
-    one of those.  Why a search that fires only the enabled members stays
-    optimal is told in ``search``.
-
-    The set is the closure with the fewest enabled members, taken over the
-    violated places in order (Wehrle and Helmert 2014 choose among seeds by
-    the set they yield).  A tie keeps the earlier place, and the choice
-    stops at a closure with at most one enabled member: an empty seed, or a
-    closure without an enabled member, leaves ``m`` without successors.  A
-    later closure is dropped as soon as it has as many enabled members as
-    the best so far, so each one costs no more than the best; only the
-    chosen set is fired, in index order.
-
-    The transitions that raise, lower and need each place are read off the
-    net's firing records once, as bitmasks over transition indices; the
-    interference mask of a transition is made the first time a closure meets
-    it enabled.
-    """
-
-    __slots__ = ("_net", "_bounds", "_raisers", "_lowerers", "_needers", "_interference")
-
-    def __init__(self, net: PetriNet, bounds: Sequence[tuple[int, int, int]]):
-        n = len(net.places)
-        raisers, lowerers, needers = [0] * n, [0] * n, [0] * n
-        for t, p0, n0, rest, deltas, _ in net._firings:
-            bit = 1 << t
-            if n0:
-                needers[p0] |= bit
-            for p, _ in rest:
-                needers[p] |= bit
-            for p, delta in deltas:
-                if delta > 0:
-                    raisers[p] |= bit
-                else:
-                    lowerers[p] |= bit
-        self._net, self._bounds = net, bounds
-        self._raisers, self._lowerers, self._needers = raisers, lowerers, needers
-        self._interference: list[int | None] = [None] * len(net.transitions)
-
-    def _interferers(self, t: int) -> int:
-        """The transitions that lower a place ``t`` needs or need a place ``t`` lowers."""
-        _, p0, n0, rest, deltas, _ = self._net._firings[t]
-        lowerers, needers = self._lowerers, self._needers
-        mask = lowerers[p0] if n0 else 0
-        for p, _ in rest:
-            mask |= lowerers[p]
-        for p, delta in deltas:
-            if delta < 0:
-                mask |= needers[p]
-        self._interference[t] = mask
-        return mask
-
-    def _enabled(self, m: Marking, todo: int, limit: int) -> int | None:
-        """The mask of the enabled members of the closure of the seed
-        ``todo`` at ``m``, or None as soon as ``limit`` of them are found
-        (0: no limit)."""
-        raisers, firings, interference = self._raisers, self._net._firings, self._interference
-        kept, enabled, count = todo, 0, 0
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            t, p0, n0, rest, _, _ = firings[low.bit_length() - 1]
-            if m[p0] < n0:
-                more = raisers[p0]
-            else:
-                for p, need in rest:
-                    if m[p] < need:
-                        more = raisers[p]
-                        break
-                else:
-                    count += 1
-                    if count == limit:
-                        return None
-                    enabled |= low
-                    more = interference[t]
-                    if more is None:
-                        more = self._interferers(t)
-            more &= ~kept
-            kept |= more
-            todo |= more
-        return enabled
-
-    def successors(self, m: Marking) -> list[tuple[int, Marking]]:
-        """The enabled members of the strong stubborn set of ``m`` with their
-        successor markings, in index order; in the target, every enabled
-        transition."""
-        best, limit = None, 0
-        for p, least, most in self._bounds:
-            if m[p] < least:
-                seed = self._raisers[p]
-            elif m[p] > most:
-                seed = self._lowerers[p]
-            else:
-                continue
-            enabled = self._enabled(m, seed, limit)
-            if enabled is not None:
-                best, limit = enabled, enabled.bit_count()
-                if limit <= 1:
-                    break
-        if best is None:
-            return self._net.successors(m)
-        firings, out = self._net._firings, []
-        while best:  # fire each member by the rule PetriNet.successors inlines
-            low = best & -best
-            best ^= low
-            t, _, _, _, deltas, raises = firings[low.bit_length() - 1]
-            result = list(m)
-            for p, delta in deltas:
-                result[p] += delta
-            for p in raises:
-                if result[p] > MAX_TOKENS:
-                    raise TokenOverflowError(f"firing {self._net.transitions[t].name!r} overflows a token count", t)
-            out.append((t, tuple(result)))
-        return out

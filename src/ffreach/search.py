@@ -32,9 +32,10 @@ evaluated.  The other strategies evaluate the root before the loop, and
 end at once when its value is infinite.
 
 Every strategy fires, at a marking that is no goal, only the enabled
-transitions of a strong stubborn set (``net.StubbornSets``, built once per
-search at its first expansion of a marking that is no goal; Valmari 1990;
-Alkhazraji, Wehrle, Mattmüller and Helmert 2012; Wehrle and Helmert 2014).
+transitions of a weak stubborn set: ``net.successors(m, bounds)``, given
+the target's bounds, which the search reads once with its goal test
+(Valmari 1990; Wehrle and Helmert 2012 and 2014).  The set is closed under
+one interference rule, what needs a place an enabled member lowers, and
 Dijkstra and A* stay optimal.  ``S`` is seeded at a place that ``m``
 violates: the one whose closure has the fewest enabled members, though
 the argument needs only that it is violated.  Take any shortest path from
@@ -66,8 +67,9 @@ One expansion costs as little as the loop allows: its lookups are bound to
 locals once per search, the priority is picked by two booleans fixed per
 strategy, the counters live in locals and are written to ``SearchStats``
 once, after the loop's one exit (``discovered`` is the node table's size),
-and the goal test is compiled by ``TargetSpec.goal_test`` once per search
-(a single tuple comparison for an exact target).
+and the goal test is compiled by ``TargetSpec.goal_test`` once per search,
+from the bounds the stubborn sets read (a single tuple comparison for an
+exact target).
 
 With assertions on, each expanded marking's parent link is checked in O(1)
 on the node table: ``g(parent) + L * w(t) <= g(m)``.  Every link is made
@@ -88,7 +90,7 @@ from typing import NamedTuple
 
 from .heuristics import INF, Heuristic, zero_heuristic
 from .instance_io import Instance
-from .net import Marking, StubbornSets, TokenOverflowError, Witness
+from .net import Marking, TokenOverflowError, Witness
 
 
 class Strategy(Enum):
@@ -196,7 +198,8 @@ def directed_search(
         strategy = Strategy(strategy)
     if heuristic is None:
         heuristic = zero_heuristic
-    net, satisfied, init = inst.net, inst.target.goal_test(), inst.init
+    net, bounds, init = inst.net, inst.target.bounds(), inst.init
+    satisfied = inst.target.goal_test(bounds)
     start = time.monotonic()
     scale, weights = net.scale, net.scaled_weights
 
@@ -213,7 +216,6 @@ def directed_search(
     verdict, witness, reason = Verdict.UNREACHABLE, None, None
 
     heappop, heappush, node_of, successors_of = heapq.heappop, heapq.heappush, nodes.get, net.successors
-    stubborn = None  # made at the first expansion of a marking that is no goal
     (max_expansions, max_time_ms), monotonic = limits or SearchLimits(), time.monotonic
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
@@ -253,10 +255,8 @@ def directed_search(
                     assert total == g_m
             break
 
-        if stubborn is None:
-            stubborn = StubbornSets(net, inst.target.bounds())
         try:
-            successors = successors_of(m, stubborn)
+            successors = successors_of(m, bounds)
         except TokenOverflowError as exc:
             verdict = Verdict.EXHAUSTED
             reason = f"token overflow firing {net.transitions[exc.transition].name!r} from {m}"

@@ -12,9 +12,9 @@ def search_expanding(inst: Instance, *args, reached: set | None = None):
     net, order = inst.net, []
     successors = net.successors
 
-    def recording(m, *stubborn):
+    def recording(m, *bounds):
         order.append(m)
-        found = successors(m, *stubborn)
+        found = successors(m, *bounds)
         if reached is not None:
             reached.update(succ for _, succ in found)
         return found

@@ -17,9 +17,10 @@ from ffreach import (
     desugar_init,
     directed_search,
     make_heuristic,
+    parse_instance,
     random_walk,
 )
-from ffreach.net import MAX_TOKENS, StubbornSets
+from ffreach.net import MAX_TOKENS
 from ffreach.ratlp import DEFAULT_ILP_NODE_BUDGET
 from ffreach.search import BrokenParentChainError, SearchResult, reconstruct_witness
 from conftest import search_expanding
@@ -329,28 +330,71 @@ def ring(places: list[str], cycle: list[str]) -> list[Transition]:
             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
 
 
+#: The 1,240th draw of ``random_bounded_instance(random.Random(7),
+#: max_places=6, max_transitions=8, rational_weights=bool(i % 2),
+#: upward=(i % 3 == 0))``, whose target is not coverable.  ``t5`` reads
+#: ``p3``: it consumes a token there and produces it back.
+READ_ARC_FNET = """\
+net random
+places: p0 p1 p2 p3 p4 p5
+init: p0>=1 p1=3 p2>=3 p3>=3 p5=1
+transition t0 weight 3/2
+  consume p0:1
+  produce p0:1
+transition t1 weight 4/3
+  consume p1:1
+transition t2 weight 4/3
+  consume p3:1
+  produce p2:1
+transition t3 weight 2
+  consume p2:1
+  produce p1:1
+transition t4 weight 3/2
+  consume p4:1
+  produce p3:1
+transition t5
+  consume p3:1 p5:1
+  produce p3:1 p4:1
+target: p0>=2 p1>=1 p2>=1 p3>=1 p4>=2 p5>=1
+"""
+
+
 class TestStubbornSets:
     """At a marking that is no goal, the search fires only the enabled
-    transitions of a strong stubborn set."""
+    transitions of a weak stubborn set: ``net.successors(m, bounds)``."""
 
     def test_sets_of_the_running_example(self, n1):
-        # Target p1 = 0, p2 = 1.
-        stubborn = StubbornSets(n1, TargetSpec.exact((0, 1)).bounds())
+        bounds = TargetSpec.exact((0, 1)).bounds()  # p1 = 0, p2 = 1
 
         def fired(m):
-            return [t for t, _ in n1.successors(m, stubborn)]
+            return [t for t, _ in n1.successors(m, bounds)]
 
         # At (0, 0) p2 is low: t2 raises it, but t2 waits for p1, which
         # only t1 raises; t1 lowers nothing.
         assert fired((0, 0)) == [0]
-        # At (1, 0) t2 is enabled; t3 lowers p1, which t2 needs.
-        assert fired((1, 0)) == [1, 2]
+        # At (1, 0) t2 raises p2 and lowers nothing: the set of p2 has one
+        # enabled member, fewer than that of p1 (t3, and t2, which needs p1).
+        assert fired((1, 0)) == [1]
         # p1 is high at (1, 1): t3 lowers it, and t2 needs what t3 lowers.
         assert fired((1, 1)) == [1, 2]
         # Nothing lowers p2, so no path from (0, 2) leads to the target.
         assert fired((0, 2)) == []
-        assert n1.successors((0, 1), stubborn) == n1.successors((0, 1))  # the target: no reduction
-        assert n1.successors((1, 1), stubborn) == [(1, (1, 2)), (2, (0, 1))]
+        assert n1.successors((0, 1), bounds) == n1.successors((0, 1))  # the target: no reduction
+        assert n1.successors((1, 1), bounds) == [(1, (1, 2)), (2, (0, 1))]
+
+    def test_a_read_arc_leaves_a_finite_reduced_space(self):
+        # The blind searches exhaust the reduced state space in 3
+        # expansions.  Closing t5 under "what lowers a place t5 needs" as
+        # well, as strong stubborn sets do, brings in t2, and fed by the
+        # generators of the upward places the searches run into any
+        # expansion limit.
+        base = parse_instance(READ_ARC_FNET)
+        target = [bound for _, bound in base.target.constraints]
+        assert not backward_coverable(base.net, base.init, base.init_upward, target)
+        inst = desugar_init(base)
+        for strategy, name in [(Strategy.DIJKSTRA, "zero"), (Strategy.ASTAR, "struct"), (Strategy.GBFS, "struct")]:
+            result = directed_search(inst, strategy, make_heuristic(name, inst), SearchLimits(max_expansions=10))
+            assert result.verdict is Verdict.UNREACHABLE, (strategy, name)
 
     def test_independent_loops_are_walked_one_at_a_time(self):
         # Two token rings of five places; the target moves each token three
@@ -365,30 +409,35 @@ class TestStubbornSets:
         assert result.stats.expanded == len(expanded) == 7
         assert result.stats.discovered == 7
 
-    def test_both_interference_rules_are_needed(self):
+    def test_what_needs_a_place_an_enabled_member_lowers_joins_the_set(self):
         # "move" turns the a token into the g token; "copy" reads a and adds
-        # a c token.  Both are wanted, so copy must come first.  At the
-        # start only move raises g, and it is enabled; copy enters the
-        # stubborn set only because move lowers a, which copy needs.
+        # a c token; "mint" adds a c token at weight 5.  Copy must come
+        # before move.  At the start the set of g (move, then copy, which
+        # needs the a token move lowers) has two enabled members, and that
+        # of c (copy, mint) is dropped on reaching two; without the rule
+        # the set of g would be move alone, and after it only mint adds c.
         places = ["g", "a", "c"]
         net = PetriNet(places, [
             Transition.from_maps("move", places, consume={"a": 1}, produce={"g": 1}),
             Transition.from_maps("copy", places, consume={"a": 1}, produce={"a": 1, "c": 1}),
+            Transition.from_maps("mint", places, produce={"c": 1}, weight=5),
         ])
         target = TargetSpec(((Relation.EQ, 1), (Relation.GEQ, 0), (Relation.EQ, 1)))
         inst = instance(net, (0, 1, 0), target)
-        assert [t for t, _ in net.successors((0, 1, 0), StubbornSets(net, target.bounds()))] == [0, 1]
+        assert [t for t, _ in net.successors((0, 1, 0), target.bounds())] == [0, 1]
         for strategy in Strategy:
             for name in HEURISTIC_NAMES:
                 result = directed_search(inst, strategy, make_heuristic(name, inst))
-                assert result.reachable and result.witness.sequence == (1, 0)
+                assert result.reachable, (strategy, name)
+                if strategy is not Strategy.GBFS:
+                    assert (result.distance, result.witness.sequence) == (2, (1, 0)), (strategy, name)
 
     @staticmethod
     def fired(places, raisers, target, m):
         """The transitions fired at ``m`` in a net where transition ``i``
         makes a token on ``raisers[i]`` from nothing."""
         net = PetriNet(places, [Transition.from_maps(f"t{i}", places, produce={p: 1}) for i, p in enumerate(raisers)])
-        return [t for t, _ in net.successors(m, StubbornSets(net, target.bounds()))]
+        return [t for t, _ in net.successors(m, target.bounds())]
 
     def test_the_seed_with_the_fewest_enabled_members_is_fired(self):
         # a and b are both short; two transitions raise a, one raises b.

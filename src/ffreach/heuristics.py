@@ -17,8 +17,9 @@ Three families are provided, each bound to one net and target when built:
   keeps each optimum as the simplex tableau's integers, so deriving makes
   no ``Fraction`` unless the value itself is fractional.  It builds the
   system's integer standard form once; a cold solve, the first of a
-  search, writes only the right-hand side into it, unless the signs of its
-  gaps already settle it as INF or, in the target set, as 0.
+  search, writes only the right-hand side into it, unless the marking is a
+  dead end: a place it violates has an empty seed, as
+  ``PetriNet.successors`` reads seeds, and the value is INF.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places; each place's cost to reach the target comes from one
@@ -74,10 +75,10 @@ class StateEquationHeuristic:
     right-hand side.  So the system's integer standard form is built once,
     and a cold solve reads :meth:`form`, which writes only the right-hand
     side; :meth:`lp` is the reference problem it stands for.  Before that,
-    the signs decide two cases exactly, for ``q`` and ``z`` alike: a place
-    whose positive gap no effect raises, or whose negative ``=`` gap none
-    lowers, makes ``m`` INF; a marking with no open gap is in the target set
-    and is remembered with value 0, ``x* = 0`` and no tableau.
+    a cold solve reads the seeds of ``PetriNet.successors`` off the net's
+    masks: a place below its least target count that no transition raises,
+    or above its most count that none lowers, has an empty seed, so no
+    firing count closes its gap and ``m`` is INF, for ``q`` and ``z`` alike.
 
     With ``integral``, when the branch-and-bound node budget runs out the
     proven lower bound is returned instead; it is sandwiched between the
@@ -143,6 +144,7 @@ class StateEquationHeuristic:
         self.ilp_node_budget = ilp_node_budget
         self.deadline = deadline
         self._net = net
+        self._bounds = target.bounds()
         # The simplex scales the objective to ``L * w(t)`` and reads values
         # over ``den * L``, for the net's ``L``.
         self._scaled_weights, self._scale = net.scaled_weights, net.scale
@@ -166,7 +168,7 @@ class StateEquationHeuristic:
         self._eq_coeffs = tuple([row[: len(effects)] for row, rel, _ in rows if rel is Relation.EQ])
         #: marking -> (value; for an optimum, its value times ``den * L``,
         #: firing counts times ``den``, and ``den``, else 0, None and 1;
-        #: tableau or None; pending shift of that tableau)
+        #: tableau, None only for INF; pending shift of that tableau)
         self._memo: dict[Marking, tuple[object, int, tuple[int, ...] | None, int, Tableau | None, dict[int, int]]] = {}
 
     def lp(self, m: Marking) -> RationalLP:
@@ -211,7 +213,7 @@ class StateEquationHeuristic:
                 point = (*point[:t], point[t] - den, *point[t + 1 :])
                 memo[m] = (value, num, point, den, tableau, {**shift, t: shift.get(t, 0) + 1})
                 return value
-            if warm is None and tableau is not None:
+            if warm is None:
                 warm = (tableau, shift, t)
 
         start = None
@@ -219,23 +221,12 @@ class StateEquationHeuristic:
             tableau, shift, t = warm
             start = tableau.shifted({**shift, t: shift.get(t, 0) + 1})
         else:
-            # Presolve from the signs of the gaps (see the class docstring).
-            # A row's surplus entries are 0 or -1, so they never raise p.
-            n, closed = len(self._effects), True
-            for (row, rel, bound), tokens in zip(self._rows, m):
-                if bound > tokens:
-                    if not row or max(row) <= 0:
-                        memo[m] = _INFINITE
-                        return INF
-                    closed = False
-                elif bound < tokens and rel is Relation.EQ:
-                    if min(row[:n], default=0) >= 0:
-                        memo[m] = _INFINITE
-                        return INF
-                    closed = False
-            if closed:
-                memo[m] = (0, 0, (0,) * n, 1, None, _NO_SHIFT)
-                return 0
+            # A dead end has a place with an empty seed (see the class docstring).
+            raisers, lowerers, _ = self._net._masks
+            for p, least, most in self._bounds:
+                if (m[p] < least and not raisers[p]) or (m[p] > most and not lowerers[p]):
+                    memo[m] = _INFINITE
+                    return INF
         if self.integral:
             outcome = ilp_min(None if start else self.form(m), self.ilp_node_budget, start, self.deadline)
         else:

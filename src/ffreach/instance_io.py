@@ -63,7 +63,8 @@ class TargetSpec(_TargetFields):
     """One (relation, bound) constraint per place; GEQ 0 constrains nothing.
 
     Made from pairs of a relation and a natural bound, and keeps them as a
-    tuple of tuples, so that a spec given lists is hashable.  The membership
+    tuple of ``(Relation, int)`` tuples, so that a spec given lists is
+    hashable and a ``bool`` bound is written as a number.  The membership
     test is compiled by :meth:`goal_test` from :meth:`bounds`, once per
     search."""
 
@@ -78,9 +79,7 @@ class TargetSpec(_TargetFields):
             if rel is not Relation.EQ and rel is not Relation.GEQ:
                 raise NetDefinitionError(f"bad target relation {rel}")
         bounds = _nat_vector([bound for _, bound in constraints], "target bounds")
-        if type(constraints) is not tuple or list in map(type, constraints):
-            constraints = tuple(zip(relations, bounds))
-        return super().__new__(cls, constraints)
+        return super().__new__(cls, tuple(zip(relations, bounds)))
 
     #: ``_replace`` builds through ``_make``, so both keep the checks of ``__new__``.
     _make = classmethod(lambda cls, iterable: cls(*iterable))

@@ -261,7 +261,9 @@ class PetriNet:
         indices read off the firing records on first use: the transitions
         that raise and that lower each place, and for each transition the
         transitions that need a place it lowers.  Nothing changes them once
-        they are built."""
+        they are built.  :meth:`successors` reads them, and so does
+        ``StateEquationHeuristic``, whose cold solve answers INF where a
+        violated place's seed is empty."""
         n = len(self.places)
         raisers, lowerers, needers = [0] * n, [0] * n, [0] * n
         for t, p0, n0, rest, deltas, _ in self._firings:

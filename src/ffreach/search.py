@@ -200,8 +200,7 @@ def directed_search(
         heuristic = zero_heuristic
     net, bounds, init = inst.net, inst.target.bounds(), inst.init
     satisfied = inst.target.goal_test(bounds)
-    start = time.monotonic()
-    scale, weights = net.scale, net.scaled_weights
+    start, scale, weights = time.monotonic(), net.scale, net.scaled_weights
 
     # The priority is g for Dijkstra, h for GBFS and g + h for A*.  The root
     # is the frontier's only entry, so its priority and tie-break are moot.
@@ -217,11 +216,12 @@ def directed_search(
 
     heappop, heappush, node_of, successors_of = heapq.heappop, heapq.heappush, nodes.get, net.successors
     (max_expansions, max_time_ms), monotonic = limits or SearchLimits(), time.monotonic
+    deadline = None if max_time_ms is None else start + max_time_ms / 1000.0
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
             verdict, reason = Verdict.EXHAUSTED, "expansion limit reached"
             break
-        if max_time_ms is not None and (monotonic() - start) * 1000.0 > max_time_ms:
+        if deadline is not None and monotonic() > deadline:
             verdict, reason = Verdict.EXHAUSTED, "time limit reached"
             break
 

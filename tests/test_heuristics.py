@@ -140,7 +140,7 @@ def solves(monkeypatch):
 def _lp_only_infinite():
     """A net and target under which only the LP proves ``(1, 0)`` INF: ``t``
     empties p1 but fills p2, and the target is ``(0, 0)``.  The successor
-    ``(0, 1)`` is INF by its signs alone, since nothing lowers p2."""
+    ``(0, 1)`` is INF by its empty seed alone, since nothing lowers p2."""
     return PetriNet(["p1", "p2"], [Transition("t", (1, 0), (0, 1))]), TargetSpec.exact((0, 0))
 
 
@@ -296,6 +296,8 @@ class TestIntegerMemoAgainstOracles:
                 if integral and (box + 1) ** problem.num_vars <= 5_000:
                     assert integer_box_min(problem, box) == value, m
                     boxed += 1
+            # Every finite answer, a goal's included, keeps a basis to warm-start from.
+            assert all(entry[4] is not None for entry in memo._memo.values() if entry[0] != INF)
         assert len(solves) < calls / 2, "few values were derived; the sweep tests little"
         assert fractional >= 50, fractional
         assert boxed >= (150 if integral else 0), boxed
@@ -342,10 +344,9 @@ class TestColdStandardForm:
             assert memo.form(m).eq_coeffs is memo.form(zeros).eq_coeffs
 
     def test_first_answer_is_the_reference_solve(self, solves):
-        """A marking in the target set is answered 0 with ``x* = 0`` and no
-        tableau, and one with a gap that no effect's sign can close is INF,
-        both without a solve; every other first answer is the reference
-        solve's, tableau included."""
+        """A marking with a gap that no effect's sign can close is INF
+        without a solve; every other first answer, that of a marking in the
+        target set included, is the reference solve's, tableau included."""
         rng = random.Random(2021)
         kinds = set()
         goals = signed = solved = 0
@@ -357,10 +358,6 @@ class TestColdStandardForm:
                 value = memo(m)
                 problem = memo.lp(m)
                 entry = memo._memo[m]
-                if goal:
-                    assert value == 0 and entry == (0, 0, (0,) * problem.num_vars, 1, None, {}) and not solves, m
-                    goals += 1
-                    continue
                 if _sign_infeasible(problem):
                     assert value == INF and entry is heuristics._INFINITE and not solves, m
                     signed += 1
@@ -368,6 +365,7 @@ class TestColdStandardForm:
                 assert len(solves) == 1, m
                 solves.clear()
                 solved += 1
+                goals += goal
                 expected = ilp_min(problem, budget) if integral else simplex_min(problem)
                 kinds.add(expected.kind)
                 if expected.kind is OutcomeKind.INFEASIBLE:
@@ -399,14 +397,17 @@ def _sign_infeasible(problem):
 
 
 class TestPresolve:
-    """A cold solve settled by the signs of its gaps must answer what the
-    solver answers: INF for INFEASIBLE, the proven bound when the node
-    budget runs out, else the optimum."""
+    """A cold solve settled by an empty seed must answer what the solver
+    answers: INF for INFEASIBLE, the proven bound when the node budget runs
+    out, else the optimum.  The stubborn-set search reads the same seeds: a
+    marking answered INF has a target bound that, on its own, leaves it
+    without successors.  (With all bounds, ``successors`` may stop at an
+    earlier place whose closure has one enabled member.)"""
 
     @pytest.mark.parametrize("integral", [False, True], ids=["q", "z"])
     def test_first_answer_equals_the_solvers(self, integral, solves):
         rng = random.Random(2022)
-        counts = {"presolved 0": 0, "presolved INF": 0, "solved": 0}
+        counts = {"presolved INF": 0, "solved": 0}
         for net, target, m in TestColdStandardForm.cases(2022, 300):
             budget = rng.choice((1, 2, DEFAULT_ILP_NODE_BUDGET))
             h = StateEquationHeuristic(net, target, integral, budget)
@@ -422,7 +423,8 @@ class TestPresolve:
                 counts["solved"] += 1
                 solves.clear()
             else:
-                counts["presolved INF" if value == INF else "presolved 0"] += 1
+                assert value == INF and any(net.successors(m, [bound]) == [] for bound in target.bounds()), m
+                counts["presolved INF"] += 1
         assert min(counts.values()) >= 50, counts
 
 
@@ -635,9 +637,9 @@ class TestInfinitePredecessor:
         assert [succ for _, succ in net.successors((1, 0))] == [(0, 1)]
         assert h((0, 1)) == INF
         assert StateEquationHeuristic(net, target, integral=integral)((0, 1)) == INF
-        # The memoizing object made no solve, and neither did the sign presolve.
+        # The memoizing object made no solve, and neither did the empty-seed test.
         assert len(solves) == 1
-        # No transition of n1 lowers p2, so the signs of the gaps settle (1, 2).
+        # No transition of n1 lowers p2, so p2's seed is empty at (1, 2).
         assert StateEquationHeuristic(n1, TargetSpec.exact((0, 1)), integral=integral)((1, 2)) == INF
         assert len(solves) == 1
 

@@ -235,6 +235,15 @@ class TestTargetSpec:
             assert twin == spec and twin is not spec
             assert twin.satisfied((0, 3)) and not twin.satisfied((1, 3))
 
+    def test_bool_bounds_round_trip(self):
+        # A bool bound is kept as the int it stands for, so the serialized
+        # instance writes a number and parses back to the same target.
+        net = PetriNet(["a", "b"], [Transition("t", (1, 0), (0, 1))])
+        for spec in (TargetSpec(((Relation.EQ, True), (Relation.GEQ, False))), TargetSpec.exact((True, 0))):
+            assert all(type(bound) is int for _, bound in spec.constraints), spec
+            text = serialize_instance(Instance(net, (1, 0), frozenset(), spec).validate())
+            assert parse_instance(text).target.constraints == spec.constraints
+
     def test_replace_keeps_the_checks(self):
         spec = TargetSpec.exact((1,))
         with pytest.raises(NetDefinitionError):

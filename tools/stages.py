@@ -35,10 +35,12 @@ median ratios of totals.
 Each process first makes one untimed pass, whose every report must pass the
 benchmark's own check against its reference answer (``perfbench/run.py``'s
 ``check``, which calls ``perfbench/oracle.check_report``); every later
-report must match that pass's exactly.  The two checkouts' reports need not
-match each other, so a change that moves counters or picks other optimal
-witnesses can still be timed; one line says when they differ.  Nothing is
-written, bytecode caches included.
+report must match that pass's exactly.  The processes are started one at a
+time, each once the one before has printed the line that ends its first
+pass, so no two of these untimed passes compete for the host.  The two
+checkouts' reports need not match each other, so a change that moves
+counters or picks other optimal witnesses can still be timed; one line says
+when they differ.  Nothing is written, bytecode caches included.
 """
 
 from __future__ import annotations
@@ -159,15 +161,14 @@ def main(argv: list[str]) -> int:
     # This checkout, then the other and this checkout's second process.
     roots = [root, *other, *[root for _ in other]]
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
-    procs = [
-        subprocess.Popen([sys.executable, __file__, "--side", str(r), name, seed],
-                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
-        for r in roots
-    ]
+    procs, ready = [], []
     try:
-        ready = [json.loads(proc.stdout.readline() or "null") for proc in procs]
-        if None in ready:
-            return 1
+        for r in roots:  # one at a time, so that no two untimed first passes overlap
+            procs.append(subprocess.Popen([sys.executable, __file__, "--side", str(r), name, seed],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env))
+            ready.append(json.loads(procs[-1].stdout.readline() or "null"))
+            if ready[-1] is None:
+                return 1
         if other and ready[0]["digest"] != ready[1]["digest"]:
             print("stages.py: the two checkouts' reports differ; each side's agree with the reference")
         passes: list[list[dict[str, float]]] = [[] for _ in procs]

@@ -71,15 +71,15 @@ class TargetSpec(_TargetFields):
     __slots__ = ()
 
     def __new__(cls, constraints: Sequence[tuple[Relation, int]]):
-        try:
-            relations = [rel for rel, _ in constraints]
+        try:  # read once: ``constraints`` may be a one-shot iterable
+            pairs = [(rel, bound) for rel, bound in constraints]
         except (TypeError, ValueError):  # an entry that is not a pair
             raise NetDefinitionError(f"target constraints must be (relation, bound) pairs: {constraints!r}") from None
-        for rel in relations:
+        for rel, _ in pairs:
             if rel is not Relation.EQ and rel is not Relation.GEQ:
                 raise NetDefinitionError(f"bad target relation {rel}")
-        bounds = _nat_vector([bound for _, bound in constraints], "target bounds")
-        return super().__new__(cls, tuple(zip(relations, bounds)))
+        bounds = _nat_vector([bound for _, bound in pairs], "target bounds")
+        return super().__new__(cls, tuple(zip([rel for rel, _ in pairs], bounds)))
 
     #: ``_replace`` builds through ``_make``, so both keep the checks of ``__new__``.
     _make = classmethod(lambda cls, iterable: cls(*iterable))

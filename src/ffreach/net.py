@@ -7,8 +7,7 @@ are plain tuples of token counts, which makes them canonical, hashable and
 directly usable as graph nodes.
 
 The token game reads one firing record per transition,
-``(t, p0, n0, rest, deltas, raises)``: the guard's first ``(place, need)``
-entry, tested inline (``(0, 0)`` when empty), its other entries, the
+``(t, guard, deltas, raises)``: the guard's ``(place, need)`` entries, the
 ``(place, delta)`` effect entries, and the places with a positive delta, the
 only ones that can pass ``MAX_TOKENS``.  Sign analysis reads the records
 too, and so does ``PetriNet.successors``, which given a target's bounds
@@ -103,6 +102,7 @@ class Transition(NamedTuple):
         weight=1,
     ) -> "Transition":
         """Build a transition from sparse place-name maps."""
+        places = tuple(places)  # read once: ``places`` may be a one-shot iterable
         consume = dict(consume or {})
         produce = dict(produce or {})
         for key in (*consume, *produce):
@@ -135,8 +135,7 @@ def _firings(transitions: Sequence[Transition], first: int) -> tuple:
                 if made > need:
                     raises.append(p)
             p += 1
-        p0, n0 = guard.pop(0) if guard else (0, 0)
-        firings.append((t, p0, n0, tuple(guard), tuple(deltas), tuple(raises)))
+        firings.append((t, tuple(guard), tuple(deltas), tuple(raises)))
     return tuple(firings)
 
 
@@ -235,9 +234,7 @@ class PetriNet:
         """True iff the marking dominates the guard of transition ``t``."""
         if t < 0:
             raise IndexError(f"transition index {t} is negative")
-        _, p0, n0, rest, _, _ = self._firings[t]
-        # An empty guard reads no place: a net without places has none to read.
-        return (not n0 or m[p0] >= n0) and all(m[p] >= need for p, need in rest)
+        return all(m[p] >= need for p, need in self._firings[t][1])
 
     def fire(self, m: Marking, t: int) -> Marking:
         """Fire transition ``t``, returning the successor marking."""
@@ -247,7 +244,7 @@ class PetriNet:
                 f"transition {trans.name!r} is not firable: marking {m} below guard {trans.guard}",
                 transition=t,
             )
-        _, _, _, _, deltas, raises = self._firings[t]
+        _, _, deltas, raises = self._firings[t]
         result = list(m)
         for p, delta in deltas:
             result[p] += delta
@@ -266,11 +263,9 @@ class PetriNet:
         violated place's seed is empty."""
         n = len(self.places)
         raisers, lowerers, needers = [0] * n, [0] * n, [0] * n
-        for t, p0, n0, rest, deltas, _ in self._firings:
+        for t, guard, deltas, _ in self._firings:
             bit = 1 << t
-            if n0:
-                needers[p0] |= bit
-            for p, _ in rest:
+            for p, _ in guard:
                 needers[p] |= bit
             for p, delta in deltas:
                 if delta > 0:
@@ -278,7 +273,7 @@ class PetriNet:
                 else:
                     lowerers[p] |= bit
         interference = []
-        for _, _, _, _, deltas, _ in self._firings:
+        for _, _, deltas, _ in self._firings:
             mask = 0
             for p, delta in deltas:
                 if delta < 0:
@@ -286,32 +281,25 @@ class PetriNet:
             interference.append(mask)
         return tuple(raisers), tuple(lowerers), tuple(interference)
 
-    def _enabled(self, m: Marking, todo: int, limit: int) -> int | None:
+    def _enabled(self, m: Marking, todo: int) -> int:
         """The mask of the enabled members of the closure of the seed
-        ``todo`` at ``m``, or None as soon as ``limit`` of them are found
-        (0: no limit).  An enabled member brings in the transitions that
-        need a place it lowers; a disabled one, the transitions that raise
-        the first place of its guard that ``m`` leaves short."""
+        ``todo`` at ``m``.  An enabled member brings in the transitions
+        that need a place it lowers; a disabled one, the transitions that
+        raise the first place of its guard that ``m`` leaves short."""
         raisers, _, interference = self._masks
         firings = self._firings
-        kept, enabled, count = todo, 0, 0
+        kept, enabled = todo, 0
         while todo:
             low = todo & -todo
             todo ^= low
-            t, p0, n0, rest, _, _ = firings[low.bit_length() - 1]
-            if n0 and m[p0] < n0:
-                more = raisers[p0]
+            t, guard, _, _ = firings[low.bit_length() - 1]
+            for p, need in guard:
+                if m[p] < need:
+                    more = raisers[p]
+                    break
             else:
-                for p, need in rest:
-                    if m[p] < need:
-                        more = raisers[p]
-                        break
-                else:
-                    count += 1
-                    if count == limit:
-                        return None
-                    enabled |= low
-                    more = interference[t]
+                enabled |= low
+                more = interference[t]
             more &= ~kept
             kept |= more
             todo |= more
@@ -332,13 +320,11 @@ class PetriNet:
         (Wehrle and Helmert 2014 choose among seeds by the set they yield).
         A tie keeps the earlier place, and the choice stops at a closure
         with at most one enabled member: an empty seed, or a closure
-        without an enabled member, leaves ``m`` without successors.  A
-        later closure is dropped as soon as it has as many enabled members
-        as the best so far, so each one costs no more than the best.  Why a
+        without an enabled member, leaves ``m`` without successors.  Why a
         search that fires only the set stays optimal is told in ``search``.
         """
         raisers, lowerers, _ = self._masks
-        chosen, limit = None, 0
+        chosen, fewest = None, len(self._firings) + 1
         for p, least, most in bounds or ():
             if m[p] < least:
                 seed = raisers[p]
@@ -346,19 +332,20 @@ class PetriNet:
                 seed = lowerers[p]
             else:
                 continue
-            enabled = self._enabled(m, seed, limit)
-            if enabled is not None:
-                chosen, limit = enabled, enabled.bit_count()
-                if limit <= 1:
+            enabled = self._enabled(m, seed)
+            count = enabled.bit_count()
+            if count < fewest:
+                chosen, fewest = enabled, count
+                if count <= 1:
                     break
         if chosen is None:  # no bounds, or m within them: the closure of every transition
-            chosen = self._enabled(m, (1 << len(self._firings)) - 1, 0)
+            chosen = self._enabled(m, (1 << len(self._firings)) - 1)
         firings, out = self._firings, []
         # fire's rule, inlined: a call per fired transition costs more than the rule.
         while chosen:
             low = chosen & -chosen
             chosen ^= low
-            t, _, _, _, deltas, raises = firings[low.bit_length() - 1]
+            t, _, deltas, raises = firings[low.bit_length() - 1]
             result = list(m)
             for p, delta in deltas:
                 result[p] += delta

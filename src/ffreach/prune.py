@@ -44,11 +44,11 @@ def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
     """
     marked = set(initially_marked)
     waiting: dict[int, list] = {}  # place -> (guard iterator, raised places) waiting on it
-    todo = [(iter(((p0, n0), *rest)), raises) for _, p0, n0, rest, _, raises in net._firings]
+    todo = [(iter(guard), raises) for _, guard, _, raises in net._firings]
     while todo:
         guard, raises = todo.pop()
-        for p, need in guard:
-            if need and p not in marked:  # need is 0 only in an empty guard's (0, 0)
+        for p, _ in guard:
+            if p not in marked:
                 waiting.setdefault(p, []).append((guard, raises))
                 break
         else:
@@ -89,8 +89,7 @@ def prune_instance(inst: Instance) -> PruneResult:
     if any(inst.target.constraints[p][1] > 0 for p in range(net.num_places) if p not in markable):
         return PruneResult(inst, PruneVerdict.IMMEDIATELY_UNREACHABLE)
     kept_places = [p for p in range(net.num_places) if p in markable]
-    kept_transitions = [t for t, p0, n0, rest, _, _ in net._firings
-                        if (not n0 or p0 in markable) and all(p in markable for p, _ in rest)]
+    kept_transitions = [t for t, guard, _, _ in net._firings if all(p in markable for p, _ in guard)]
     transitions = tuple([
         Transition(name, tuple(map(guard.__getitem__, kept_places)), tuple(map(made.__getitem__, kept_places)), weight)
         for name, guard, made, weight in map(net.transitions.__getitem__, kept_transitions)

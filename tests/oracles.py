@@ -733,17 +733,67 @@ def cover_distance_by_enumeration(net, init, init_upward, target, gen_weight, bu
 
 
 def reference_firings(transitions) -> tuple[tuple, int, tuple[int, ...]]:
-    """The firing records ``(t, p0, n0, rest, deltas, raises)``, ``L`` and
-    the ``L``-scaled weights of ``transitions``, read off the dense vectors."""
+    """The firing records ``(t, guard, deltas, raises)``, ``L`` and the
+    ``L``-scaled weights of ``transitions``, read off the dense vectors."""
     firings = []
     for t, trans in enumerate(transitions):
-        guard = [(p, need) for p, need in enumerate(trans.guard) if need]
+        guard = tuple([(p, need) for p, need in enumerate(trans.guard) if need])
         deltas = tuple([(p, d) for p, d in enumerate(map(operator.sub, trans.produce, trans.guard)) if d])
-        p0, n0 = guard[0] if guard else (0, 0)
-        firings.append((t, p0, n0, tuple(guard[1:]), deltas, tuple([p for p, d in deltas if d > 0])))
+        firings.append((t, guard, deltas, tuple([p for p, d in deltas if d > 0])))
     ratios = [t.weight.as_integer_ratio() for t in transitions]
     scale = math.lcm(*[den for _, den in ratios])
     return tuple(firings), scale, tuple([num * (scale // den) for num, den in ratios])
+
+
+# ---------------------------------------------------------------------------
+# reference stubborn sets: the set ``PetriNet.successors(m, bounds)`` fires,
+# chosen off the dense guard and produce vectors, without masks or records.
+
+
+def reference_stubborn_set(net: PetriNet, m, bounds) -> list[int]:
+    """The enabled members, in index order, of the weak stubborn set of
+    ``m`` under ``bounds`` (``TargetSpec.bounds()``), or every enabled
+    transition when ``m`` violates no bound.
+
+    Each violated place gives a seed: its raisers when ``m`` is below the
+    least count, its lowerers when above the most.  A seed is closed under
+    two rules: an enabled member brings in every transition that needs a
+    place it lowers, a disabled one the raisers of the first place of its
+    guard that ``m`` leaves short.  The closure with the fewest enabled
+    members wins, a tie going to the earlier place, and the choice stops at
+    a closure with at most one."""
+    transitions = net.transitions
+    indices = range(len(transitions))
+
+    def enabled(t):
+        return all(have >= need for have, need in zip(m, transitions[t].guard))
+
+    def changers(p, sign):
+        return [t for t in indices if (transitions[t].produce[p] - transitions[t].guard[p]) * sign > 0]
+
+    def closure(seed):
+        members, todo = set(seed), list(seed)
+        while todo:
+            t = todo.pop()
+            guard, produce = transitions[t].guard, transitions[t].produce
+            if enabled(t):
+                lowered = [p for p in range(len(m)) if produce[p] < guard[p]]
+                more = [u for u in indices if any(transitions[u].guard[p] for p in lowered)]
+            else:
+                more = changers(next(p for p in range(len(m)) if m[p] < guard[p]), 1)
+            todo += [u for u in more if u not in members]
+            members.update(more)
+        return [t for t in sorted(members) if enabled(t)]
+
+    best = None
+    for p, least, most in bounds:
+        if m[p] < least or m[p] > most:
+            members = closure(changers(p, 1 if m[p] < least else -1))
+            if best is None or len(members) < len(best):
+                best = members
+                if len(best) <= 1:
+                    break
+    return [t for t in indices if enabled(t)] if best is None else best
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,10 @@ class TestTargetSpec:
             text = serialize_instance(Instance(net, (1, 0), frozenset(), spec).validate())
             assert parse_instance(text).target.constraints == spec.constraints
 
+    def test_a_one_shot_iterable_is_read_once(self):
+        spec = TargetSpec(iter([(Relation.EQ, 1), (Relation.GEQ, 2)]))
+        assert spec.constraints == ((Relation.EQ, 1), (Relation.GEQ, 2))
+
     def test_replace_keeps_the_checks(self):
         spec = TargetSpec.exact((1,))
         with pytest.raises(NetDefinitionError):

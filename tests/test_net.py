@@ -169,6 +169,10 @@ class TestValidation:
         with pytest.raises(NetDefinitionError):
             Transition.from_maps("t", ["a"], consume={"b": 1})
 
+    def test_from_maps_reads_one_shot_places_once(self):
+        t = Transition.from_maps("t", (p for p in "ab"), {"a": 1}, {"b": 1})
+        assert (t.guard, t.produce) == ((1, 0), (0, 1))
+
     def test_from_maps_rejects_fractional_count(self):
         with pytest.raises(NetDefinitionError):
             Transition.from_maps("t", ["a"], consume={"a": 0.5})

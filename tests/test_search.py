@@ -31,6 +31,7 @@ from oracles import (
     enumerate_reachable,
     oracle_solve,
     random_bounded_instance,
+    reference_stubborn_set,
     remaining_distances,
 )
 
@@ -414,7 +415,7 @@ class TestStubbornSets:
         # a c token; "mint" adds a c token at weight 5.  Copy must come
         # before move.  At the start the set of g (move, then copy, which
         # needs the a token move lowers) has two enabled members, and that
-        # of c (copy, mint) is dropped on reaching two; without the rule
+        # of c (copy, mint), with no fewer, is not kept; without the rule
         # the set of g would be move alone, and after it only mint adds c.
         places = ["g", "a", "c"]
         net = PetriNet(places, [
@@ -458,6 +459,22 @@ class TestStubbornSets:
         assert self.fired("cab", "aa", TargetSpec.exact((1, 1, 0)), (0, 0, 0)) == []
         # But the choice has stopped at a closure with one enabled member.
         assert self.fired("abc", "a", TargetSpec.exact((1, 0, 1)), (0, 0, 0)) == [0]
+
+    def test_the_set_fired_is_the_reference_set(self):
+        # Desugared upward draws have generators, whose guards are empty;
+        # the others have = targets, whose places can be above their bound.
+        rng = random.Random(34)
+        empty_guards = read_arcs = 0
+        for i in range(300):
+            inst = desugar_init(random_bounded_instance(rng, max_places=5, max_transitions=6, upward=i % 2 == 0))
+            net, bounds = inst.net, inst.target.bounds()
+            empty_guards += sum(not any(t.guard) for t in net.transitions)
+            read_arcs += sum(0 < need <= made for t in net.transitions for need, made in zip(t.guard, t.produce))
+            for _ in range(6):
+                m = tuple(rng.randint(0, 3) for _ in net.places)
+                fired = [t for t, _ in net.successors(m, bounds)]
+                assert fired == reference_stubborn_set(net, m, bounds), (i, m)
+        assert empty_guards and read_arcs
 
     def test_blind_searches_solve_a_mutex_net_of_forty_processes(self):
         # lock, the first violated place, closes to every enabled enter_i:

@@ -15,7 +15,10 @@ is built from its seed by that checkout's ``perfbench/corpus.py`` and
 two checkouts print the same first digest exactly when all its reports are
 byte-identical.  The second covers the same reports with their ``stats``
 block removed, so it stays put when a change moves only the search's
-counters and keeps every verdict, distance, witness and reason:
+counters and keeps every verdict, distance, witness and reason.  Under each
+digest line, one line per config of the workload sums the ``expanded``,
+``discovered`` and ``heuristic_calls`` counters over its reports, so a
+change that moves the counters shows by how much:
 
     (cd old && python3 /path/to/report_digest.py lp-astar small-batch 1 2)
     (cd new && python3 /path/to/report_digest.py lp-astar small-batch 1 2)
@@ -32,6 +35,9 @@ import json
 import os
 import sys
 from pathlib import Path
+
+#: The search counters of a report's ``stats``, summed per config.
+COUNTERS = ("expanded", "discovered", "heuristic_calls")
 
 
 def main(argv: list[str]) -> int:
@@ -68,14 +74,20 @@ def main(argv: list[str]) -> int:
                 "instances": [[inst.id, to_fnet(inst)] for inst, _ in workload.build(seed)],
             }
             digest, answers = hashlib.sha256(), hashlib.sha256()
+            totals = [dict.fromkeys(COUNTERS, 0) for _ in workload.configs]
             pairs = worker.Run(corpus).pairs
-            for pair in pairs:
+            for k, pair in enumerate(pairs):
                 report = worker.attempt(solve, pair)
                 digest.update(report.encode() + b"\n")
                 fields = json.loads(report)
-                fields.pop("stats", None)
+                stats = fields.pop("stats", {})  # an error report has none
                 answers.update(json.dumps(fields).encode() + b"\n")
-            print(f"{digest.hexdigest()}  {answers.hexdigest()}  {name} seed {seed}, {len(pairs)} reports", flush=True)
+                total = totals[k % len(totals)]
+                for key in COUNTERS:
+                    total[key] += stats.get(key, 0)
+            print(f"{digest.hexdigest()}  {answers.hexdigest()}  {name} seed {seed}, {len(pairs)} reports")
+            for config, total in zip(workload.configs, totals):
+                print(f"    {config.label}: " + ", ".join(f"{key} {value}" for key, value in total.items()), flush=True)
     return 0
 
 

@@ -43,21 +43,16 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
-_logger: logging.Logger | None = None  # the ``ffreach`` logger, once ``logging`` is imported
-
-
 def _debug_logger() -> logging.Logger | None:
     """The ``ffreach`` logger when it passes DEBUG records on, else None.
     Nothing can give it a level or a handler before ``logging`` is imported,
     so ffreach imports ``logging`` only to set it up from ``FFREACH_LOG``:
     the module and those it loads hold about 0.4 MiB."""
-    global _logger
-    if _logger is None:
-        logging = sys.modules.get("logging")
-        if logging is None:
-            return None
-        _logger = logging.getLogger("ffreach")
-    return _logger if _logger.isEnabledFor(10) else None  # 10 is logging.DEBUG
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    logger = logging.getLogger("ffreach")
+    return logger if logger.isEnabledFor(10) else None  # 10 is logging.DEBUG
 
 
 _MASK64 = (1 << 64) - 1

@@ -17,9 +17,10 @@ Three families are provided, each bound to one net and target when built:
   keeps each optimum as the simplex tableau's integers, so deriving makes
   no ``Fraction`` unless the value itself is fractional.  It builds the
   system's integer standard form once; a cold solve, the first of a
-  search, writes only the right-hand side into it, unless the marking is a
-  dead end: a place it violates has an empty seed, as
-  ``PetriNet.successors`` reads seeds, and the value is INF.
+  search, writes only the right-hand side into it, unless
+  ``PetriNet.dead_end`` finds a place the marking violates with an empty
+  seed, as ``PetriNet.successors`` reads seeds, and the value is INF.  The
+  net's firing records and masks are read only in ``net``.
 * ``d_struct`` (:class:`StructHeuristic`): shortest paths in a place-level
   abstraction where each transition becomes edges from its input places to
   its output places; each place's cost to reach the target comes from one
@@ -75,10 +76,11 @@ class StateEquationHeuristic:
     right-hand side.  So the system's integer standard form is built once,
     and a cold solve reads :meth:`form`, which writes only the right-hand
     side; :meth:`lp` is the reference problem it stands for.  Before that,
-    a cold solve reads the seeds of ``PetriNet.successors`` off the net's
-    masks: a place below its least target count that no transition raises,
-    or above its most count that none lowers, has an empty seed, so no
-    firing count closes its gap and ``m`` is INF, for ``q`` and ``z`` alike.
+    a cold solve asks ``PetriNet.dead_end``, which reads the seeds of
+    ``PetriNet.successors``: a place below its least target count that no
+    transition raises, or above its most count that none lowers, has an
+    empty seed, so no firing count closes its gap and ``m`` is INF, for
+    ``q`` and ``z`` alike.
 
     With ``integral``, when the branch-and-bound node budget runs out the
     proven lower bound is returned instead; it is sandwiched between the
@@ -220,13 +222,9 @@ class StateEquationHeuristic:
         if warm is not None:
             tableau, shift, t = warm
             start = tableau.shifted({**shift, t: shift.get(t, 0) + 1})
-        else:
-            # A dead end has a place with an empty seed (see the class docstring).
-            raisers, lowerers, _ = self._net._masks
-            for p, least, most in self._bounds:
-                if (m[p] < least and not raisers[p]) or (m[p] > most and not lowerers[p]):
-                    memo[m] = _INFINITE
-                    return INF
+        elif self._net.dead_end(m, self._bounds):  # see the class docstring
+            memo[m] = _INFINITE
+            return INF
         if self.integral:
             outcome = ilp_min(None if start else self.form(m), self.ilp_node_budget, start, self.deadline)
         else:
@@ -318,7 +316,10 @@ def make_heuristic(
     """Factory keyed by the public heuristic names: q, z, struct, zero.
 
     ``deadline`` (a ``time.monotonic()`` value) bounds each ``z``
-    branch-and-bound like its node budget."""
+    branch-and-bound like its node budget.  ``SearchLimits.max_time_ms``
+    does not reach inside a heuristic call: ``directed_search`` checks it
+    only between expansions.  So a caller that bounds a search's time
+    passes the matching deadline here, as ``solve_instance`` does."""
     if name in ("q", "z"):
         return StateEquationHeuristic(inst.net, inst.target, name == "z", ilp_node_budget, deadline)
     if name == "struct":

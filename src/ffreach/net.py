@@ -9,10 +9,14 @@ directly usable as graph nodes.
 The token game reads one firing record per transition,
 ``(t, guard, deltas, raises)``: the guard's ``(place, need)`` entries, the
 ``(place, delta)`` effect entries, and the places with a positive delta, the
-only ones that can pass ``MAX_TOKENS``.  Sign analysis reads the records
-too, and so does ``PetriNet.successors``, which given a target's bounds
-fires only the enabled members of a weak stubborn set.  The bitmasks those
-sets are built from are read off the records once per net, on first use.
+only ones that can pass ``MAX_TOKENS``.  ``PetriNet.successors``, which
+given a target's bounds fires only the enabled members of a weak stubborn
+set, reads them too.  The bitmasks those sets are built from are read off
+the records once per net, on first use.  This module is the only one that
+reads the records and the masks: the other modules ask the net.
+``PetriNet.dead_end`` answers the state-equation heuristic's empty-seed
+test, and ``sign_analysis`` and ``PetriNet.guarded_within`` serve
+``prune_instance``.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
@@ -258,9 +262,7 @@ class PetriNet:
         indices read off the firing records on first use: the transitions
         that raise and that lower each place, and for each transition the
         transitions that need a place it lowers.  Nothing changes them once
-        they are built.  :meth:`successors` reads them, and so does
-        ``StateEquationHeuristic``, whose cold solve answers INF where a
-        violated place's seed is empty."""
+        they are built.  :meth:`successors` and :meth:`dead_end` read them."""
         n = len(self.places)
         raisers, lowerers, needers = [0] * n, [0] * n, [0] * n
         for t, guard, deltas, _ in self._firings:
@@ -320,8 +322,13 @@ class PetriNet:
         (Wehrle and Helmert 2014 choose among seeds by the set they yield).
         A tie keeps the earlier place, and the choice stops at a closure
         with at most one enabled member: an empty seed, or a closure
-        without an enabled member, leaves ``m`` without successors.  Why a
-        search that fires only the set stays optimal is told in ``search``.
+        without an enabled member, leaves ``m`` without successors.  So at
+        a marking that :meth:`dead_end` calls a dead end, successors may
+        still be returned, when the choice stops at an earlier place whose
+        closure has one enabled member.  The seed scan is inlined here, not
+        shared with :meth:`dead_end`: a pre-scan of every violated place
+        costs the blind searches more than it saves.  Why a search that
+        fires only the set stays optimal is told in ``search``.
         """
         raisers, lowerers, _ = self._masks
         chosen, fewest = None, len(self._firings) + 1
@@ -354,6 +361,21 @@ class PetriNet:
                     raise TokenOverflowError(f"firing {self.transitions[t].name!r} overflows a token count", t)
             out.append((t, tuple(result)))
         return out
+
+    def dead_end(self, m: Marking, bounds: Sequence[tuple[int, int, int]]) -> bool:
+        """True when a place that ``m`` violates has an empty seed, as
+        :meth:`successors` reads seeds: it is below its least count under
+        ``bounds`` (``TargetSpec.bounds()``) and no transition raises it, or
+        above its most count and none lowers it.  No path from ``m`` then
+        reaches the bounds, and no firing count closes the place's gap in
+        the state equation."""
+        raisers, lowerers, _ = self._masks
+        return any((m[p] < least and not raisers[p]) or (m[p] > most and not lowerers[p]) for p, least, most in bounds)
+
+    def guarded_within(self, places: set[int]) -> list[int]:
+        """The transitions, in index order, whose guard places all lie in
+        ``places``."""
+        return [t for t, guard, _, _ in self._firings if all(p in places for p, _ in guard)]
 
     def witness(self, seq: Sequence[int]) -> Witness:
         """Package a transition sequence as a Witness (weight and Parikh counts)."""
@@ -395,3 +417,31 @@ class PetriNet:
             f"PetriNet({self.name!r}, {self.num_places} places, "
             f"{self.num_transitions} transitions)"
         )
+
+
+def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
+    """Least fixpoint of "markable" places, independent of iteration order.
+
+    Each transition reads its guard entries through one iterator and waits
+    at the first unmarked place it reads; marking that place wakes it, and
+    it reads on from where it stopped.  No guard entry is read twice, so the
+    work is linear in the size of the guards.  Only the net's firing records
+    are read.
+    """
+    marked = set(initially_marked)
+    waiting: dict[int, list] = {}  # place -> (guard iterator, raised places) waiting on it
+    todo = [(iter(guard), raises) for _, guard, _, raises in net._firings]
+    while todo:
+        guard, raises = todo.pop()
+        for p, _ in guard:
+            if p not in marked:
+                waiting.setdefault(p, []).append((guard, raises))
+                break
+        else:
+            # A place the transition feeds but does not raise is one of its
+            # guard places, all marked by now; so only raised places are new.
+            for q in raises:
+                if q not in marked:
+                    marked.add(q)
+                    todo += waiting.pop(q, ())
+    return marked

@@ -1,4 +1,4 @@
-"""Sign analysis: a cheap, sound pre-pass that shrinks instances.
+"""Pruning by sign analysis: a cheap, sound pre-pass that shrinks instances.
 
 Starting from the initially marked places, a fixpoint marks every place some
 transition can ever feed: whenever all of a transition's input places are
@@ -7,6 +7,11 @@ can never carry a token in any reachable marking, so they are removed along
 with every transition that needs a token from them.  The answer (verdict and
 distance) of the instance is unchanged; if the target demands tokens in a
 removed place, the instance is settled on the spot.
+
+The fixpoint, ``sign_analysis``, and the filter of the transitions kept,
+``PetriNet.guarded_within``, live in ``net`` beside the firing records they
+read; ``sign_analysis`` is re-exported here under its name.  This module
+projects the instance onto what they keep.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .instance_io import Instance, TargetSpec
-from .net import PetriNet, Transition
+from .net import PetriNet, Transition, sign_analysis
 
 
 class PruneVerdict(Enum):
@@ -31,34 +36,6 @@ class PruneResult(NamedTuple):
 
     pruned_instance: Instance
     verdict: PruneVerdict
-
-
-def sign_analysis(net: PetriNet, initially_marked: set[int]) -> set[int]:
-    """Least fixpoint of "markable" places, independent of iteration order.
-
-    Each transition reads its guard entries through one iterator and waits
-    at the first unmarked place it reads; marking that place wakes it, and
-    it reads on from where it stopped.  No guard entry is read twice, so the
-    work is linear in the size of the guards.  Only the net's firing records
-    are read.
-    """
-    marked = set(initially_marked)
-    waiting: dict[int, list] = {}  # place -> (guard iterator, raised places) waiting on it
-    todo = [(iter(guard), raises) for _, guard, _, raises in net._firings]
-    while todo:
-        guard, raises = todo.pop()
-        for p, _ in guard:
-            if p not in marked:
-                waiting.setdefault(p, []).append((guard, raises))
-                break
-        else:
-            # A place the transition feeds but does not raise is one of its
-            # guard places, all marked by now; so only raised places are new.
-            for q in raises:
-                if q not in marked:
-                    marked.add(q)
-                    todo += waiting.pop(q, ())
-    return marked
 
 
 def prune_instance(inst: Instance) -> PruneResult:
@@ -89,10 +66,9 @@ def prune_instance(inst: Instance) -> PruneResult:
     if any(inst.target.constraints[p][1] > 0 for p in range(net.num_places) if p not in markable):
         return PruneResult(inst, PruneVerdict.IMMEDIATELY_UNREACHABLE)
     kept_places = [p for p in range(net.num_places) if p in markable]
-    kept_transitions = [t for t, guard, _, _ in net._firings if all(p in markable for p, _ in guard)]
     transitions = tuple([
         Transition(name, tuple(map(guard.__getitem__, kept_places)), tuple(map(made.__getitem__, kept_places)), weight)
-        for name, guard, made, weight in map(net.transitions.__getitem__, kept_transitions)
+        for name, guard, made, weight in map(net.transitions.__getitem__, net.guarded_within(markable))
     ])
     pruned = Instance(
         PetriNet._trusted(tuple(map(net.places.__getitem__, kept_places)), transitions, net.name),

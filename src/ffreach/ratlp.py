@@ -199,20 +199,18 @@ class Tableau:
         """The tableau, at the same basis, of the problem whose right-hand
         side is ``b - A k`` for the integer vector ``k = shift``, given as
         ``{variable: k_j}``."""
-        items = [(j, k) for j, k in shift.items() if k]
         rows = []
         for row in self.rows:
             delta = 0
-            for j, k in items:
+            for j, k in shift.items():
                 delta += k * row[j]
             rows.append([*row[:-1], row[-1] - delta] if delta else row)
         den, objective = self.den, self.objective
         gain = 0
-        for j, k in items:
+        for j, k in shift.items():
             gain += k * objective[j]
-        if gain:
-            cost = rows[-1]
-            rows[-1] = [*cost[:-1], cost[-1] + den * gain]
+        cost = rows[-1]
+        rows[-1] = [*cost[:-1], cost[-1] + den * gain]
         return Tableau(tuple(rows), self.basis, den, objective, self.obj_scale)
 
     def bounded(self, var: int, bound: int, upper: bool) -> Tableau:

@@ -90,7 +90,7 @@ from typing import NamedTuple
 
 from .heuristics import INF, Heuristic, zero_heuristic
 from .instance_io import Instance
-from .net import Marking, TokenOverflowError, Witness
+from .net import MAX_TOKENS, Marking, TokenOverflowError, Witness
 
 
 class Strategy(Enum):
@@ -144,8 +144,6 @@ class SearchResult:
 def _scaled(h, scale: int):
     """``scale * h`` for a heuristic value ``h``: an ``int`` when integral, and
     ``INF`` for any float infinity.  The loop scales an ``int`` ``h`` inline."""
-    if not h:
-        return 0
     if isinstance(h, float):
         return INF if math.isinf(h) else h * scale
     numerator = h.numerator * scale
@@ -189,7 +187,14 @@ def directed_search(
     whose heuristic value is infinite is never expanded: admissibility
     guarantees the target is unreachable from it.  It is dropped when it is
     evaluated, at push time or, for A* with a ``deferred`` heuristic, at pop
-    time, the root included (see the module docstring).
+    time, the root included (see the module docstring).  A target bound
+    above ``MAX_TOKENS`` ends the search UNREACHABLE before any expansion.
+
+    ``limits.max_time_ms`` is checked only between expansions, so it cannot
+    stop a heuristic call.  A ``z`` heuristic stops its branch-and-bound at
+    the ``deadline`` it was built with (``make_heuristic(..., deadline=)``),
+    which ``solve_instance`` derives from the same limit; a caller that
+    builds the heuristic itself passes that deadline too.
     """
     if inst.init_upward:
         raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
@@ -210,7 +215,10 @@ def directed_search(
     frontier: list[tuple[object, object, int, int, Marking]] = [(0, 0, 0, 0, init)]
     expanded = counter = 0
     heuristic_calls = 0 if lazy else 1  # lazy A* evaluates the root when it pops it
-    if not lazy and _scaled(heuristic(init), scale) is INF and not satisfied(init):
+    # No place ever holds more than MAX_TOKENS tokens, so a target bound
+    # above that ends the search as an infinite root value does.
+    beyond_max = any(least > MAX_TOKENS for _, least, _ in bounds)
+    if (not lazy and _scaled(heuristic(init), scale) is INF and not satisfied(init)) or beyond_max:
         nodes, frontier = {}, []
     verdict, witness, reason = Verdict.UNREACHABLE, None, None
 

@@ -797,6 +797,27 @@ def reference_stubborn_set(net: PetriNet, m, bounds) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# reference net queries: the answers of ``PetriNet.dead_end`` and
+# ``PetriNet.guarded_within``, read off the dense vectors alone.
+
+
+def reference_dead_end(net: PetriNet, m, bounds) -> bool:
+    """Whether some place that ``m`` violates under ``bounds`` has no
+    transition whose effect moves it toward them: none that adds to it when
+    it is below its least count, none that takes from it when above its most."""
+    for p, least, most in bounds:
+        effects = [trans.produce[p] - trans.guard[p] for trans in net.transitions]
+        if (m[p] < least and max(effects, default=0) <= 0) or (m[p] > most and min(effects, default=0) >= 0):
+            return True
+    return False
+
+
+def reference_guarded_within(net: PetriNet, places) -> list[int]:
+    """The transitions, in index order, that need tokens only in ``places``."""
+    return [t for t, trans in enumerate(net.transitions) if all(p in places for p, need in enumerate(trans.guard) if need)]
+
+
+# ---------------------------------------------------------------------------
 # random bounded instances
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +18,20 @@ from ffreach import (
     Instance,
     NetDefinitionError,
     PetriNet,
+    SearchLimits,
+    Strategy,
     TargetSpec,
     Transition,
+    Verdict,
     desugar_init,
+    directed_search,
     generator_names,
+    make_heuristic,
     parse_instance,
+    prune_instance,
     random_walk,
 )
+from ffreach.heuristics import HEURISTIC_NAMES
 from ffreach.cli import SplitMix64
 from ffreach import cli
 from ffreach.cli import main
@@ -58,6 +66,18 @@ transition t3
 transition t4
   consume p3:1
 target: p1=2 p2>=1 p3>=2
+"""
+
+#: ``t`` adds a token to ``a`` on every firing, so every marking is new and
+#: no search over it ends by itself, though no marking holds 2**64 tokens.
+BIG_FNET = """\
+net big
+places: a b
+init: a=1
+transition t
+  consume a:1
+  produce a:2
+target: a{relation}18446744073709551616
 """
 
 
@@ -171,6 +191,35 @@ class TestSolveCommand:
         code, out, _ = run_main(["solve", str(path), "--heuristic", "z", "--max-time-ms", "200"], capsys)
         assert code == 0
         assert "distance: 1 (1.0)" in out
+
+    def test_the_library_time_limit_needs_the_heuristics_deadline(self):
+        # directed_search checks max_time_ms only between expansions, so the
+        # runaway z solve GBFS meets stops only at the deadline that
+        # make_heuristic was given.
+        inst = prune_instance(desugar_init(parse_instance(RUNAWAY_FNET))).pruned_instance
+        start = time.monotonic()
+        heuristic = make_heuristic("z", inst, deadline=start + 0.2)
+        result = directed_search(inst, Strategy.GBFS, heuristic, SearchLimits(max_time_ms=200))
+        assert time.monotonic() - start < 5
+        assert result.verdict is Verdict.EXHAUSTED and result.reason == "time limit reached"
+
+    @pytest.mark.parametrize("relation", ["=", ">="])
+    def test_a_target_above_max_tokens_is_unreachable_before_any_expansion(self, tmp_path, capsys, relation):
+        # The expansion limit ends a search that misses the bound.
+        path = tmp_path / "big.fnet"
+        path.write_text(BIG_FNET.format(relation=relation))
+        for strategy in Strategy:
+            for name in HEURISTIC_NAMES:
+                for prune in ([], ["--no-prune"]):
+                    args = ["--strategy", strategy.value, "--heuristic", name, *prune, "--max-expansions", "1000"]
+                    code, out, _ = run_main(["solve", str(path), *args, "--format", "json"], capsys)
+                    payload = json.loads(out)
+                    assert (code, payload["verdict"], payload["stats"]["expanded"]) == (1, "unreachable", 0), args
+        inst = parse_instance(BIG_FNET.format(relation=relation))
+        for strategy in Strategy:
+            for name in HEURISTIC_NAMES:
+                result = directed_search(inst, strategy, make_heuristic(name, inst), SearchLimits(max_expansions=1000))
+                assert (result.verdict, result.stats.expanded) == (Verdict.UNREACHABLE, 0), (strategy, name)
 
     def test_missing_file(self, capsys):
         code, _, err = run_main(["solve", "does-not-exist.fnet"], capsys)

@@ -424,6 +424,7 @@ class TestPresolve:
                 solves.clear()
             else:
                 assert value == INF and any(net.successors(m, [bound]) == [] for bound in target.bounds()), m
+                assert net.dead_end(m, target.bounds()), m
                 counts["presolved INF"] += 1
         assert min(counts.values()) >= 50, counts
 

@@ -26,7 +26,13 @@ from ffreach import (
 )
 from ffreach import net as net_module
 from ffreach.net import MAX_TOKENS, Witness
-from oracles import enumerate_reachable, random_bounded_instance, reference_firings
+from oracles import (
+    enumerate_reachable,
+    random_bounded_instance,
+    reference_dead_end,
+    reference_firings,
+    reference_guarded_within,
+)
 
 T1, T2, T3 = 0, 1, 2
 
@@ -420,6 +426,33 @@ class TestDenseReads:
         assert result.verdict is Verdict.REACHABLE
         # The fixture has no upward flag and every place markable: desugar and prune keep its net.
         assert read == (reads or [tuple(t.name for t in inst.net.transitions)])
+
+
+class TestNetQueries:
+    """``dead_end`` and ``guarded_within``, which other modules ask instead
+    of reading the net's records and masks, answer what the dense-vector
+    oracles answer."""
+
+    def test_dead_end_and_guarded_within_match_the_oracles(self):
+        # Desugared upward draws have generators, which raise a place with
+        # an empty guard; the others have = targets, whose places can be
+        # above their bound.
+        rng = random.Random(3535)
+        dead_ends = {True: 0, False: 0}
+        partial = 0
+        for i in range(300):
+            inst = desugar_init(random_bounded_instance(rng, max_places=5, max_transitions=6, upward=i % 2 == 0))
+            net, bounds = inst.net, inst.target.bounds()
+            for _ in range(6):
+                m = tuple(rng.randint(0, 3) for _ in net.places)
+                answer = net.dead_end(m, bounds)
+                assert answer == reference_dead_end(net, m, bounds), (i, m)
+                dead_ends[answer] += 1
+            places = {p for p in range(net.num_places) if rng.random() < 0.6}
+            kept = net.guarded_within(places)
+            assert kept == reference_guarded_within(net, places), (i, places)
+            partial += 0 < len(kept) < net.num_transitions
+        assert min(dead_ends.values()) >= 100 and partial >= 50, (dead_ends, partial)
 
 
 # A tiny strategy for random sequences over the three-transition net.

@@ -29,8 +29,11 @@ Since the host's speed drifts between rounds, the quartiles over the rounds
 of two ratios follow each stage: this checkout's time over the other's
 (A/B), and over its own second process's (A/A).  A change reads as real
 only when the A/B quartiles keep clear of 1.000 and of the A/A ones, which
-show how far the host moves two copies of the same code.  Last come the
-median ratios of totals.
+show how far the host moves two copies of the same code.  A stage's line
+ends in ``unresolved`` when its A/B and A/A medians differ by no more than
+the A/A interquartile range (q3 - q1): the run cannot tell the change from
+the host's spread there.  Last come the median ratios of totals, both
+marked ``unresolved`` by the same rule applied to the totals.
 
 Each process first makes one untimed pass, whose every report must pass the
 benchmark's own check against its reference answer (``perfbench/run.py``'s
@@ -128,11 +131,27 @@ def side(root: Path, name: str, seed: int) -> int:
     return 0
 
 
-def quartiles(mine: list[dict[str, float]], other: list[dict[str, float]], stage: str) -> str:
-    """The quartiles of ``stage``'s per-round ratio, mine over other's."""
+def ratios(mine: list[dict[str, float]], other: list[dict[str, float]], stage: str) -> list[float] | None:
+    """``stage``'s per-round ratios, mine over other's; None if other's is ever 0."""
     if not all(o[stage] > 0 for o in other):
+        return None
+    return [m[stage] / o[stage] for m, o in zip(mine, other)]
+
+
+def quartiles(per_round: list[float] | None) -> str:
+    """The quartile columns of per-round ratios, blank without them."""
+    if per_round is None:
         return " " * 24
-    return "".join(f"{q:>8.3f}" for q in statistics.quantiles([m[stage] / o[stage] for m, o in zip(mine, other)], n=4))
+    return "".join(f"{q:>8.3f}" for q in statistics.quantiles(per_round, n=4))
+
+
+def unresolved(ab: list[float] | None, aa: list[float] | None) -> str:
+    """A mark when the A/B and A/A medians differ by no more than the A/A
+    interquartile range (q3 - q1), else nothing."""
+    if ab is None or aa is None:
+        return ""
+    q1, median, q3 = statistics.quantiles(aa, n=4)
+    return "  unresolved" if abs(statistics.median(ab) - median) <= q3 - q1 else ""
 
 
 def main(argv: list[str]) -> int:
@@ -193,13 +212,14 @@ def main(argv: list[str]) -> int:
     for stage in STAGES:
         line = f"{stage:<8}" + "".join(f"{b[stage] * 1000:>30.1f}" for b in best)
         if other:
-            line += quartiles(passes[0], passes[1], stage) + quartiles(passes[0], passes[2], stage)
+            ab, aa = ratios(passes[0], passes[1], stage), ratios(passes[0], passes[2], stage)
+            line += quartiles(ab) + quartiles(aa) + unresolved(ab, aa)
         print(line)
     if other:
-        for label, theirs in [("the other", passes[1]), ("its second process", passes[2])]:
-            ratios = [m["total"] / o["total"] for m, o in zip(passes[0], theirs)]
-            print(f"total, this checkout over {label} per round: median {statistics.median(ratios):.3f}, "
-                  f"faster in {sum(ratio < 1 for ratio in ratios)} of {PASSES} rounds")
+        ab, aa = ratios(passes[0], passes[1], "total"), ratios(passes[0], passes[2], "total")
+        for label, per_round in [("the other", ab), ("its second process", aa)]:
+            print(f"total, this checkout over {label} per round: median {statistics.median(per_round):.3f}, "
+                  f"faster in {sum(ratio < 1 for ratio in per_round)} of {PASSES} rounds{unresolved(ab, aa)}")
     return 0
 
 

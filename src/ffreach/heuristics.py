@@ -130,10 +130,6 @@ class StateEquationHeuristic:
     ``int`` whenever it is integral, and as a ``Fraction`` otherwise.
     """
 
-    #: A solve costs enough that A* evaluates a marking when it pops it, not
-    #: when it pushes it (see :mod:`ffreach.search`).
-    deferred = True
-
     def __init__(
         self,
         net: PetriNet,

@@ -14,22 +14,34 @@ marking reached to its node ``(g, parent, t)``: its best known path weight,
 the marking it was reached from and the transition fired there (``None``
 and ``None`` at the root).
 
-Most strategies evaluate a successor when they push it and never store one
-whose value is infinite.  A* with a heuristic marked ``deferred`` (the
-state-equation bounds, whose solves are the costly part of a search)
-evaluates a marking when it pops it instead (deferred evaluation, Richter
-and Helmert 2009; Lazy A*, Tolpin et al. 2013).  A successor ``m'`` of
-``m`` by ``t`` is pushed at ``g' + max(0, h(m) - w(t))``, a lower bound on
-every path through ``m'`` since ``h(m) <= w(t) + d(m')`` for any admissible
-``h``.  A popped marking that is no goal is then evaluated, the root
-included, since lazy A* pushes it unevaluated like any other marking.  It
-is dropped if its value is infinite, pushed back at ``g + h`` if that
-exceeds the priority it was popped at and another entry is waiting, and
-expanded otherwise.  A marking pushed back is evaluated again when it is
-popped again, which the heuristic's memo answers without a solve.  About
-half of the successors A* pushes are never expanded, so they are never
-evaluated.  The other strategies evaluate the root before the loop, and
-end at once when its value is infinite.
+Every strategy evaluates a marking when it pops it, not when it pushes it
+(deferred evaluation, Richter and Helmert 2009; Lazy A*, Tolpin et al.
+2013).  A successor ``m'`` of ``m`` by ``t`` is pushed with the estimate
+``h' = max(0, h(m) - w(t))`` in place of its own value: at ``g'`` under
+Dijkstra, ``h'`` under GBFS and ``g' + h'`` under A*.  ``h'`` is admissible
+at ``m'`` whenever ``h`` is, since ``h(m) <= w(t) + d(m')``.  A popped
+marking that is no goal is then evaluated, the root included, which is
+pushed unevaluated like any other marking.  It is dropped if its value is
+infinite, pushed back at its true priority (``g``, ``h`` or ``g + h``, with
+its own ``h``) if that exceeds the priority it was popped at and another
+entry is waiting, and expanded otherwise.  A marking pushed back is
+evaluated again when it is popped again, which the state-equation
+heuristic's memo answers without a solve.  A successor that is never
+popped is never evaluated, and a goal never is.
+
+Dijkstra and A* stay optimal under this rule.  Dijkstra's true priority is
+the ``g`` it popped, so it pushes nothing back, and the heuristic only drops
+markings from which an admissible ``h`` proves the target unreachable.
+Every priority A* pushes is ``g`` plus an admissible estimate, so it is a
+lower bound on every path through its entry.  Until a goal is expanded,
+the first marking of a shortest path not yet expanded at its optimal ``g``
+waits in the frontier at that ``g``: its predecessor on the path pushed it
+there, and its finite value never drops it.  Its priority is at most the
+distance ``d``.  A goal is popped at ``g + h' >= g``, before any entry of
+a smaller priority, so its ``g`` is at most ``d``.  A marking expanded
+alone in the frontier, not pushed back, is the only entry there is, so
+the argument holds for it too.  GBFS keeps no bound: its witness is valid
+but may be longer than the distance.
 
 Every strategy fires, at a marking that is no goal, only the enabled
 transitions of a weak stubborn set: ``net.successors(m, bounds)``, given
@@ -116,10 +128,10 @@ class SearchLimits(NamedTuple):
 
 class SearchStats:
     """``expanded``: markings expanded, a goal included.  ``discovered``:
-    the node table's size, the root included.  ``heuristic_calls``:
-    evaluations of the heuristic, repeated ones included; the root is
-    evaluated before the loop, or, under lazy A*, when it is popped and is
-    no goal."""
+    the node table's size, the root and markings later found infinite
+    included.  ``heuristic_calls``: evaluations of the heuristic, one each
+    time a marking that is no goal is popped from a live entry, the root
+    included and repeated ones included; a goal is never evaluated."""
 
     __slots__ = ("expanded", "discovered", "heuristic_calls", "wall_time_ms")
 
@@ -185,10 +197,15 @@ def directed_search(
     (optimality for Dijkstra/A* with an admissible heuristic), UNREACHABLE
     when the frontier empties, or EXHAUSTED when a limit is hit.  A marking
     whose heuristic value is infinite is never expanded: admissibility
-    guarantees the target is unreachable from it.  It is dropped when it is
-    evaluated, at push time or, for A* with a ``deferred`` heuristic, at pop
-    time, the root included (see the module docstring).  A target bound
-    above ``MAX_TOKENS`` ends the search UNREACHABLE before any expansion.
+    guarantees the target is unreachable from it.  Every strategy keeps
+    one rule (see the module docstring): a successor is pushed at its
+    parent's value minus the transition's weight, and a marking is
+    evaluated when it is popped and is no goal, the root included; it is
+    dropped if its value is infinite, pushed back if its true priority
+    exceeds the one it was popped at and another entry waits, and expanded
+    otherwise; the module docstring shows why Dijkstra and A* stay optimal
+    under it.  A target bound above ``MAX_TOKENS`` ends the search
+    UNREACHABLE before any expansion.
 
     ``limits.max_time_ms`` is checked only between expansions, so it cannot
     stop a heuristic call.  A ``z`` heuristic stops its branch-and-bound at
@@ -210,15 +227,12 @@ def directed_search(
     # The priority is g for Dijkstra, h for GBFS and g + h for A*.  The root
     # is the frontier's only entry, so its priority and tie-break are moot.
     dijkstra, greedy = strategy is Strategy.DIJKSTRA, strategy is Strategy.GBFS
-    lazy = strategy is Strategy.ASTAR and getattr(heuristic, "deferred", False)
     nodes: dict[Marking, tuple[int, Marking | None, int | None]] = {init: (0, None, None)}
     frontier: list[tuple[object, object, int, int, Marking]] = [(0, 0, 0, 0, init)]
-    expanded = counter = 0
-    heuristic_calls = 0 if lazy else 1  # lazy A* evaluates the root when it pops it
+    expanded = counter = heuristic_calls = 0
     # No place ever holds more than MAX_TOKENS tokens, so a target bound
-    # above that ends the search as an infinite root value does.
-    beyond_max = any(least > MAX_TOKENS for _, least, _ in bounds)
-    if (not lazy and _scaled(heuristic(init), scale) is INF and not satisfied(init)) or beyond_max:
+    # above that ends the search before the root is popped.
+    if any(least > MAX_TOKENS for _, least, _ in bounds):
         nodes, frontier = {}, []
     verdict, witness, reason = Verdict.UNREACHABLE, None, None
 
@@ -238,15 +252,16 @@ def directed_search(
         if g_m != node[0]:
             continue  # stale entry: this marking was re-pushed with a better path
         goal = satisfied(m)
-        if lazy and not goal:
+        if not goal:
             heuristic_calls += 1
             h_m = heuristic(m)
             h_m = h_m * scale if h_m.__class__ is int else _scaled(h_m, scale)
             if h_m is INF:
-                continue
-            if g_m + h_m > f_m and frontier:  # alone, it would be popped straight back
+                continue  # the target is unreachable from m
+            f = g_m if dijkstra else h_m if greedy else g_m + h_m
+            if f > f_m and frontier:  # alone, it would be popped straight back
                 counter += 1
-                heappush(frontier, (g_m + h_m, h_m, counter, g_m, m))
+                heappush(frontier, (f, h_m, counter, g_m, m))
                 continue
         expanded += 1
         if __debug__ and node[1] is not None:  # node = (g, parent, t)
@@ -275,14 +290,7 @@ def directed_search(
             old = node_of(succ)
             if old is not None and g_new >= old[0]:
                 continue
-            if lazy:
-                h = h_m - weights[t] if h_m > weights[t] else 0
-            else:
-                heuristic_calls += 1
-                h = heuristic(succ)
-                h = h * scale if h.__class__ is int else _scaled(h, scale)
-                if h is INF:
-                    continue  # the target is unreachable from succ; skip it entirely
+            h = h_m - weights[t] if h_m > weights[t] else 0
             nodes[succ] = (g_new, m, t)
             counter += 1
             heappush(frontier, (g_new if dijkstra else h if greedy else g_new + h, h, counter, g_new, succ))

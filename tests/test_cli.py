@@ -68,6 +68,11 @@ transition t4
 target: p1=2 p2>=1 p3>=2
 """
 
+#: ``RUNAWAY_FNET`` from the marking ``(1, 1, 1, 2)``, whose own ``z``
+#: branch-and-bound dives (``tests/test_warm_start.py::RUNAWAY``): every
+#: search evaluates the initial marking first, so each meets the dive.
+RUNAWAY_ROOT_FNET = RUNAWAY_FNET.replace("p3=3", "p3=2")
+
 #: ``t`` adds a token to ``a`` on every firing, so every marking is new and
 #: no search over it ends by itself, though no marking holds 2**64 tokens.
 BIG_FNET = """\
@@ -170,36 +175,41 @@ class TestSolveCommand:
         payload_line = [l for l in out.splitlines() if l.startswith("reason:")]
         assert payload_line and "expansion" in payload_line[0]
 
-    def test_time_limit_holds_inside_the_heuristic(self, tmp_path, capsys):
-        # small-batch seed 11, sb0884: z's branch-and-bound at one successor
-        # dives without end under the default node budget, so only a
-        # deadline inside ilp_min lets the time limit end the solve.  GBFS
-        # evaluates each successor when it pushes it, so it meets that one.
-        path = tmp_path / "sb0884.fnet"
-        path.write_text(RUNAWAY_FNET)
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_time_limit_holds_inside_the_heuristic(self, tmp_path, capsys, strategy):
+        # z's branch-and-bound at the initial marking dives without end
+        # under the default node budget, so only a deadline inside ilp_min
+        # lets the time limit end the solve.
+        path = tmp_path / "runaway.fnet"
+        path.write_text(RUNAWAY_ROOT_FNET)
         code, out, _ = run_main(
-            ["solve", str(path), "--strategy", "gbfs", "--heuristic", "z", "--max-time-ms", "200"], capsys
+            ["solve", str(path), "--strategy", strategy.value, "--heuristic", "z", "--max-time-ms", "200"], capsys
         )
         assert code == 2
         assert "reason: time limit reached" in out
 
-    def test_astar_pops_the_goal_before_the_runaway(self, tmp_path, capsys):
-        # A* evaluates z when it pops a marking: the distance-1 goal comes
-        # off the frontier before the successor whose solve runs away.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_the_goal_is_popped_before_the_runaway(self, tmp_path, capsys, strategy):
+        # small-batch seed 11, sb0884: every search evaluates z when it
+        # pops a marking, so the distance-1 goal comes off the frontier
+        # before the successor whose solve runs away.
         path = tmp_path / "sb0884.fnet"
         path.write_text(RUNAWAY_FNET)
-        code, out, _ = run_main(["solve", str(path), "--heuristic", "z", "--max-time-ms", "200"], capsys)
+        code, out, _ = run_main(
+            ["solve", str(path), "--strategy", strategy.value, "--heuristic", "z", "--max-time-ms", "200"], capsys
+        )
         assert code == 0
         assert "distance: 1 (1.0)" in out
 
-    def test_the_library_time_limit_needs_the_heuristics_deadline(self):
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_the_library_time_limit_needs_the_heuristics_deadline(self, strategy):
         # directed_search checks max_time_ms only between expansions, so the
-        # runaway z solve GBFS meets stops only at the deadline that
-        # make_heuristic was given.
-        inst = prune_instance(desugar_init(parse_instance(RUNAWAY_FNET))).pruned_instance
+        # runaway z solve at the initial marking stops only at the deadline
+        # that make_heuristic was given.
+        inst = prune_instance(desugar_init(parse_instance(RUNAWAY_ROOT_FNET))).pruned_instance
         start = time.monotonic()
         heuristic = make_heuristic("z", inst, deadline=start + 0.2)
-        result = directed_search(inst, Strategy.GBFS, heuristic, SearchLimits(max_time_ms=200))
+        result = directed_search(inst, strategy, heuristic, SearchLimits(max_time_ms=200))
         assert time.monotonic() - start < 5
         assert result.verdict is Verdict.EXHAUSTED and result.reason == "time limit reached"
 

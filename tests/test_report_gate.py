@@ -18,12 +18,13 @@ from oracles import random_bounded_instance
 from ffreach import serialize_instance
 from ffreach.cli import main
 
-#: The digest of the reports under ``CONFIGS``; recorded when the stubborn
-#: sets every search fires became weak ones, which moved ``stats`` and the
-#: witnesses of seeds 35 and 43 (other shortest paths, as the oracle
-#: accepts): verdicts and distances are those of the search that fired
-#: every transition.
-REPORTS_SHA256 = "3478d79d119b6d1c94a4a8b7e1927f6cafe98d28577633476dc485273baa1d97"
+#: The digest of the reports under ``CONFIGS``; recorded when every
+#: strategy came to evaluate a marking when it pops it, as A* with ``q`` or
+#: ``z`` already did.  Only the ``stats`` of Dijkstra+zero and GBFS+struct
+#: moved: both make fewer heuristic calls, and GBFS+struct stores markings
+#: it later finds infinite.  Every verdict, distance and witness is that of
+#: the search that evaluated at push time.
+REPORTS_SHA256 = "ee18088fb71d204d6aaec596fcc283f8750ea1a4a28bc9753c0a027ad2aaf76d"
 
 CONFIGS = [
     ["--strategy", "astar", "--heuristic", "q"],
@@ -33,12 +34,12 @@ CONFIGS = [
 ]
 
 #: The digest of the reports under ``MORE_CONFIGS``, the pairs ``CONFIGS``
-#: lacks; recorded when the stubborn sets every search fires became weak
-#: ones and the expansion cap below fell from 10 to 7.  Besides ``stats``
-#: and the witnesses of seeds 35 and 43, only the capped solves moved: seed
-#: 40, once EXHAUSTED, is reached after 7 expansions, and seed 43 hits the
-#: cap.
-MORE_REPORTS_SHA256 = "1f90b9ed44d0f7b0e661e94615c550c810662b3a143e4c9c509be6038632fd02"
+#: lacks; recorded when every strategy came to evaluate a marking when it
+#: pops it.  Only ``stats`` moved: A*+struct, the capped Dijkstra and
+#: GBFS+q, now deferred, make fewer heuristic calls, and A*+struct and
+#: GBFS+q store markings they later find infinite.  Every verdict,
+#: distance, witness and reason, the capped solves' included, is unchanged.
+MORE_REPORTS_SHA256 = "fd97b3976e34575c8010230240e319f5eba5c5b0fb64bba60963b0835601fb6b"
 
 #: Without pruning, an unreachable target on a net with generators has an
 #: infinite state space, so Dijkstra is capped.  Under the stubborn sets

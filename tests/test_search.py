@@ -178,25 +178,17 @@ class TestLimits:
 
 
 class CountingHeuristic:
-    """Wraps a heuristic and counts its calls, the calls on each marking and
-    the markings it called finite: a search that evaluates at push time
-    discovers exactly the finite ones (when the initial marking's value is
-    finite).  It is ``deferred`` when the heuristic it wraps is."""
+    """Wraps a heuristic and counts its calls and the calls on each marking."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.deferred = getattr(inner, "deferred", False)
         self.calls = 0
         self.called: Counter = Counter()
-        self.finite: set = set()
 
     def __call__(self, m):
         self.calls += 1
         self.called[m] += 1
-        value = self.inner(m)
-        if value != INF:
-            self.finite.add(m)
-        return value
+        return self.inner(m)
 
 
 def draining_instance() -> Instance:
@@ -224,14 +216,11 @@ class TestEveryExit:
         stats = result.stats
         assert stats.expanded == len(expanded)
         assert stats.heuristic_calls == counter.calls
-        if counter.deferred and strategy is Strategy.ASTAR:
-            # Nothing is dropped at push time, so the root and every
-            # successor of an expanded marking are stored, and only stored
-            # markings are evaluated.
-            assert stats.discovered == len(reached)
-            assert counter.called.keys() <= reached
-        else:
-            assert stats.discovered == len(counter.finite)
+        # Nothing is dropped at push time, so the root and every successor
+        # of an expanded marking are stored, and only stored markings are
+        # evaluated.
+        assert stats.discovered == len(reached)
+        assert counter.called.keys() <= reached
         return result, expanded
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -277,15 +266,16 @@ class TestEveryExit:
         result, _ = self.run(draining_instance(), strategy, "q")
         assert result.verdict is Verdict.UNREACHABLE
         assert result.stats.heuristic_calls == 1 and result.stats.expanded == 0
-        # Lazy A* stores the root, then drops it when it pops and evaluates it.
-        assert result.stats.discovered == (1 if strategy is Strategy.ASTAR else 0)
+        # The search stores the root, then drops it when it pops and evaluates it.
+        assert result.stats.discovered == 1
 
-    def test_deferred_root_is_evaluated_once(self, n1_instance):
-        # Lazy A* pushes the root unevaluated and evaluates it when it pops
-        # it.  Alone in the frontier, it is expanded, not pushed back.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_root_is_evaluated_once(self, n1_instance, strategy):
+        # The root is pushed unevaluated and evaluated when it is popped.
+        # Alone in the frontier, it is expanded, not pushed back.
         counter = CountingHeuristic(make_heuristic("q", n1_instance))
-        assert counter.deferred and counter.inner(n1_instance.init) > 0
-        result = directed_search(n1_instance, Strategy.ASTAR, counter)
+        assert counter.inner(n1_instance.init) > 0
+        result = directed_search(n1_instance, strategy, counter)
         assert result.reachable and result.distance > 0
         assert counter.called[n1_instance.init] == 1
         assert result.stats.heuristic_calls == counter.calls == sum(counter.called.values())
@@ -480,24 +470,40 @@ class TestStubbornSets:
         # lock, the first violated place, closes to every enabled enter_i:
         # seeded there, Dijkstra+zero stores about a million markings
         # without reaching the target.
-        places = ["lock"]
-        for i in range(40):
-            places += [f"idle{i}", f"wait{i}", f"crit{i}"]
-        transitions = []
-        for i in range(40):
-            transitions += [
-                Transition.from_maps(f"req{i}", places, {f"idle{i}": 1}, {f"wait{i}": 1}),
-                Transition.from_maps(f"enter{i}", places, {f"wait{i}": 1, "lock": 1}, {f"crit{i}": 1}, 2),
-                Transition.from_maps(f"exit{i}", places, {f"crit{i}": 1}, {f"idle{i}": 1, "lock": 1}),
-            ]
-        net = PetriNet(places, transitions, "mutex40")
-        init = (1,) + (2, 0, 0) * 40
-        inst = instance(net, init, TargetSpec.exact(random_walk(net, init, 40, 1)[0]))
+        inst = mutex_instance(40)
         distance = directed_search(inst, Strategy.ASTAR, make_heuristic("q", inst)).distance
         assert distance == 38
         for strategy, name in [(Strategy.DIJKSTRA, "zero"), (Strategy.ASTAR, "struct")]:
             result = directed_search(inst, strategy, make_heuristic(name, inst), SearchLimits(max_expansions=500))
             assert result.reachable and result.distance == distance
+
+
+def mutex_instance(procs: int) -> Instance:
+    """``procs`` processes, two tokens each, competing for one lock, with
+    the end of a 40-step seed-1 random walk as exact target."""
+    places = ["lock"]
+    for i in range(procs):
+        places += [f"idle{i}", f"wait{i}", f"crit{i}"]
+    transitions = []
+    for i in range(procs):
+        transitions += [
+            Transition.from_maps(f"req{i}", places, {f"idle{i}": 1}, {f"wait{i}": 1}),
+            Transition.from_maps(f"enter{i}", places, {f"wait{i}": 1, "lock": 1}, {f"crit{i}": 1}, 2),
+            Transition.from_maps(f"exit{i}", places, {f"crit{i}": 1}, {f"idle{i}": 1, "lock": 1}),
+        ]
+    net = PetriNet(places, transitions, f"mutex{procs}")
+    init = (1,) + (2, 0, 0) * procs
+    return instance(net, init, TargetSpec.exact(random_walk(net, init, 40, 1)[0]))
+
+
+def test_gbfs_evaluates_few_markings_it_does_not_expand():
+    # Evaluating each successor when it is pushed made 200 q calls here
+    # for 41 expansions; evaluated when popped, the successors GBFS never
+    # reaches are never solved.
+    inst = mutex_instance(160)
+    result = directed_search(inst, Strategy.GBFS, make_heuristic("q", inst))
+    assert result.reachable and result.stats.expanded == 41
+    assert result.stats.heuristic_calls <= result.stats.expanded + 10
 
 
 class TestGbfsContract:
@@ -578,24 +584,25 @@ class TestRandomCorpus:
             unreachable_seen += not reachable
         assert reachable_seen >= 50 and unreachable_seen >= 5
 
-    def test_deferred_astar_matches_the_oracle(self):
-        # A* evaluates q and z when it pops a marking, and pushes a successor
-        # m' of m by t at g' + h(m) - w(t).  Rational weights make a push
-        # that forgets to subtract w(t) lose the optimum on a few of these
-        # instances.  z with one ILP node keeps running out of its budget.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_deferred_evaluation_matches_the_oracle(self, strategy):
+        # Every strategy evaluates a marking when it pops it, and pushes a
+        # successor m' of m by t at h(m) - w(t).  Rational weights make an
+        # A* push that forgets to subtract w(t) lose the optimum on a few
+        # of these instances.  z with one ILP node keeps running out of its
+        # budget.
         rng = random.Random(2)
         budget_ran_out = 0
+        configs = [(name, DEFAULT_ILP_NODE_BUDGET) for name in HEURISTIC_NAMES] + [("z", 1)]
         for _ in range(500):
             inst = random_bounded_instance(rng, max_places=5, max_transitions=7, rational_weights=True)
             reachable, distance = oracle_solve(inst)
-            for name, budget in [("q", DEFAULT_ILP_NODE_BUDGET), ("z", DEFAULT_ILP_NODE_BUDGET), ("z", 1)]:
-                result = directed_search(inst, Strategy.ASTAR, make_heuristic(name, inst, budget))
-                assert result.verdict is (Verdict.REACHABLE if reachable else Verdict.UNREACHABLE)
+            for name, budget in configs:
+                result = directed_search(inst, strategy, make_heuristic(name, inst, budget))
                 if reachable:
-                    assert result.distance == distance
-                    final, witness = inst.net.replay(inst.init, result.witness.sequence)
-                    assert inst.target.satisfied(final)
-                    assert witness.total_weight == distance
+                    assert_answer(inst, result, strategy, distance)
+                else:
+                    assert result.verdict is Verdict.UNREACHABLE
             budget_ran_out += make_heuristic("z", inst, 1)(inst.init) < make_heuristic("z", inst)(inst.init)
         assert budget_ran_out >= 10, budget_ran_out
 

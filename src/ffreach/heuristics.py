@@ -128,6 +128,12 @@ class StateEquationHeuristic:
     since the dual simplex reads only its start, and a warm ``z`` re-solve
     skips the lattice test its predecessor passed.  A value is returned as an
     ``int`` whenever it is integral, and as a ``Fraction`` otherwise.
+
+    ``x*`` is a relaxed plan as well as a bound (Vidal 2004; Wimmel and Wolf
+    2011): :meth:`lookahead` fires an integral ``x*`` from ``m`` in greedy
+    order.  Firing effects add up, so a sequence that fires it ends at
+    ``m + C x*``, in the target set, and weighs exactly ``h(m)``; the search
+    ends there when it can.
     """
 
     def __init__(
@@ -168,6 +174,9 @@ class StateEquationHeuristic:
         #: firing counts times ``den``, and ``den``, else 0, None and 1;
         #: tableau, None only for INF; pending shift of that tableau)
         self._memo: dict[Marking, tuple[object, int, tuple[int, ...] | None, int, Tableau | None, dict[int, int]]] = {}
+        #: States ``(marking, counts left)`` from which :meth:`lookahead`'s
+        #: greedy firing is known to fail (``PetriNet.realize``).
+        self._failed: set[tuple[Marking, tuple[int, ...]]] = set()
 
     def lp(self, m: Marking) -> RationalLP:
         """The state equation for reaching the target set from ``m``: the
@@ -237,6 +246,22 @@ class StateEquationHeuristic:
             known = (_quotient(num, unit), num, tuple(optimum.point()), optimum.den, outcome.tableau, _NO_SHIFT)
         memo[m] = known
         return known[0]
+
+    def lookahead(self, m: Marking, deadline: float | None = None) -> list[int] | None:
+        """A sequence from ``m``, which this object has answered, that fires
+        its remembered optimum ``x*``, or None.  None when ``m`` has no
+        ``x*`` (INF, or a ``z`` whose budget or deadline ran out), when a
+        count of ``x*`` is fractional (never rounded through ``z``), or when
+        ``PetriNet.realize`` finds no sequence before ``deadline``.  A
+        sequence returned ends in the target set, since ``x*`` solves the
+        state equation, and weighs exactly the value of ``m``.  The states
+        of the greedy runs that failed are kept, so a successor derived
+        along such a run, whose own run would take the same steps, fails at
+        once."""
+        _, _, point, den, _, _ = self._memo[m]
+        if point is None or any(count % den for count in point):
+            return None
+        return self._net.realize(m, [count // den for count in point], deadline, self._failed)
 
 
 class StructHeuristic:
@@ -314,8 +339,9 @@ def make_heuristic(
     ``deadline`` (a ``time.monotonic()`` value) bounds each ``z``
     branch-and-bound like its node budget.  ``SearchLimits.max_time_ms``
     does not reach inside a heuristic call: ``directed_search`` checks it
-    only between expansions.  So a caller that bounds a search's time
-    passes the matching deadline here, as ``solve_instance`` does."""
+    only between expansions and in the lookahead.  So a caller that bounds
+    a search's time passes the matching deadline here, as
+    ``solve_instance`` does."""
     if name in ("q", "z"):
         return StateEquationHeuristic(inst.net, inst.target, name == "z", ilp_node_budget, deadline)
     if name == "struct":

@@ -15,7 +15,8 @@ set, reads them too.  The bitmasks those sets are built from are read off
 the records once per net, on first use.  This module is the only one that
 reads the records and the masks: the other modules ask the net.
 ``PetriNet.dead_end`` answers the state-equation heuristic's empty-seed
-test, and ``sign_analysis`` and ``PetriNet.guarded_within`` serve
+test, ``PetriNet.realize`` fires its optimal firing counts for the search's
+lookahead, and ``sign_analysis`` and ``PetriNet.guarded_within`` serve
 ``prune_instance``.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import time
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -371,6 +373,57 @@ class PetriNet:
         the state equation."""
         raisers, lowerers, _ = self._masks
         return any((m[p] < least and not raisers[p]) or (m[p] > most and not lowerers[p]) for p, least, most in bounds)
+
+    def realize(
+        self, m: Marking, counts: Sequence[int], deadline: float | None = None, failed: set | None = None
+    ) -> list[int] | None:
+        """A sequence from ``m`` that fires each transition ``t`` exactly
+        ``counts[t]`` times, or None.  Each step fires the first enabled
+        transition, in index order, that still has a count left.  None when
+        no such transition is enabled, when a firing would push a count
+        past ``MAX_TOKENS``, or once ``time.monotonic()`` passes
+        ``deadline``; it never raises.  Firing effects add up, so a sequence
+        returned ends at ``m`` plus the counts' summed effects.
+
+        ``failed``, when given, holds states ``(marking, counts left)`` from
+        which this greedy firing is known to get stuck or overflow.  A run
+        that starts at one returns None at once.  A run that gets stuck or
+        overflows adds every state it passed through, since a run started at
+        any of them takes the same steps: a search that looks ahead from
+        each marking along such a run fires it once, not once per marking."""
+        if failed is not None and (tuple(m), tuple(counts)) in failed:
+            return None
+        firings, left, marking, seq = self._firings, list(counts), list(m), []
+        todo = [t for t, count in enumerate(left) if count]
+        monotonic = time.monotonic
+        while todo:
+            if deadline is not None and monotonic() > deadline:
+                return None
+            for i, t in enumerate(todo):
+                if all(marking[p] >= need for p, need in firings[t][1]):
+                    break
+            else:
+                break  # stuck: every transition with a count left is disabled
+            _, _, deltas, raises = firings[t]
+            for p, delta in deltas:
+                marking[p] += delta
+            if any(marking[p] > MAX_TOKENS for p in raises):
+                break
+            seq.append(t)
+            left[t] -= 1
+            if not left[t]:
+                del todo[i]
+        else:
+            return seq
+        if failed is not None:
+            marking, left = list(m), list(counts)
+            for t in seq:
+                failed.add((tuple(marking), tuple(left)))
+                for p, delta in firings[t][2]:
+                    marking[p] += delta
+                left[t] -= 1
+            failed.add((tuple(marking), tuple(left)))
+        return None
 
     def guarded_within(self, places: set[int]) -> list[int]:
         """The transitions, in index order, whose guard places all lie in

@@ -43,6 +43,25 @@ alone in the frontier, not pushed back, is the only entry there is, so
 the argument holds for it too.  GBFS keeps no bound: its witness is valid
 but may be longer than the distance.
 
+A* and GBFS look ahead from every marking they expand, when the heuristic
+has a ``lookahead`` method, as ``q`` and ``z`` do (lookahead from relaxed
+plans, Vidal 2004; realized state-equation solutions, Wimmel and Wolf
+2011).  After ``m``'s successors are pushed, ``lookahead(m, deadline)``
+fires the state equation's optimal firing counts ``x*`` at ``m``, if they
+are integral, in greedy index order (``PetriNet.realize``).  Firing effects
+add up, so a sequence that fires ``x*`` ends in the target set, and it
+weighs exactly ``h(m)``.  The search then ends REACHABLE, and its witness
+is the path to ``m`` followed by that sequence, of weight ``g + h``.  Under
+A* that is the distance ``d``, and only admissibility is needed.  Before
+``m`` was popped, the first marking of a shortest path not yet expanded at
+its optimal ``g`` waited in the frontier at a priority of at most ``d``.
+If that marking is ``m``, then ``g + h <= g + d(m) = d``.  Otherwise it
+still waits, and ``m`` was expanded at ``g + h``, at most the priority it
+was popped at, which is at most that marking's.  No path weighs less than
+``d``, so ``g + h = d``.  Dijkstra never looks ahead: its priority ``g``
+does not bound ``g + h``.  The lookahead reads the search's deadline while
+it fires, so ``max_time_ms`` holds inside it.
+
 Every strategy fires, at a marking that is no goal, only the enabled
 transitions of a weak stubborn set: ``net.successors(m, bounds)``, given
 the target's bounds, which the search reads once with its goal test
@@ -127,11 +146,15 @@ class SearchLimits(NamedTuple):
 
 
 class SearchStats:
-    """``expanded``: markings expanded, a goal included.  ``discovered``:
-    the node table's size, the root and markings later found infinite
-    included.  ``heuristic_calls``: evaluations of the heuristic, one each
-    time a marking that is no goal is popped from a live entry, the root
-    included and repeated ones included; a goal is never evaluated."""
+    """``expanded``: markings expanded, a goal included; a search that the
+    lookahead ended counts the marking it looked ahead from, whose
+    successors were pushed, and not the goal that the fired sequence
+    reached.  ``discovered``: the node table's size, the root, markings
+    later found infinite and the successors of the marking the lookahead
+    ended at included.  ``heuristic_calls``: evaluations of the heuristic,
+    one each time a marking that is no goal is popped from a live entry,
+    the root included and repeated ones included; a goal is never
+    evaluated."""
 
     __slots__ = ("expanded", "discovered", "heuristic_calls", "wall_time_ms")
 
@@ -204,14 +227,19 @@ def directed_search(
     dropped if its value is infinite, pushed back if its true priority
     exceeds the one it was popped at and another entry waits, and expanded
     otherwise; the module docstring shows why Dijkstra and A* stay optimal
-    under it.  A target bound above ``MAX_TOKENS`` ends the search
-    UNREACHABLE before any expansion.
+    under it.  Under A* and GBFS, a heuristic with a ``lookahead`` method
+    (``q`` and ``z``) fires the state equation's optimum at each marking
+    expanded, after its successors are pushed; a sequence that fires it
+    ends the search REACHABLE at weight ``g + h``, the distance under A*.
+    A target bound above ``MAX_TOKENS`` ends the search UNREACHABLE before
+    any expansion.
 
-    ``limits.max_time_ms`` is checked only between expansions, so it cannot
-    stop a heuristic call.  A ``z`` heuristic stops its branch-and-bound at
-    the ``deadline`` it was built with (``make_heuristic(..., deadline=)``),
-    which ``solve_instance`` derives from the same limit; a caller that
-    builds the heuristic itself passes that deadline too.
+    ``limits.max_time_ms`` is checked between expansions and while the
+    lookahead fires, but not inside a heuristic call.  A ``z`` heuristic
+    stops its branch-and-bound at the ``deadline`` it was built with
+    (``make_heuristic(..., deadline=)``), which ``solve_instance`` derives
+    from the same limit; a caller that builds the heuristic itself passes
+    that deadline too.
     """
     if inst.init_upward:
         raise ValueError("directed_search needs an exact initial marking: apply desugar_init first")
@@ -239,6 +267,9 @@ def directed_search(
     heappop, heappush, node_of, successors_of = heapq.heappop, heapq.heappush, nodes.get, net.successors
     (max_expansions, max_time_ms), monotonic = limits or SearchLimits(), time.monotonic
     deadline = None if max_time_ms is None else start + max_time_ms / 1000.0
+    # Dijkstra's priority g does not bound g + h, so it never looks ahead.
+    # ``getattr``, not ``isinstance``: a wrapper may forward the attribute.
+    lookahead = None if dijkstra else getattr(heuristic, "lookahead", None)
     while frontier:
         if max_expansions is not None and expanded >= max_expansions:
             verdict, reason = Verdict.EXHAUSTED, "expansion limit reached"
@@ -294,6 +325,14 @@ def directed_search(
             nodes[succ] = (g_new, m, t)
             counter += 1
             heappush(frontier, (g_new if dijkstra else h if greedy else g_new + h, h, counter, g_new, succ))
+
+        if lookahead is not None:
+            tail = lookahead(m, deadline)
+            if tail is not None:
+                verdict, witness = Verdict.REACHABLE, net.witness(reconstruct_witness(nodes, m) + tail)
+                # The fired tail weighs exactly h(m), both times L as integers.
+                assert sum([weights[t] for t in tail]) == h_m
+                break
 
     stats = SearchStats(expanded, len(nodes), heuristic_calls, (monotonic() - start) * 1000.0)
     return SearchResult(verdict, witness and witness.total_weight, witness, stats, reason)

@@ -6,9 +6,11 @@ from ffreach import Instance, PetriNet, TargetSpec, Transition, directed_search
 def search_expanding(inst: Instance, *args, reached: set | None = None):
     """``directed_search(inst, *args)`` and the markings it expanded, in
     order.  The search calls the net's ``successors`` once for each marking
-    it expands except the goal, so a wrapper of that method records them; a
-    reachable result then adds the goal, its witness's final marking.  Every
-    successor those calls return is added to ``reached`` when it is given."""
+    it expands except a goal, so a wrapper of that method records them; a
+    reachable result whose goal was expanded, not reached by the lookahead
+    from the last marking expanded, then adds the goal, its witness's final
+    marking.  Every successor those calls return is added to ``reached``
+    when it is given."""
     net, order = inst.net, []
     successors = net.successors
 
@@ -24,7 +26,7 @@ def search_expanding(inst: Instance, *args, reached: set | None = None):
         result = directed_search(inst, *args)
     finally:
         del net.successors
-    if result.reachable:
+    if result.reachable and result.stats.expanded > len(order):
         order.append(net.replay(inst.init, result.witness.sequence)[0])
     return result, order
 

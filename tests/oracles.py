@@ -33,6 +33,7 @@ from ffreach import (
     Transition,
 )
 from ffreach.instance_io import DuplicateIdError, NonPositiveWeightError, UnknownPlaceError
+from ffreach.net import MAX_TOKENS
 from ffreach.ratlp import (
     DEFAULT_ILP_NODE_BUDGET,
     INFEASIBLE,
@@ -797,8 +798,9 @@ def reference_stubborn_set(net: PetriNet, m, bounds) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# reference net queries: the answers of ``PetriNet.dead_end`` and
-# ``PetriNet.guarded_within``, read off the dense vectors alone.
+# reference net queries: the answers of ``PetriNet.dead_end``,
+# ``PetriNet.guarded_within`` and ``PetriNet.realize``, read off the dense
+# vectors alone.
 
 
 def reference_dead_end(net: PetriNet, m, bounds) -> bool:
@@ -815,6 +817,27 @@ def reference_dead_end(net: PetriNet, m, bounds) -> bool:
 def reference_guarded_within(net: PetriNet, places) -> list[int]:
     """The transitions, in index order, that need tokens only in ``places``."""
     return [t for t, trans in enumerate(net.transitions) if all(p in places for p, need in enumerate(trans.guard) if need)]
+
+
+def reference_realize(net: PetriNet, m, counts, cap=MAX_TOKENS) -> list[int] | None:
+    """The sequence ``PetriNet.realize(m, counts)`` returns, read off the
+    dense vectors: each step fires the first enabled transition, in index
+    order, with a count left.  None when none is enabled while a count is
+    left, or when a step leaves a place above ``cap`` (``math.inf``
+    lifts the cap)."""
+    left, m, seq = list(counts), list(m), []
+    while any(left):
+        for t, trans in enumerate(net.transitions):
+            if left[t] and all(have >= need for have, need in zip(m, trans.guard)):
+                break
+        else:
+            return None
+        m = [have - need + made for have, need, made in zip(m, trans.guard, trans.produce)]
+        if max(m, default=0) > cap:
+            return None
+        seq.append(t)
+        left[t] -= 1
+    return seq
 
 
 # ---------------------------------------------------------------------------

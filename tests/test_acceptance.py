@@ -91,7 +91,7 @@ def fig1_instance() -> Instance:
 
 def test_criterion_1_worked_example_search(capsys):
     with capsys.disabled(), criterion(
-        1, "A* with the rational relaxation finds distance 3 via t1 t2 t3, expanding 4 markings"
+        1, "A* with the rational relaxation finds distance 3 via t1 t2 t3, expanding 2 markings"
     ):
         inst = fig1_instance()
         h = make_heuristic("q", inst)
@@ -102,8 +102,9 @@ def test_criterion_1_worked_example_search(capsys):
         assert result.distance == Fraction(3)
         names = [inst.net.transitions[t].name for t in result.witness.sequence]
         assert names == ["t1", "t2", "t3"]
-        assert expanded == [(0, 0), (1, 0), (1, 1), (0, 1)]
-        assert result.stats.expanded == 4
+        # The lookahead fires q's optimum at (1, 0), t2 then t3, to the goal.
+        assert expanded == [(0, 0), (1, 0)]
+        assert result.stats.expanded == 2
         assert elapsed < 0.1, f"search took {elapsed:.3f}s"
 
 

@@ -85,6 +85,17 @@ transition t
 target: a{relation}18446744073709551616
 """
 
+#: The state equation's optimum at the root fires ``t`` three million
+#: times, which takes seconds.
+COUNTER_FNET = """\
+net counter
+places: p
+init: p=0
+transition t
+  produce p:1
+target: p>=3000000
+"""
+
 
 @pytest.fixture
 def fig1_path(tmp_path, fig_fnet_text):
@@ -122,7 +133,7 @@ class TestSolveCommand:
         assert payload["distance"] == {"fraction": "3", "decimal": 3.0}
         assert payload["witness"] == ["t1", "t2", "t3"]
         assert payload["generator_firings"] == 0
-        assert payload["stats"]["expanded"] == 4
+        assert payload["stats"]["expanded"] == 2  # the lookahead fires t2 t3 from the second
         assert payload["config"]["strategy"] == "astar"
         assert "wall" not in json.dumps(payload)
 
@@ -211,6 +222,26 @@ class TestSolveCommand:
         heuristic = make_heuristic("z", inst, deadline=start + 0.2)
         result = directed_search(inst, strategy, heuristic, SearchLimits(max_time_ms=200))
         assert time.monotonic() - start < 5
+        assert result.verdict is Verdict.EXHAUSTED and result.reason == "time limit reached"
+
+    @pytest.mark.parametrize("strategy", [Strategy.ASTAR, Strategy.GBFS])
+    @pytest.mark.parametrize("name", ["q", "z"])
+    def test_time_limit_holds_inside_the_lookahead(self, tmp_path, capsys, strategy, name):
+        # The lookahead at the root fires x* for seconds: only the search's
+        # deadline, checked while it fires, ends the solve in time, from
+        # the CLI and from directed_search with a heuristic built without one.
+        path = tmp_path / "counter.fnet"
+        path.write_text(COUNTER_FNET)
+        start = time.monotonic()
+        code, out, _ = run_main(
+            ["solve", str(path), "--strategy", strategy.value, "--heuristic", name, "--max-time-ms", "200"], capsys
+        )
+        assert time.monotonic() - start < 1
+        assert code == 2 and "reason: time limit reached" in out
+        inst = parse_instance(COUNTER_FNET)
+        start = time.monotonic()
+        result = directed_search(inst, strategy, make_heuristic(name, inst), SearchLimits(max_time_ms=200))
+        assert time.monotonic() - start < 1
         assert result.verdict is Verdict.EXHAUSTED and result.reason == "time limit reached"
 
     @pytest.mark.parametrize("relation", ["=", ">="])
@@ -319,9 +350,9 @@ GOLDEN_JSON = """\
   ],
   "generator_firings": 0,
   "stats": {
-    "expanded": 4,
-    "discovered": 5,
-    "heuristic_calls": 4
+    "expanded": 2,
+    "discovered": 3,
+    "heuristic_calls": 2
   },
   "config": {
     "file": "FILE",

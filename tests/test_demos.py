@@ -32,7 +32,7 @@ def test_readme_quick_start_prints_what_its_comments_say():
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     printed = proc.stdout.splitlines()
-    assert printed == ["3", "(0, 1, 2)", "4"]
+    assert printed == ["3", "(0, 1, 2)", "2"]
     assert len(promised) == len(printed)
     for value, comment in zip(printed, promised):
         assert re.match(re.escape(value) + r"[: ]", comment), (value, comment)

@@ -1,4 +1,7 @@
+import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +35,7 @@ from oracles import (
     reference_dead_end,
     reference_firings,
     reference_guarded_within,
+    reference_realize,
 )
 
 T1, T2, T3 = 0, 1, 2
@@ -453,6 +457,43 @@ class TestNetQueries:
             assert kept == reference_guarded_within(net, places), (i, places)
             partial += 0 < len(kept) < net.num_transitions
         assert min(dead_ends.values()) >= 100 and partial >= 50, (dead_ends, partial)
+
+    def test_realize_matches_the_oracle(self):
+        # Random counts at random markings end all three ways: fired, stuck
+        # with a count left, or past MAX_TOKENS, which markings next to it
+        # reach through a transition that moves tokens or a generator of a
+        # desugared upward draw.
+        # With a ``failed`` set shared by a net's runs, the answers stay the
+        # same, and every state kept there fails under the oracle too.
+        rng = random.Random(4242)
+        outcomes = Counter()
+        for i in range(300):
+            net = desugar_init(random_bounded_instance(rng, max_places=5, max_transitions=6, upward=i % 2 == 0)).net
+            failed = set()
+            for _ in range(6):
+                m = tuple(rng.choice((0, 1, 2, 3, MAX_TOKENS - 1)) for _ in net.places)
+                counts = [rng.randint(0, 2) for _ in net.transitions]
+                sequence = net.realize(m, counts)
+                assert sequence == reference_realize(net, m, counts), (i, m, counts)
+                assert net.realize(m, counts, failed=failed) == sequence
+                if sequence is not None:
+                    assert sorted(sequence) == sorted(t for t, count in enumerate(counts) for _ in range(count))
+                    outcomes["fired"] += 1
+                elif reference_realize(net, m, counts, cap=math.inf) is None:
+                    outcomes["stuck"] += 1
+                else:
+                    outcomes["overflow"] += 1
+            for marking, left in failed:
+                assert reference_realize(net, marking, left) is None, (i, marking, left)
+            outcomes["kept"] += len(failed)
+        assert outcomes["kept"] >= 1000, outcomes
+        assert min(outcomes[kind] for kind in ("fired", "stuck", "overflow")) >= 50, outcomes
+
+    def test_realize_stops_at_its_deadline(self):
+        net = PetriNet(["p"], [Transition("t", (0,), (1,))])
+        assert net.realize((0,), [3]) == [0, 0, 0]
+        assert net.realize((0,), [3], deadline=time.monotonic() - 1) is None
+        assert net.realize((0,), [0], deadline=time.monotonic() - 1) == []
 
 
 # A tiny strategy for random sequences over the three-transition net.

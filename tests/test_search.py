@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -44,12 +45,14 @@ def instance(net, init, target) -> Instance:
 
 class TestRunningExample:
     def test_astar_expands_only_the_shortest_path(self, n1_instance):
+        # q's optimum at (0, 0), one t2, cannot fire; at (1, 0) it is t2
+        # and t3, which the lookahead fires to the goal.
         result, expanded = search_expanding(n1_instance, Strategy.ASTAR, make_heuristic("q", n1_instance))
         assert result.verdict is Verdict.REACHABLE
         assert result.distance == 3
         assert result.witness.sequence == (0, 1, 2)
-        assert expanded == [(0, 0), (1, 0), (1, 1), (0, 1)]
-        assert result.stats.expanded == 4
+        assert expanded == [(0, 0), (1, 0)]
+        assert result.stats.expanded == 2
 
     def test_gbfs_expands_the_same_markings(self, n1_instance):
         _, astar_expanded = search_expanding(n1_instance, Strategy.ASTAR, make_heuristic("q", n1_instance))
@@ -496,14 +499,36 @@ def mutex_instance(procs: int) -> Instance:
     return instance(net, init, TargetSpec.exact(random_walk(net, init, 40, 1)[0]))
 
 
+def mint_instance(tokens: int) -> Instance:
+    """One place, filled by ``pair`` two tokens at a time or by ``one``
+    one at a time, both of weight 1, up to exactly ``tokens`` from 0."""
+    places = ["p"]
+    net = PetriNet(places, [Transition.from_maps("pair", places, None, {"p": 2}),
+                            Transition.from_maps("one", places, None, {"p": 1})], "mint")
+    return instance(net, (0,), TargetSpec.exact((tokens,)))
+
+
 def test_gbfs_evaluates_few_markings_it_does_not_expand():
-    # Evaluating each successor when it is pushed made 200 q calls here
-    # for 41 expansions; evaluated when popped, the successors GBFS never
-    # reaches are never solved.
-    inst = mutex_instance(160)
+    # An odd gap makes q's optimum half a ``pair`` more than an integer at
+    # every even marking, so the lookahead never fires and GBFS expands
+    # 0, 2, ..., 80 and the goal.  Each expansion pushes two successors;
+    # evaluated when popped, the ``one`` successors GBFS never reaches are
+    # never solved (evaluated when pushed, all 83 stored markings would be).
+    inst = mint_instance(81)
     result = directed_search(inst, Strategy.GBFS, make_heuristic("q", inst))
-    assert result.reachable and result.stats.expanded == 41
+    assert result.reachable and result.stats.expanded == 42 and result.stats.discovered == 83
     assert result.stats.heuristic_calls <= result.stats.expanded + 10
+
+
+@pytest.mark.parametrize("strategy", [Strategy.ASTAR, Strategy.GBFS])
+def test_the_lookahead_settles_the_mutex_net_at_the_root(strategy):
+    # q's optimum at the root fires, in index order, to the target: 1
+    # expansion, where each strategy expanded 41 markings without the
+    # lookahead.
+    inst = mutex_instance(160)
+    result = directed_search(inst, strategy, make_heuristic("q", inst))
+    assert result.reachable and result.distance == 41
+    assert (result.stats.expanded, result.stats.heuristic_calls) == (1, 1)
 
 
 class TestGbfsContract:
@@ -516,6 +541,119 @@ class TestGbfsContract:
         final, witness = inst.net.replay(inst.init, gbfs.witness.sequence)
         assert inst.target.satisfied(final)
         assert witness.total_weight == gbfs.distance
+
+
+class LookaheadRecorder:
+    """A state-equation heuristic that counts its lookaheads and keeps the
+    marking and sequence of the last one that fired."""
+
+    def __init__(self, inner):
+        self.inner, self.tries, self.ended = inner, 0, None
+
+    def __call__(self, m):
+        return self.inner(m)
+
+    def lookahead(self, m, deadline=None):
+        self.tries += 1
+        tail = self.inner.lookahead(m, deadline)
+        if tail is not None:
+            self.ended = (m, tail)
+        return tail
+
+
+def coins_instance(target) -> Instance:
+    """Coins minted two or three at a time and traded for goods, which are
+    packed in pairs, from nothing to the exact ``(coin, good, pack)``."""
+    places = ["coin", "good", "pack"]
+    net = PetriNet(places, [
+        Transition.from_maps("mint2", places, None, {"coin": 2}),
+        Transition.from_maps("mint3", places, None, {"coin": 3}, 2),
+        Transition.from_maps("buy", places, {"coin": 3}, {"good": 1}),
+        Transition.from_maps("sell", places, {"good": 1}, {"coin": 2}),
+        Transition.from_maps("wrap", places, {"good": 2}, {"pack": 1}),
+        Transition.from_maps("unwrap", places, {"pack": 1}, {"good": 1, "coin": 1}),
+    ], "coins")
+    return instance(net, (0, 0, 0), TargetSpec.exact(target))
+
+
+class TestLookahead:
+    def test_random_corpus(self):
+        # A lookahead that fired ends the search at m: the witness is the
+        # path to m, then the fired tail, which weighs exactly h(m).
+        # Dijkstra never looks ahead.
+        rng = random.Random(3141)
+        ended = Counter()
+        for i in range(300):
+            inst = random_bounded_instance(rng, rational_weights=i % 2 == 1)
+            reachable, distance = oracle_solve(inst)
+            for strategy in Strategy:
+                for name in ("q", "z"):
+                    heuristic = LookaheadRecorder(make_heuristic(name, inst))
+                    result = directed_search(inst, strategy, heuristic)
+                    if strategy is Strategy.DIJKSTRA:
+                        assert heuristic.tries == 0
+                    if not reachable:
+                        assert result.verdict is Verdict.UNREACHABLE
+                        continue
+                    assert_answer(inst, result, strategy, distance)
+                    if heuristic.ended is None:
+                        continue
+                    m, tail = heuristic.ended
+                    sequence = result.witness.sequence
+                    path = sequence[: len(sequence) - len(tail)]
+                    assert sequence[len(path) :] == tuple(tail)
+                    final, walked = inst.net.replay(inst.init, path)
+                    assert final == m
+                    assert result.distance == walked.total_weight + heuristic(m)
+                    ended[strategy] += 1
+        assert ended[Strategy.ASTAR] >= 200 and ended[Strategy.GBFS] >= 200, ended
+
+    def test_a_fractional_optimum_is_never_fired(self):
+        # Three coins cost q = 3/2 as one and a half mint2, and 2 as one
+        # mint3.  Rounded down, x* would fire one mint2, which ends at two.
+        inst = coins_instance((3, 0, 0))
+        heuristic = make_heuristic("q", inst)
+        assert heuristic(inst.init) == Fraction(3, 2)
+        assert heuristic.lookahead(inst.init) is None
+        recorder = LookaheadRecorder(make_heuristic("q", inst))
+        result = directed_search(inst, Strategy.ASTAR, recorder)
+        assert result.distance == 2 and result.witness.sequence == (1,)
+        assert recorder.tries >= 1
+
+    def test_a_greedy_run_that_fails_is_fired_once(self):
+        # x* at the root is 3,000 ``fill`` and one ``use``, which needs a
+        # ``key`` that x* does not mint: greedy firing fills p, then gets
+        # stuck.  A* expands the 3,000 markings along that run, and x* at
+        # each is the rest of it, so each lookahead would refire the rest
+        # of the run; kept as failed, the run is fired once, not 3,000
+        # times (seconds).
+        places = ["p", "k", "b"]
+        net = PetriNet(places, [Transition.from_maps("fill", places, None, {"p": 1}),
+                                Transition.from_maps("use", places, {"k": 1}, {"k": 1, "b": 1}),
+                                Transition.from_maps("key", places, None, {"k": 1})])
+        inst = instance(net, (0, 0, 0), TargetSpec(((Relation.GEQ, 3000), (Relation.GEQ, 0), (Relation.GEQ, 1))))
+        recorder = LookaheadRecorder(make_heuristic("q", inst))
+        start = time.monotonic()
+        result = directed_search(inst, Strategy.ASTAR, recorder)
+        assert time.monotonic() - start < 1
+        assert result.distance == 3002 and result.stats.expanded == recorder.tries == 3002
+
+    @pytest.mark.parametrize("strategy", [Strategy.ASTAR, Strategy.GBFS])
+    @pytest.mark.parametrize("name", ["q", "z"])
+    def test_a_lookahead_past_max_tokens_fails_without_raising(self, strategy, name):
+        # x* at the root fires ``fill`` and ``move`` twice each; ``fill``
+        # first, as the greedy order picks it, passes MAX_TOKENS.  The
+        # search goes on, and the lookahead fires from the next marking.
+        places = ["p", "q"]
+        net = PetriNet(places, [Transition.from_maps("fill", places, None, {"p": 1}),
+                                Transition.from_maps("move", places, {"p": 1}, {"q": 1})])
+        inst = instance(net, (MAX_TOKENS, 0), TargetSpec.exact((MAX_TOKENS, 2)))
+        heuristic = make_heuristic(name, inst)
+        assert heuristic(inst.init) == 4 and heuristic.lookahead(inst.init) is None
+        recorder = LookaheadRecorder(make_heuristic(name, inst))
+        result = directed_search(inst, strategy, recorder)
+        assert result.reachable and result.distance == 4
+        assert recorder.ended is not None and recorder.ended[0] != inst.init
 
 
 HEURISTIC_NAMES = ("zero", "struct", "q", "z")

@@ -93,7 +93,11 @@ class StateEquationHeuristic:
     ``m - effect(t)`` is known with ``x*_t >= 1`` is answered without a
     solve: ``x* - e_t`` is feasible at ``m``, and any ``x`` feasible at
     ``m`` gives ``x + e_t`` feasible at the predecessor, so ``x* - e_t`` is
-    optimal and the value is the predecessor's minus ``w(t)``.  For ``z``
+    optimal and the value is the predecessor's minus ``w(t)``.  The memo is
+    probed, in transition order, at the predecessors that
+    ``PetriNet.predecessors`` yields, those with no count below 0: any
+    other ``m - effect(t)`` is no marking, so never a memo key, and
+    skipping it leaves every hit, derivation and solve as it was.  For ``z``
     this needs the predecessor's ILP solved to optimality, hence no vector
     is kept for a budget-exhausted one; a derived ``z`` value is then the
     exact integer optimum, which a from-scratch solve of ``m`` reaches too
@@ -206,8 +210,8 @@ class StateEquationHeuristic:
         if known is not None:
             return known[0]
         warm = None
-        for t, effect in enumerate(self._effects if memo else ()):  # a first call has no predecessor
-            pred = memo.get(tuple(map(operator.sub, m, effect)))
+        for t, before in self._net.predecessors(m) if memo else ():  # a first call has no predecessor
+            pred = memo.get(before)
             if pred is None:
                 continue
             value, num, point, den, tableau, shift = pred

@@ -15,9 +15,10 @@ set, reads them too.  The bitmasks those sets are built from are read off
 the records once per net, on first use.  This module is the only one that
 reads the records and the masks: the other modules ask the net.
 ``PetriNet.dead_end`` answers the state-equation heuristic's empty-seed
-test, ``PetriNet.realize`` fires its optimal firing counts for the search's
-lookahead, and ``sign_analysis`` and ``PetriNet.guarded_within`` serve
-``prune_instance``.
+test, ``PetriNet.predecessors`` lists the markings its memo probe reads,
+built from the sparse deltas, ``PetriNet.realize`` fires its optimal firing
+counts for the search's lookahead, and ``sign_analysis`` and
+``PetriNet.guarded_within`` serve ``prune_instance``.
 
 ``PetriNet(...)`` checks each transition once and stores what it checked:
 ``int`` tuples for guard and produce, a positive ``Fraction`` weight.  Nets
@@ -38,7 +39,7 @@ import operator
 import time
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 #: Markings are dense tuples of token counts, one entry per place.
 Marking = tuple[int, ...]
@@ -364,6 +365,21 @@ class PetriNet:
             out.append((t, tuple(result)))
         return out
 
+    def predecessors(self, m: Marking) -> Iterator[tuple[int, Marking]]:
+        """Each transition ``t``, in index order, with ``m - effect(t)``,
+        for the transitions whose reverse firing leaves every count
+        nonnegative: the markings that ``t`` may lead to ``m`` from.  The
+        state-equation heuristic probes its memo with them."""
+        for t, _, deltas, _ in self._firings:
+            for p, delta in deltas:
+                if m[p] < delta:
+                    break
+            else:
+                pred = list(m)
+                for p, delta in deltas:
+                    pred[p] -= delta
+                yield t, tuple(pred)
+
     def dead_end(self, m: Marking, bounds: Sequence[tuple[int, int, int]]) -> bool:
         """True when a place that ``m`` violates has an empty seed, as
         :meth:`successors` reads seeds: it is below its least count under
@@ -400,19 +416,26 @@ class PetriNet:
             if deadline is not None and monotonic() > deadline:
                 return None
             for i, t in enumerate(todo):
-                if all(marking[p] >= need for p, need in firings[t][1]):
-                    break
+                for p, need in firings[t][1]:
+                    if marking[p] < need:
+                        break
+                else:
+                    break  # t is enabled
             else:
                 break  # stuck: every transition with a count left is disabled
             _, _, deltas, raises = firings[t]
             for p, delta in deltas:
                 marking[p] += delta
-            if any(marking[p] > MAX_TOKENS for p in raises):
-                break
-            seq.append(t)
-            left[t] -= 1
-            if not left[t]:
-                del todo[i]
+            for p in raises:
+                if marking[p] > MAX_TOKENS:
+                    break
+            else:  # no count passed MAX_TOKENS
+                seq.append(t)
+                left[t] -= 1
+                if not left[t]:
+                    del todo[i]
+                continue
+            break  # overflow
         else:
             return seq
         if failed is not None:

@@ -26,7 +26,11 @@ heuristic, may build it itself.  A pivot is one fraction-free
 the denominator.  ``den`` is the absolute value of the basis
 determinant, so by Cramer's rule every entry of ``T`` is a determinant of
 integer data, and by Sylvester's identity the division is exact.  Unlike
-``Fraction`` arithmetic, no step takes a gcd.  An optimal outcome keeps
+``Fraction`` arithmetic, no step takes a gcd.  A unit pivot, ``p == den``,
+leaves the denominator as it is and rows with ``f == 0`` untouched, so it
+changes only the pivot row's nonzero columns of the other rows: a Petri
+net's incidence matrix is sparse, and at scale nearly every pivot is a unit
+pivot.  An optimal outcome keeps
 its final tableau and makes its ``Fraction`` value and point,
 ``Fraction(T[i][-1], den)``, only when they are first read; callers that
 stay on the integers (branch-and-bound here, the state-equation
@@ -59,7 +63,9 @@ keep the basis, every reduced cost and the meaning of ``den``:
   update plus ``den * sum_j k_j c_j`` for the scaled objective ``c``, since
   the objective is still read in the original variables.  Only the
   right-hand side of the integer data moved, so these are the Bareiss
-  entries of the new data at the same basis.
+  entries of the new data at the same basis.  Only the rows where some
+  ``k_j``'s column is nonzero change; a tableau reads each column's
+  nonzero rows once, into a column index, when a shift first needs it.
 * Bound.  The branch ``x_j <= f`` on a basic ``x_j`` in row ``r`` appends a
   slack column and the row ``den*e_j - T[r] + den*e_s`` with rhs
   ``f*den - T[r][-1]``; the branch ``x_j >= f + 1`` appends
@@ -170,7 +176,7 @@ class Tableau:
     because a pivot replaces rows rather than editing them.
     """
 
-    __slots__ = ("rows", "basis", "den", "objective", "obj_scale")
+    __slots__ = ("rows", "basis", "den", "objective", "obj_scale", "_columns")
 
     def __init__(
         self, rows: tuple[list[int], ...], basis: tuple[int, ...], den: int, objective: tuple[int, ...], obj_scale: int
@@ -180,6 +186,10 @@ class Tableau:
         self.den = den
         self.objective = objective
         self.obj_scale = obj_scale
+        #: column -> the ``(row index, entry)`` pairs of its nonzero entries,
+        #: cost row included; each column is read off the rows when
+        #: :meth:`shifted` first needs it.
+        self._columns: dict[int, list[tuple[int, int]]] = {}
 
     def value(self) -> tuple[int, int]:
         """The objective value of the basic solution as an unreduced
@@ -198,20 +208,26 @@ class Tableau:
     def shifted(self, shift: dict[int, int]) -> Tableau:
         """The tableau, at the same basis, of the problem whose right-hand
         side is ``b - A k`` for the integer vector ``k = shift``, given as
-        ``{variable: k_j}``."""
-        rows = []
-        for row in self.rows:
-            delta = 0
-            for j, k in shift.items():
-                delta += k * row[j]
-            rows.append([*row[:-1], row[-1] - delta] if delta else row)
-        den, objective = self.den, self.objective
+        ``{variable: k_j}``.  Only the rows where a shifted column is
+        nonzero are read, through the column index."""
+        rows, columns, objective = self.rows, self._columns, self.objective
+        deltas: dict[int, int] = {}
         gain = 0
         for j, k in shift.items():
+            entries = columns.get(j)
+            if entries is None:
+                entries = columns[j] = [(i, row[j]) for i, row in enumerate(rows) if row[j]]
+            for i, a in entries:
+                deltas[i] = deltas.get(i, 0) + k * a
             gain += k * objective[j]
-        cost = rows[-1]
-        rows[-1] = [*cost[:-1], cost[-1] + den * gain]
-        return Tableau(tuple(rows), self.basis, den, objective, self.obj_scale)
+        shifted, last = list(rows), len(rows) - 1
+        for i, delta in deltas.items():
+            if delta and i != last:
+                row = rows[i]
+                shifted[i] = [*row[:-1], row[-1] - delta]
+        cost, den = rows[-1], self.den
+        shifted[-1] = [*cost[:-1], cost[-1] - deltas.get(last, 0) + den * gain]
+        return Tableau(tuple(shifted), self.basis, den, objective, self.obj_scale)
 
     def bounded(self, var: int, bound: int, upper: bool) -> Tableau:
         """The tableau with the row ``x_var <= bound`` (``upper``) or
@@ -336,22 +352,38 @@ def _pivot(tableau: list[list[int]], basis: list[int], den: int, row: int, col: 
 
     The pivot row keeps its entries and its pivot ``p`` becomes the
     denominator; every other row becomes ``(a*p - f*b) / den``, which is
-    exact.  A negative ``p`` (only when a leftover artificial is driven out)
-    negates the pivot row first, which negates the whole new tableau.
+    exact.  A negative ``p`` negates the pivot row first, which negates the
+    whole new tableau: every pivot of the dual simplex is negative, and so
+    may be one that drives a leftover artificial out.
+
+    A unit pivot, ``p == den``, leaves ``den`` as it is, and row ``a``
+    becomes ``a - f*b / den``, exact as above: a row with factor 0 is kept,
+    and a row with a nonzero factor is copied (tableaux share row lists)
+    and changed only in the pivot row's nonzero columns.
     """
     pivot_row = tableau[row]
     p = pivot_row[col]
     if p < 0:
         tableau[row] = pivot_row = [-v for v in pivot_row]
         p = -p
-    for i, other in enumerate(tableau):
-        if i == row:
-            continue
-        factor = other[col]
-        if factor:
-            tableau[i] = [(a * p - factor * b) // den for a, b in zip(other, pivot_row)]
-        elif p != den:  # the row only moves to the new denominator
-            tableau[i] = [a * p // den for a in other]
+    if p == den:
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+        for i, other in enumerate(tableau):
+            factor = other[col]
+            if factor and i != row:
+                other = other[:]
+                for j, b in nonzero:
+                    other[j] -= factor * b // den
+                tableau[i] = other
+    else:
+        for i, other in enumerate(tableau):
+            if i == row:
+                continue
+            factor = other[col]
+            if factor:
+                tableau[i] = [(a * p - factor * b) // den for a, b in zip(other, pivot_row)]
+            else:  # the row only moves to the new denominator
+                tableau[i] = [a * p // den for a in other]
     basis[row] = col
     return p
 

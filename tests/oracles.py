@@ -12,6 +12,9 @@ library's integer loop replaced, ``reference_parse_instance``, the
 token-by-token ``.fnet`` parser the one-pass parser replaced, and
 ``reference_firings``, the per-net tables as every net built them before
 the one-loop build, and before ``desugar_init`` kept its parent's records.
+So are ``reference_pivot`` and ``reference_shifted``, the dense Bareiss
+step and the dense shift of a tableau's right-hand side that the sparse
+ones replaced.
 """
 
 from __future__ import annotations
@@ -300,6 +303,41 @@ def _reference_run_simplex(tableau, basis, num_cols) -> str:
         if best_row < 0:
             return "unbounded"
         _reference_pivot(tableau, basis, best_row, col)
+
+
+def reference_pivot(tableau, basis, den, row, col) -> int:
+    """``ratlp._pivot`` as a dense Bareiss step: every row other than the
+    pivot row with a nonzero factor ``f`` becomes ``(a*p - f*b) / den`` over
+    all its columns, and with a factor of 0, ``a*p / den``.  Returns the new
+    denominator."""
+    pivot_row = tableau[row]
+    p = pivot_row[col]
+    if p < 0:
+        tableau[row] = pivot_row = [-v for v in pivot_row]
+        p = -p
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        factor = other[col]
+        if factor:
+            tableau[i] = [(a * p - factor * b) // den for a, b in zip(other, pivot_row)]
+        elif p != den:
+            tableau[i] = [a * p // den for a in other]
+    basis[row] = col
+    return p
+
+
+def reference_shifted(tableau: Tableau, shift: dict[int, int]) -> Tableau:
+    """``Tableau.shifted`` as a dense loop: every row, the cost row
+    included, is read at every shifted column."""
+    rows = []
+    for row in tableau.rows:
+        delta = sum(k * row[j] for j, k in shift.items())
+        rows.append([*row[:-1], row[-1] - delta] if delta else row)
+    gain = sum(k * tableau.objective[j] for j, k in shift.items())
+    cost = rows[-1]
+    rows[-1] = [*cost[:-1], cost[-1] + tableau.den * gain]
+    return Tableau(tuple(rows), tableau.basis, tableau.den, tableau.objective, tableau.obj_scale)
 
 
 def reference_simplex_min(lp: RationalLP) -> Outcome:
@@ -799,8 +837,8 @@ def reference_stubborn_set(net: PetriNet, m, bounds) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # reference net queries: the answers of ``PetriNet.dead_end``,
-# ``PetriNet.guarded_within`` and ``PetriNet.realize``, read off the dense
-# vectors alone.
+# ``PetriNet.guarded_within``, ``PetriNet.predecessors`` and
+# ``PetriNet.realize``, read off the dense vectors alone.
 
 
 def reference_dead_end(net: PetriNet, m, bounds) -> bool:
@@ -817,6 +855,17 @@ def reference_dead_end(net: PetriNet, m, bounds) -> bool:
 def reference_guarded_within(net: PetriNet, places) -> list[int]:
     """The transitions, in index order, that need tokens only in ``places``."""
     return [t for t, trans in enumerate(net.transitions) if all(p in places for p, need in enumerate(trans.guard) if need)]
+
+
+def reference_predecessors(net: PetriNet, m) -> list[tuple[int, tuple[int, ...]]]:
+    """Each transition, in index order, with ``m`` minus its dense effect,
+    for the transitions where that leaves no count negative."""
+    out = []
+    for t, trans in enumerate(net.transitions):
+        before = tuple([have - made + need for have, need, made in zip(m, trans.guard, trans.produce)])
+        if min(before, default=0) >= 0:
+            out.append((t, before))
+    return out
 
 
 def reference_realize(net: PetriNet, m, counts, cap=MAX_TOKENS) -> list[int] | None:

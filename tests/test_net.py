@@ -35,6 +35,7 @@ from oracles import (
     reference_dead_end,
     reference_firings,
     reference_guarded_within,
+    reference_predecessors,
     reference_realize,
 )
 
@@ -433,9 +434,9 @@ class TestDenseReads:
 
 
 class TestNetQueries:
-    """``dead_end`` and ``guarded_within``, which other modules ask instead
-    of reading the net's records and masks, answer what the dense-vector
-    oracles answer."""
+    """``dead_end``, ``guarded_within``, ``predecessors`` and ``realize``,
+    which other modules ask instead of reading the net's records and masks,
+    answer what the dense-vector oracles answer."""
 
     def test_dead_end_and_guarded_within_match_the_oracles(self):
         # Desugared upward draws have generators, which raise a place with
@@ -457,6 +458,21 @@ class TestNetQueries:
             assert kept == reference_guarded_within(net, places), (i, places)
             partial += 0 < len(kept) < net.num_transitions
         assert min(dead_ends.values()) >= 100 and partial >= 50, (dead_ends, partial)
+
+    def test_predecessors_match_the_oracle(self):
+        # Zeros in the markings leave some transitions without a
+        # predecessor; the generators of desugared upward draws need none.
+        rng = random.Random(5353)
+        kept = skipped = 0
+        for i in range(300):
+            net = desugar_init(random_bounded_instance(rng, max_places=5, max_transitions=6, upward=i % 2 == 0)).net
+            for _ in range(6):
+                m = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in net.places)
+                found = list(net.predecessors(m))
+                assert found == reference_predecessors(net, m), (i, m)
+                kept += len(found)
+                skipped += net.num_transitions - len(found)
+        assert min(kept, skipped) >= 1000, (kept, skipped)
 
     def test_realize_matches_the_oracle(self):
         # Random counts at random markings end all three ways: fired, stuck

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -317,7 +318,8 @@ class TestIntegerTableau:
             assert pivots == reference_pivots, problem
             kinds.add(out.kind)
         assert kinds == {OutcomeKind.OPTIMAL, OutcomeKind.INFEASIBLE, OutcomeKind.UNBOUNDED}
-        # Negative pivots only come from driving a leftover artificial out.
+        # A cold solve pivots on a negative entry only when it drives a
+        # leftover artificial out; the dual simplex always does.
         assert len(negative_pivots) >= 20
 
     def test_outcomes_are_fractions(self):
@@ -347,6 +349,40 @@ class TestIntegerTableau:
             else:
                 assert out.value == expected
                 check_point(problem, out)
+
+
+class TestSparsePivot:
+    """The pivot against the dense Bareiss step it replaced."""
+
+    def test_matches_the_dense_step(self):
+        # Random integer tableaux over den 1 stand for the basis of their
+        # virtual artificials; pivoting on any nonzero entry exchanges a
+        # basic column, so each later step is exact too.  Entries of +-1
+        # and +-den give unit pivots, the rest non-unit ones.
+        rng = random.Random(6262)
+        kinds = Counter()
+        for _ in range(400):
+            num_rows, num_cols = rng.randint(1, 6), rng.randint(2, 8)
+            tableau = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(num_cols)] for _ in range(num_rows)]
+            basis, den = [num_cols + i for i in range(num_rows)], 1
+            for _ in range(rng.randint(1, 6)):
+                entries = [(i, j) for i in range(num_rows) for j in range(num_cols - 1) if tableau[i][j]]
+                if not entries:
+                    break
+                row, col = rng.choice(entries)
+                p = tableau[row][col]
+                kinds["unit" if abs(p) == den else "non-unit", "negative" if p < 0 else "positive"] += 1
+                kinds["factor 0"] += sum(not other[col] for i, other in enumerate(tableau) if i != row)
+                before = [line[:] for line in tableau]
+                expected, expected_basis = list(tableau), basis[:]
+                expected_den = oracles.reference_pivot(expected, expected_basis, den, row, col)
+                # Like a warm start, the pivoted tableau shares its row lists.
+                pivoted, basis = list(tableau), basis[:]
+                den = ratlp._pivot(pivoted, basis, den, row, col)
+                assert (pivoted, basis, den) == (expected, expected_basis, expected_den)
+                assert tableau == before
+                tableau = pivoted
+        assert len(kinds) == 5 and min(kinds.values()) >= 50, kinds
 
 
 class TestOutcomeContract:

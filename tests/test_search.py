@@ -21,6 +21,7 @@ from ffreach import (
     parse_instance,
     random_walk,
 )
+from ffreach import heuristics
 from ffreach.net import MAX_TOKENS
 from ffreach.ratlp import DEFAULT_ILP_NODE_BUDGET
 from ffreach.search import BrokenParentChainError, SearchResult, reconstruct_witness
@@ -497,6 +498,25 @@ def mutex_instance(procs: int) -> Instance:
     net = PetriNet(places, transitions, f"mutex{procs}")
     init = (1,) + (2, 0, 0) * procs
     return instance(net, init, TargetSpec.exact(random_walk(net, init, 40, 1)[0]))
+
+
+def test_dijkstra_q_solve_counts_on_the_mutex_net(monkeypatch):
+    # Dijkstra never looks ahead, so q answers every marking it pops, each
+    # by a solve or derived from a predecessor's optimum.  Probing only the
+    # predecessors that can be markings keeps both counts.
+    solves = Counter()
+    for name in ("simplex_min", "ilp_min"):
+        def counted(*args, solver=getattr(heuristics, name), name=name):
+            solves[name] += 1
+            return solver(*args)
+
+        monkeypatch.setattr(heuristics, name, counted)
+    inst = mutex_instance(80)
+    h = make_heuristic("q", inst)
+    result = directed_search(inst, Strategy.DIJKSTRA, h)
+    assert result.reachable and result.distance == 41
+    derived = sum(bool(shift) for *_, shift in h._memo.values())
+    assert (solves["simplex_min"], solves["ilp_min"], derived, len(h._memo)) == (79, 0, 39, 118)
 
 
 def mint_instance(tokens: int) -> Instance:

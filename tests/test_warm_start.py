@@ -20,6 +20,7 @@ from ffreach import (
     Strategy,
     TargetSpec,
     Transition,
+    desugar_init,
     directed_search,
     ilp_min,
     simplex_min,
@@ -158,6 +159,76 @@ class TestShift:
         first = simplex_min(shifted_lp(problem, {0: 1}), start)
         assert [list(row) for row in start.rows] == rows and start.basis == basis
         assert simplex_min(shifted_lp(problem, {0: 1}), start) == first
+
+
+class TestSparseShift:
+    """The shift through the column index against the dense loop it
+    replaced, and warm re-solves against the tableaux they start from."""
+
+    def test_matches_the_dense_shift(self):
+        # Two shifts of one tableau, the second on a column the first left
+        # alone, so that an index built for the first shift's columns only
+        # fails; then a shift of the shifted tableau.
+        rng = random.Random(6464)
+        shifted = 0
+        for i in range(200):
+            inst = desugar_init(random_bounded_instance(rng, max_places=5, max_transitions=6, upward=i % 2 == 0))
+            h = StateEquationHeuristic(inst.net, inst.target)
+            outcome = simplex_min(h.form(tuple(rng.randint(0, 3) for _ in inst.net.places)))
+            if outcome.kind is not OutcomeKind.OPTIMAL:
+                continue
+            tableau = outcome.tableau
+            n = len(tableau.objective)
+            first = {j: rng.randint(-2, 3) for j in rng.sample(range(n), rng.randint(1, n))}
+            second = {j: rng.randint(-2, 3) for j in rng.sample(range(n), rng.randint(1, n))}
+            second[rng.choice([j for j in range(n) if j not in first] or [0])] = 1
+            for start, shift in [(tableau, first), (tableau, second), (tableau.shifted(first), second)]:
+                got, expected = start.shifted(shift), oracles.reference_shifted(start, shift)
+                assert (got.rows, got.basis, got.den) == (expected.rows, expected.basis, expected.den), (i, shift)
+                shifted += 1
+        assert shifted >= 300, shifted
+
+    @pytest.mark.parametrize("rows", [(), (Row((0, 0), E, 0),)], ids=["no-rows", "redundant-row"])
+    def test_a_lone_cost_row_is_shifted(self, rows):
+        # With no constraint row left, the cost row holds the objective
+        # over den 1, so its own update cancels the shift's gain: a shift
+        # that skips reading the cost row moves its right-hand side.
+        problem = RationalLP(2, (1, 2), rows)
+        tableau = simplex_min(problem).tableau
+        assert len(tableau.rows) == 1
+        for shift in ({0: 1}, {0: -2, 1: 3}):
+            assert tableau.shifted(shift).rows == oracles.reference_shifted(tableau, shift).rows
+            assert_matches_cold(shifted_lp(problem, shift), simplex_min(None, tableau.shifted(shift)))
+
+    def test_warm_re_solves_leave_their_tableau_as_it_was(self, pivots):
+        # A pivot copies the row lists it changes, so a tableau the memo
+        # keeps stays as it was through the shifted and bounded re-solves
+        # started from it, and an ILP's root keeps the relaxation's rows
+        # through every node below it.
+        rng = random.Random(8686)
+        repaired = branched = 0
+        for _ in range(300):
+            problem = random_integer_lp(rng)
+            outcome = simplex_min(problem)
+            if outcome.kind is not OutcomeKind.OPTIMAL:
+                continue
+            kept = outcome.tableau
+            rows = [row[:] for row in kept.rows]
+            step = {j: rng.randint(-3, 3) for j in range(problem.num_vars)}
+            before = pivots[0]
+            simplex_min(None, kept.shifted(step))
+            basic = [b for b in kept.basis if b < problem.num_vars]
+            if basic:
+                var = rng.choice(basic)
+                floor = kept.rows[kept.basis.index(var)][-1] // kept.den
+                simplex_min(None, kept.bounded(var, floor - 1, True))
+            repaired += pivots[0] > before
+            assert [row[:] for row in kept.rows] == rows
+            ilp = ilp_min(problem, 200)
+            if ilp.kind is not OutcomeKind.INFEASIBLE:
+                assert ilp.tableau.rows == kept.rows
+                branched += ilp.optimum is not ilp.tableau
+        assert repaired >= 50 and branched >= 10, (repaired, branched)
 
 
 class TestBound:

@@ -13,8 +13,10 @@ GBFS+q and Dijkstra+q by ``solve_instance``, with
 only the solving checkout's ``ffreach`` (under its ``src``), runs with
 ``PYTHONHASHSEED=0`` and reads the instance as ``.fnet`` text.  One line
 per solve prints the verdict, the distance, the search's ``expanded``,
-``discovered`` and ``heuristic_calls``, the seconds ``solve_instance`` took
-and the process's peak ``ru_maxrss`` in MiB.  With OTHER_CHECKOUT (say, a
+``discovered`` and ``heuristic_calls``, the number of LP and ILP solves the
+heuristic made (the child counts the calls of
+``ffreach.heuristics.simplex_min`` and ``ilp_min``), the seconds
+``solve_instance`` took and the process's peak ``ru_maxrss`` in MiB.  With OTHER_CHECKOUT (say, a
 clone of the parent commit), each line shows the other checkout's solve,
 then this checkout's; the two run one after the other.  Nothing is
 written, bytecode caches included.
@@ -31,7 +33,7 @@ from pathlib import Path
 #: The search's time limit, in milliseconds.
 LIMIT_MS = 60_000
 CONFIGS = (("astar", "q"), ("gbfs", "q"), ("dijkstra", "q"))
-COLUMNS = ("verdict", "distance", "expanded", "discovered", "calls", "seconds", "rss_mib")
+COLUMNS = ("verdict", "distance", "expanded", "discovered", "calls", "solves", "seconds", "rss_mib")
 
 
 def solve(root: Path, strategy: str, heuristic: str) -> int:
@@ -41,15 +43,27 @@ def solve(root: Path, strategy: str, heuristic: str) -> int:
     from time import perf_counter
 
     sys.path.insert(0, str(root / "src"))
-    from ffreach import SearchLimits, Strategy, parse_instance, solve_instance
+    from ffreach import SearchLimits, Strategy, heuristics, parse_instance, solve_instance
 
+    solves = 0
+
+    def counting(solver):
+        def counted(*args):
+            nonlocal solves
+            solves += 1
+            return solver(*args)
+
+        return counted
+
+    heuristics.simplex_min = counting(heuristics.simplex_min)
+    heuristics.ilp_min = counting(heuristics.ilp_min)
     inst = parse_instance(sys.stdin.read())
     start = perf_counter()
     result, _, _ = solve_instance(inst, Strategy(strategy), heuristic, limits=SearchLimits(max_time_ms=LIMIT_MS))
     seconds = perf_counter() - start
     stats = result.stats
     row = [result.verdict.value, "-" if result.distance is None else str(result.distance), stats.expanded,
-           stats.discovered, stats.heuristic_calls, f"{seconds:.3f}",
+           stats.discovered, stats.heuristic_calls, solves, f"{seconds:.3f}",
            f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"]
     print(json.dumps(row))
     return 0
@@ -94,7 +108,7 @@ def main(argv: list[str]) -> int:
             print(f"scale.py: {checkout} is not the root of a checkout", file=sys.stderr)
             return 2
     sys.dont_write_bytecode = True
-    widths = (11, 10, 10, 12, 7, 9, 9)
+    widths = (11, 10, 10, 12, 7, 8, 9, 9)
     header = "".join(f"{name:>{width}}" for name, width in zip(COLUMNS, widths))
     print(f"{'instance':<12}{'config':<11}" + " |".join([header] * len(roots)), flush=True)
     for name, text in instances(root):
